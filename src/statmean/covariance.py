@@ -23,6 +23,7 @@ from scipy.special import gammaln
 
 from . import quadrature
 from .errors import AccuracyError, ValidationError
+from .memo import BoundedMemo
 from .spectra import (TWO_PI, ArcSupported, ArfimaFactor, Arma, FlatZero,
                       FrequencyShifted, PowerAtOrigin, Product, Scaled,
                       SpectralMeasure, WhiteNoise, as_measure)
@@ -263,7 +264,8 @@ def _quadrature_density_covariances(model, kmax, tol=QUAD_TOL):
         f"(achieved {achieved:.3g})", achieved=achieved)
 
 
-_COV_CACHE: dict = {}
+#: covariances of the 64 models used last, per precision, at the largest order asked
+_COV_CACHE = BoundedMemo(64)
 
 
 def covariance_sequence(measure, n: int, precision: str = "double") -> CovarianceSequence:
@@ -295,7 +297,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
             dens, prov = exact, "exact"
         else:
             dens, prov = _quadrature_density_covariances(model, n), "quadrature"
-        _COV_CACHE[key] = (n, dens.copy(), prov)
+        _COV_CACHE.put(key, (n, dens.copy(), prov))
     for angle, mass in measure.atoms:
         dens = dens + mass * np.cos(np.arange(n + 1) * angle)
     return CovarianceSequence(dens, prov)
@@ -428,7 +430,7 @@ def _covariance_sequence_dd(measure, n):
                 "extended-precision covariances are not available for this model; "
                 "supported: white noise, power-at-origin, pure-MA, their products "
                 "and scalings, arc-supported, flat-zero")
-        _COV_CACHE[key] = (n, list(vals), "exact")
+        _COV_CACHE.put(key, (n, list(vals), "exact"))
     for angle, mass in measure.atoms:
         wa = mp.mpf(mass)
         aa = mp.mpf(angle)

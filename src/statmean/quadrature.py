@@ -22,6 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .memo import BoundedMemo
+
 NODES_PER_PANEL = 32
 SINGULAR_PANELS = 40
 #: capped so the innermost panel edges stay normal doubles and power-law
@@ -107,7 +109,8 @@ def half_line_grid(singular_angles, osc_k=0, base_panels=8, depth=SINGULAR_PANEL
     return lam, wts
 
 
-_GRID_CACHE: dict = {}
+#: the 64 grids used last, keyed by model and grading
+_GRID_CACHE = BoundedMemo(64)
 
 
 def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES_PER_PANEL):
@@ -132,9 +135,7 @@ def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES
               for s in model.singularities()}
     grid = half_line_grid(depths, osc_k=osc_k, base_panels=base_panels, depth=depth,
                           nodes=nodes)
-    if len(_GRID_CACHE) > 64:
-        _GRID_CACHE.clear()
-    _GRID_CACHE[key] = grid
+    _GRID_CACHE.put(key, grid)
     return grid
 
 

@@ -3,10 +3,17 @@
 The core routine is a Levinson-Durbin recursion generalized to the all-ones
 right-hand side: one O(n^2) pass yields the optimal weights and variance at
 every intermediate order, plus the reflection coefficients used for the
-positive-definiteness check and a cheap condition proxy.  In double precision
-the solution is polished by one step of iterative refinement with the
-residual accumulated in extended (80-bit) arithmetic; the extended path runs
-the same recursion in compensated double-double arithmetic.
+positive-definiteness check and a cheap condition proxy.  The double pass runs
+at most once per exact covariance sequence: it is memoised on the sequence's
+bytes in a bounded memo, so `blue_solve`, `blue_variance_curve`,
+`reflection_coefficients` and their callers share it.  Memoised arrays are
+read-only and callers receive copies; a breakdown is raised, never memoised.
+
+In double precision the solution is polished by one step of iterative
+refinement, memoised with the pass.  Its residual 1 - R x is accumulated in
+extended (80-bit) arithmetic by correlating x with the covariance sequence, in
+O(n) memory.  The extended path runs the same recursion in compensated
+double-double arithmetic and is not memoised.
 """
 
 from __future__ import annotations
@@ -19,13 +26,16 @@ import numpy as np
 from . import ddouble as dd
 from .covariance import CovarianceSequence, covariance_sequence
 from .errors import NearSingularError, ValidationError
+from .memo import BoundedMemo
 from .quadrature import model_grid
 from .spectra import TWO_PI, as_measure
 
 #: reflection magnitude beyond which the double recursion is declared singular
 BREAKDOWN_DOUBLE = 1.0 - 1e-14
 BREAKDOWN_DD = 1.0 - 1e-30
-#: largest order for which the refinement residual is formed in 80-bit floats
+#: largest order that gets a refinement step.  The cap bounds time (the
+#: correction is a second O(n^2) pass) and keeps outputs above it bit-for-bit
+#: as they were; the residual itself takes O(n) memory at any order.
 REFINE_MAX_ORDER = 2048
 
 #: scaling applied to Fourier coefficients of 1/f in the inverse-density
@@ -63,8 +73,8 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
 # double-precision Levinson with all-ones right-hand side
 # ---------------------------------------------------------------------------
 
-def _levinson_ones(r, collect_curve=False, breakdown=BREAKDOWN_DOUBLE):
-    """One recursion pass; returns (x, reflections, variances or final)."""
+def _levinson_ones(r):
+    """One recursion pass; returns (x, reflections, variance curve)."""
     r = np.asarray(r, dtype=float)
     n = len(r) - 1
     a = np.empty(n + 1)
@@ -78,7 +88,7 @@ def _levinson_ones(r, collect_curve=False, breakdown=BREAKDOWN_DOUBLE):
     for m in range(1, n + 1):
         window = r[m:0:-1]
         k = -np.dot(a[:m], window) / e
-        if abs(k) >= breakdown:
+        if abs(k) >= BREAKDOWN_DOUBLE:
             raise NearSingularError(
                 f"Toeplitz factorization breakdown at order {m} "
                 f"(reflection {k:+.17g}); extended double-double precision "
@@ -90,21 +100,57 @@ def _levinson_ones(r, collect_curve=False, breakdown=BREAKDOWN_DOUBLE):
         eta = 1.0 - np.dot(x[:m], window)
         x[m] = 0.0
         x[:m + 1] += (eta / e) * a[:m + 1][::-1]
-        if collect_curve:
-            variances[m] = 1.0 / x[:m + 1].sum()
-    return x, refl, variances, e
+        variances[m] = 1.0 / x[:m + 1].sum()
+    return x, refl, variances
+
+
+def _read_only(v):
+    v.setflags(write=False)
+    return v
+
+
+class _LevinsonPass:
+    """Read-only results of one double pass, plus its refined solution once asked."""
+
+    __slots__ = ("x", "refl", "curve", "refined")
+
+    def __init__(self, x, refl, curve):
+        self.x, self.refl, self.curve = (_read_only(v) for v in (x, refl, curve))
+        self.refined = None
+
+
+#: the 8 passes used last; an entry holds four vectors of length n+1
+_LEVINSON_MEMO = BoundedMemo(8)
+
+
+def _levinson_pass(r) -> _LevinsonPass:
+    """The memoised pass over the exact values r; a breakdown raises every time."""
+    r = np.asarray(r, dtype=float)
+    key = r.tobytes()
+    entry = _LEVINSON_MEMO.get(key)
+    if entry is None:
+        entry = _LevinsonPass(*_levinson_ones(r))
+        _LEVINSON_MEMO.put(key, entry)
+    return entry
+
+
+def _residual(r, x):
+    """1 - R x in extended precision, R the symmetric Toeplitz matrix of r.
+
+    Correlating x with the two-sided sequence r(n..1, 0..n) forms every row in
+    O(n) memory and sums over j in ascending order, as the dense product
+    1 - r[|i-j|] @ x does, so both give the same bits.
+    """
+    rl = np.asarray(r, dtype=np.longdouble)
+    xl = np.asarray(x, dtype=np.longdouble)
+    return 1 - np.correlate(np.concatenate((rl[:0:-1], rl)), xl, mode="valid")[::-1]
 
 
 def _refine(r, x):
     """One iterative-refinement step, residual in extended precision."""
-    n = len(r) - 1
-    if n > REFINE_MAX_ORDER:
+    if len(r) - 1 > REFINE_MAX_ORDER:
         return x
-    rl = np.asarray(r, dtype=np.longdouble)
-    xl = np.asarray(x, dtype=np.longdouble)
-    idx = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
-    res = np.ones(n + 1, dtype=np.longdouble) - rl[idx] @ xl
-    corr = _levinson_general(r, np.asarray(res, dtype=float))
+    corr = _levinson_general(r, np.asarray(_residual(r, x), dtype=float))
     return x + corr
 
 
@@ -197,8 +243,10 @@ def blue_solve(system: ToeplitzSystem):
         coeffs = np.array([dd.to_float(dd.div(xj, s)) for xj in x])
         refl_f = np.array([dd.to_float(k) for k in refl])
     else:
-        x, refl_f, _, _ = _levinson_ones(r)
-        x = _refine(r, x)
+        entry = _levinson_pass(r)
+        if entry.refined is None:
+            entry.refined = _read_only(_refine(r, entry.x))
+        x, refl_f = entry.refined, entry.refl
         total = x.sum()
         variance = 1.0 / total
         coeffs = x / total
@@ -217,14 +265,12 @@ def blue_variance_curve(covariance: CovarianceSequence, precision: str = "double
             raise ValidationError("extended curve requires a dd covariance sequence")
         _, _, variances = _levinson_ones_dd(covariance.dd_values, collect_curve=True)
         return np.array([dd.to_float(v) for v in variances])
-    _, _, variances, _ = _levinson_ones(covariance.values, collect_curve=True)
-    return variances
+    return _levinson_pass(covariance.values).curve.copy()
 
 
 def reflection_coefficients(r):
     """Reflection (Schur) coefficients of the prediction recursion."""
-    _, refl, _, _ = _levinson_ones(r)
-    return refl
+    return _levinson_pass(r).refl.copy()
 
 
 def _condition_proxy(refl):

@@ -8,7 +8,10 @@ import numpy as np
 import pytest
 
 import statmean as st
-from statmean.covariance import (_quadrature_density_covariances, falpha_covariance_array)
+from statmean.covariance import (_COV_CACHE, _quadrature_density_covariances,
+                                 falpha_covariance_array)
+from statmean.memo import BoundedMemo
+from statmean.quadrature import _GRID_CACHE, model_grid
 from tests.conftest import complex_fourier_coefficient
 
 TWO_PI = 2.0 * math.pi
@@ -217,3 +220,23 @@ class TestStrongSingularityOracle:
             oracle = 2 * mpmath.quad(
                 lambda t: f(t ** 10) * mpmath.cos(k * t ** 10) * 10 * t ** 9, [0, top])
             assert cov.values[k] == pytest.approx(float(oracle), rel=1e-11)
+
+
+class TestCacheBounds:
+    def test_covariance_cache_bounded(self):
+        for i in range(_COV_CACHE.maxsize + 40):
+            st.covariance_sequence(st.PowerAtOrigin(-0.3 + 0.01 * i), 4)
+        assert len(_COV_CACHE) == _COV_CACHE.maxsize
+
+    def test_grid_cache_bounded(self):
+        for i in range(_GRID_CACHE.maxsize + 40):
+            model_grid(st.PowerAtOrigin(-0.3 + 0.01 * i), osc_k=16)
+        assert len(_GRID_CACHE) == _GRID_CACHE.maxsize
+
+    def test_least_recently_used_goes_first(self):
+        memo = BoundedMemo(2)
+        memo.put("a", 1)
+        memo.put("b", 2)
+        assert memo.get("a") == 1
+        memo.put("c", 3)
+        assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)

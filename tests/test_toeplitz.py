@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import statmean as st
 from statmean import ddouble as dd
-from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson_ones_dd,
-                               reflection_coefficients)
+from statmean import toeplitz
+from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson_ones,
+                               _levinson_ones_dd, _residual, reflection_coefficients)
 from tests.conftest import dense_blue
 
 TWO_PI = 2.0 * math.pi
@@ -64,6 +68,111 @@ class TestBlueSolve:
         # oracle: solve the same system fully in double-double via the curve
         _, _, variances = _levinson_ones_dd(cov.dd_values, collect_curve=True)
         assert variance == pytest.approx(dd.to_float(variances[30]), rel=1e-12)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestLevinsonMemo:
+    @pytest.fixture
+    def cov(self):
+        return st.covariance_sequence(st.FgnDensity(0.8), 300)
+
+    def test_hit_is_bit_identical_to_cold_call(self, cov):
+        toeplitz._LEVINSON_MEMO.clear()
+        w_cold, v_cold = st.blue_solve(st.ToeplitzSystem(cov))
+        toeplitz._LEVINSON_MEMO.clear()
+        curve_cold = st.blue_variance_curve(cov)
+        # keyed on the values, not on the object: an equal copy hits
+        same = st.CovarianceSequence(cov.values.copy(), cov.provenance)
+        for _ in range(2):           # first refines on the memoised pass, then all hit
+            w_hit, v_hit = st.blue_solve(st.ToeplitzSystem(same))
+            assert _bits(w_hit.coefficients) == _bits(w_cold.coefficients)
+            assert _bits(v_hit) == _bits(v_cold)
+        assert _bits(st.blue_variance_curve(same)) == _bits(curve_cold)
+
+    def test_returned_arrays_are_fresh(self, cov):
+        weights, _ = st.blue_solve(st.ToeplitzSystem(cov))
+        curve = st.blue_variance_curve(cov)
+        refl = reflection_coefficients(cov.values)
+        kept = [a.copy() for a in (weights.coefficients, curve, refl)]
+        for a in (weights.coefficients, curve, refl):
+            a[:] = 0.0
+        again = (st.blue_solve(st.ToeplitzSystem(cov))[0].coefficients,
+                 st.blue_variance_curve(cov), reflection_coefficients(cov.values))
+        for old, new in zip(kept, again):
+            assert _bits(new) == _bits(old)
+        entry = toeplitz._levinson_pass(cov.values)
+        for a in (entry.x, entry.refl, entry.curve, entry.refined):
+            assert not a.flags.writeable
+
+    def test_memo_stays_at_its_bound(self):
+        memo = toeplitz._LEVINSON_MEMO
+        for i in range(50):
+            reflection_coefficients(np.array([1.0, 0.5 * i / 50, 0.1]))
+        assert len(memo) == memo.maxsize
+
+    def test_breakdown_raised_on_every_call(self):
+        cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 40)
+        for _ in range(3):
+            with pytest.raises(st.NearSingularError):
+                st.blue_solve(st.ToeplitzSystem(cov))
+            with pytest.raises(st.NearSingularError):
+                st.blue_variance_curve(cov)
+        assert toeplitz._LEVINSON_MEMO.get(cov.values.tobytes()) is None
+
+    def test_threads_agree_while_evicting(self):
+        # more sequences than the memo holds and more threads than cores, with
+        # frequent switches, so lookups, refinements and evictions interleave
+        covs = [st.covariance_sequence(st.PowerAtOrigin(-0.3 + 0.1 * i), 120)
+                for i in range(toeplitz._LEVINSON_MEMO.maxsize + 4)]
+        expected = [_bits(st.blue_solve(st.ToeplitzSystem(c))[0].coefficients) for c in covs]
+        toeplitz._LEVINSON_MEMO.clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(lambda c: _bits(
+                    st.blue_solve(st.ToeplitzSystem(c))[0].coefficients), covs[i % len(covs)])
+                           for i in range(4 * len(covs))]
+                got = [f.result(timeout=120) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [expected[i % len(covs)] for i in range(4 * len(covs))]
+        assert len(toeplitz._LEVINSON_MEMO) == toeplitz._LEVINSON_MEMO.maxsize
+
+
+class TestRefinementResidual:
+    MODELS = {"power_law_-0.4": st.PowerAtOrigin(-0.4),
+              "power_law_1.9": st.PowerAtOrigin(1.9),
+              "fgn_0.8": st.FgnDensity(0.8),
+              "ar1_0.7": st.Arma(ma=(1.0,), ar=(1.0, -0.7))}
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_dense_formula_bit_for_bit(self, name):
+        values = st.covariance_sequence(self.MODELS[name], 1024).values
+        for n in (1, 2, 17, 256, 1024):
+            r = values[:n + 1]
+            x = _levinson_ones(r)[0]
+            rl = r.astype(np.longdouble)
+            idx = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+            dense = 1 - rl[idx] @ x.astype(np.longdouble)
+            structured = _residual(r, x)
+            # equal as extended values: tobytes() would also compare padding bytes
+            assert structured.dtype == np.longdouble
+            assert np.array_equal(structured, dense), n
+
+    def test_blue_solve_peak_memory_is_linear(self):
+        cov = st.covariance_sequence(st.PowerAtOrigin(0.3), toeplitz.REFINE_MAX_ORDER)
+        toeplitz._LEVINSON_MEMO.clear()
+        tracemalloc.start()
+        try:
+            st.blue_solve(st.ToeplitzSystem(cov))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestVarianceCurve:
