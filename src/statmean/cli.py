@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -55,11 +54,6 @@ def _parse_arcs(text):
         lo, hi = part.split(":")
         arcs.append((parse_angle(lo), parse_angle(hi)))
     return ArcRegion(tuple(arcs))
-
-
-def _threads():
-    raw = os.environ.get("STATMEAN_THREADS")
-    return max(1, int(raw)) if raw else None
 
 
 def build_parser() -> _Parser:
@@ -144,8 +138,9 @@ def build_parser() -> _Parser:
     sp.add_argument("--reps", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=0)
 
+    # suppressed default: a --config given before the subcommand survives
     for child in sub.choices.values():
-        child.add_argument("--config", help=argparse.SUPPRESS)
+        child.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     return p
 
 
@@ -164,9 +159,28 @@ REQUIRED_FLAGS = {
 }
 
 
+#: flags one mode of a subcommand needs on top of REQUIRED_FLAGS; the mode is
+#: its --law, or "finite" under --finite.  A tuple names alternatives.
+MODE_FLAGS = {
+    ("efficiency", "finite"): ("model", "estimator", ("n", "n_grid")),
+    ("efficiency", "eq7.8"): ("alpha", "beta"),
+    ("efficiency", "eq3.3"): ("alpha",),
+    ("efficiency", "beran-kunsch"): ("alpha",),
+    ("efficiency", "samarov-taqqu"): ("n", "alpha"),
+    ("asymptote", "general"): ("alpha",),
+    ("asymptote", "short-memory"): ("model",),
+    ("asymptote", "underestimation"): ("model", "alpha"),
+}
+
+
 def _check_required(args):
-    missing = [f"--{name.replace('_', '-')}" for name in REQUIRED_FLAGS[args.subcommand]
-               if getattr(args, name, None) is None]
+    mode = "finite" if getattr(args, "finite", False) else getattr(args, "law", None)
+    needs = REQUIRED_FLAGS[args.subcommand] + MODE_FLAGS.get((args.subcommand, mode), ())
+    missing = []
+    for need in needs:
+        names = need if isinstance(need, tuple) else (need,)
+        if all(getattr(args, name, None) is None for name in names):
+            missing.append(" or ".join(f"--{name.replace('_', '-')}" for name in names))
     if missing:
         raise _UsageError(f"{args.subcommand} requires {', '.join(missing)}")
 
@@ -323,8 +337,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # config supplies values for flags not explicitly present on the line
         if args.config:
-            with open(args.config) as fh:
-                defaults = json.load(fh)
+            try:
+                with open(args.config) as fh:
+                    defaults = json.load(fh)
+            except (OSError, ValueError) as err:
+                raise ValidationError(f"cannot read config {args.config}: {err}") from err
+            if not isinstance(defaults, dict):
+                raise ValidationError(f"config {args.config} must hold a JSON object")
             explicit = {tok[2:].split("=")[0].replace("-", "_")
                         for tok in argv if tok.startswith("--")}
             for key, value in defaults.items():
@@ -336,13 +355,15 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {err}\n")
         parser.print_usage(sys.stderr)
         return 1
+    except ValidationError as err:
+        sys.stderr.write(f"validation error: {err}\n")
+        return 2
 
     manifest = {
         "subcommand": args.subcommand,
         "parameters": {k: v for k, v in vars(args).items()
                        if k not in ("subcommand", "config", "out") and v is not None},
         "version": __version__,
-        "threads": _threads() or 1,
     }
     started = time.time()
     try:

@@ -96,10 +96,9 @@ class CovarianceSequence:
     """Values r(0..n) with provenance and precision metadata."""
 
     values: np.ndarray
-    provenance: str                       # "exact" | "quadrature" | "hybrid"
+    provenance: str                       # "exact" | "quadrature"
     precision: str = "double"             # "double" | "dd"
     dd_values: tuple | None = None        # ((hi, lo), ...) when precision == "dd"
-    split_index: int | None = None        # hybrid: first quadrature index
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)

@@ -12,8 +12,6 @@ the composite rules are the standard QD ones.
 
 from __future__ import annotations
 
-import math
-
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
@@ -81,24 +79,6 @@ def div(x, y):
     q3 = r[0] / y[0]
     s, e = quick_two_sum(q1, q2)
     return add((s, e), (q3, 0.0))
-
-def sqrt(x):
-    if x[0] < 0.0:
-        raise ValueError("sqrt of negative double-double")
-    if x[0] == 0.0:
-        return ZERO
-    # one Newton step on a double seed doubles the correct digits
-    y = math.sqrt(x[0])
-    yd = (y, 0.0)
-    return mul((0.5, 0.0), add(yd, div(x, yd)))
-
-
-def dot(xs, ys):
-    acc = ZERO
-    for x, y in zip(xs, ys):
-        acc = add(acc, mul(x, y))
-    return acc
-
 
 def to_float(x) -> float:
     return x[0] + x[1]

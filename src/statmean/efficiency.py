@@ -22,26 +22,6 @@ from .estimators import EstimatorWeights, variance_under
 from .spectra import TWO_PI, SpectralModel, as_measure
 
 
-class SpecialValues:
-    """Log-gamma, Beta, and binomial evaluators used by the closed forms."""
-
-    @staticmethod
-    def log_gamma(x):
-        return gammaln(x)
-
-    @staticmethod
-    def log_beta(a, b):
-        return betaln(a, b)
-
-    @staticmethod
-    def beta(a, b):
-        return np.exp(betaln(a, b))
-
-    @staticmethod
-    def binomial(n, k):
-        return math.exp(float(gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)))
-
-
 @dataclass(frozen=True)
 class EfficiencyReport:
     n: object                 # int or math.inf

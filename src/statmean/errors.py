@@ -24,12 +24,19 @@ class AccuracyError(StatmeanError):
 
 
 class NearSingularError(StatmeanError):
-    """A Toeplitz factorization broke down (reflection magnitude too close to 1)."""
+    """A Toeplitz factorization broke down (reflection magnitude too close to 1).
 
-    def __init__(self, message: str, order: int, extended: bool = False):
+    The double recursion also carries the reflections it computed up to and
+    including the offending one, so callers can locate the first coefficient
+    past their own bound.
+    """
+
+    def __init__(self, message: str, order: int, extended: bool = False,
+                 reflections=None):
         super().__init__(message)
         self.order = order
         self.extended = extended
+        self.reflections = reflections
 
 
 class NearTrivialMeasureError(StatmeanError):

@@ -13,12 +13,16 @@ pair satisfies
     P*_{k+1}(z) = P*_k(z) - a_k z P_k(z),
     ||P_{k+1}||^2 = ||P_k||^2 (1 - a_k^2),
 
-with a_k = <z P_k, 1> / ||P_k||^2 read off the moments.  The reciprocal of
-the degree-n reproducing kernel on the diagonal, 1 / S_n(xi, xi), is the
-minimal squared norm over polynomials of degree <= n normalized at xi; at
-xi = 1 this is exactly the optimal mean-estimation variance, which makes the
-boundary evaluation here the production path and the Toeplitz solver the
-cross-check.
+with a_k = <z P_k, 1> / ||P_k||^2.  This is the Levinson-Durbin recursion
+of the covariance Toeplitz matrix: a_k is the negated reflection coefficient
+and ||P_k||^2 the prediction error of order k (Simon, Orthogonal Polynomials on
+the Unit Circle, 2005, ch. 1).  The recursion is therefore not run here but
+read off the memoised double pass in `toeplitz`; only the probe values are
+formed here.  The reciprocal of the degree-n reproducing kernel on the
+diagonal, 1 / S_n(xi, xi), is the minimal squared norm over polynomials of
+degree <= n normalized at xi; at xi = 1 this is exactly the optimal
+mean-estimation variance, so both routes share one set of reflections and the
+independent checks are dense-matrix oracles.
 """
 
 from __future__ import annotations
@@ -29,9 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import covariance_sequence
-from .errors import NearTrivialMeasureError, ValidationError
+from .errors import NearSingularError, NearTrivialMeasureError, ValidationError
 from .quadrature import model_grid
 from .spectra import MINUS_INFINITY, TWO_PI, SpectralModel, as_measure, szego_integral
+from .toeplitz import _levinson_pass
 
 
 @dataclass
@@ -50,42 +55,37 @@ class OpucState:
 
 
 def szego_recursion(measure, n: int, probes=()) -> OpucState:
-    """Run the moment recursion to order n, tracking values at probe points."""
+    """Read the moment recursion to order n off the Levinson pass, with probe values."""
     measure = as_measure(measure)
     if n < 1:
         raise ValidationError("order must be at least 1")
     measure.require_order(n)
     r = covariance_sequence(measure, n).values
+    try:
+        entry = _levinson_pass(r)
+        alphas = -entry.refl
+    except NearSingularError as err:
+        # the reflections up to the breakdown: the last one is past the bound
+        # below, so the check raises before the missing pass is read
+        alphas = -err.reflections
+    trivial = np.flatnonzero(np.abs(alphas) >= 1.0 - 1e-13)
+    if trivial.size:
+        k = int(trivial[0])
+        raise NearTrivialMeasureError(
+            f"recursion coefficient {k} has modulus {abs(alphas[k]):.17g}, numerically "
+            f"at the unit bound; the measure is trivial at this order", index=k)
+    norms = entry.errors.copy()
+    roots = np.sqrt(norms)
 
-    probes = tuple(complex(p) for p in probes)
-    phi = {p: np.empty(n + 1, dtype=complex) for p in probes}
-    pvals = {p: (1.0 + 0.0j, 1.0 + 0.0j) for p in probes}  # (P_k, P*_k) at probe
-
-    coeffs = np.zeros(n + 1)
-    coeffs[0] = 1.0                       # monic P_0 = 1
-    norms = np.empty(n + 1)
-    norms[0] = r[0]
-    alphas = np.empty(n)
-
-    for p in probes:
-        phi[p][0] = 1.0 / math.sqrt(norms[0])
-
-    for k in range(n):
-        a_k = float(np.dot(coeffs[:k + 1], r[1:k + 2])) / norms[k]
-        if abs(a_k) >= 1.0 - 1e-13:
-            raise NearTrivialMeasureError(
-                f"recursion coefficient {k} has modulus {abs(a_k):.17g}, numerically "
-                f"at the unit bound; the measure is trivial at this order", index=k)
-        alphas[k] = a_k
-        reversed_part = coeffs[:k + 1][::-1].copy()
-        coeffs[1:k + 2] = coeffs[:k + 1].copy()   # z * P_k
-        coeffs[0] = 0.0
-        coeffs[:k + 1] -= a_k * reversed_part     # minus a_k * P*_k
-        norms[k + 1] = norms[k] * (1.0 - a_k * a_k)
-        for p in probes:
-            pk, pk_star = pvals[p]
-            pvals[p] = (p * pk - a_k * pk_star, pk_star - a_k * p * pk)
-            phi[p][k + 1] = pvals[p][0] / math.sqrt(norms[k + 1])
+    phi = {}
+    for p in (complex(p) for p in probes):
+        vals = np.empty(n + 1, dtype=complex)
+        vals[0] = 1.0 / roots[0]
+        pk = pk_star = 1.0 + 0.0j          # monic P_0 = P*_0 = 1
+        for k, (a_k, root) in enumerate(zip(alphas.tolist(), roots[1:].tolist()), 1):
+            pk, pk_star = p * pk - a_k * pk_star, pk_star - a_k * p * pk
+            vals[k] = pk / root
+        phi[p] = vals
 
     return OpucState(order=n, verblunsky=alphas, monic_norms=norms,
                      moments=r, phi_at_probes=phi)
@@ -124,25 +124,13 @@ def prediction_error(state: OpucState, m: int) -> float:
 def optimal_polynomial(state: OpucState, m: int) -> np.ndarray:
     """Coefficients of the minimizer S_m(z, 1) / S_m(1, 1); they sum to 1.
 
-    Replays the stored recursion coefficients, accumulating the orthonormal
-    coefficient vectors against their values at 1.
+    The minimizer is the optimal estimator's weight vector of order m: the
+    normalized solution of the memoised Levinson pass on the first m+1 moments.
     """
     if not 0 <= m <= state.order:
         raise ValidationError("m must lie within the recursion order")
-    coeffs = np.zeros(m + 1)
-    coeffs[0] = 1.0
-    p_at_one = 1.0
-    acc = np.zeros(m + 1)
-    acc[0] = p_at_one / state.monic_norms[0]
-    for k in range(m):
-        a_k = state.verblunsky[k]
-        reversed_part = coeffs[:k + 1][::-1].copy()
-        coeffs[1:k + 2] = coeffs[:k + 1].copy()
-        coeffs[0] = 0.0
-        coeffs[:k + 1] -= a_k * reversed_part
-        p_at_one = (1.0 - a_k) * p_at_one
-        acc[:k + 2] += (p_at_one / state.monic_norms[k + 1]) * coeffs[:k + 2]
-    return acc / acc.sum()
+    x = _levinson_pass(state.moments[:m + 1]).x
+    return x / x.sum()
 
 
 # ---------------------------------------------------------------------------

@@ -900,5 +900,9 @@ def measure_from_json(doc) -> SpectralMeasure:
 
 
 def load_measure(path) -> SpectralMeasure:
-    with open(path) as fh:
-        return measure_from_json(json.load(fh))
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ValidationError(f"cannot read model {path}: {err}") from err
+    return measure_from_json(doc)

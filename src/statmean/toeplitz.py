@@ -3,11 +3,15 @@
 The core routine is a Levinson-Durbin recursion generalized to the all-ones
 right-hand side: one O(n^2) pass yields the optimal weights and variance at
 every intermediate order, plus the reflection coefficients used for the
-positive-definiteness check and a cheap condition proxy.  The double pass runs
-at most once per exact covariance sequence: it is memoised on the sequence's
-bytes in a bounded memo, so `blue_solve`, `blue_variance_curve`,
-`reflection_coefficients` and their callers share it.  Memoised arrays are
-read-only and callers receive copies; a breakdown is raised, never memoised.
+positive-definiteness check and a cheap condition proxy, and the one-step
+prediction errors.  It is the library's only double-precision recursion: the
+refinement step runs it with a residual as right-hand side, and `opuc` reads
+its reflections and prediction errors as negated Verblunsky coefficients and
+monic norms.  The all-ones pass runs at most once per exact covariance
+sequence: it is memoised on the sequence's bytes in a bounded memo, so
+`blue_solve`, `blue_variance_curve`, `reflection_coefficients`, the OPUC
+recursion and their callers share it.  Memoised arrays are read-only and
+callers receive copies; a breakdown is raised, never memoised.
 
 In double precision the solution is polished by one step of iterative
 refinement, memoised with the pass.  Its residual 1 - R x is accumulated in
@@ -70,21 +74,35 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
 
 
 # ---------------------------------------------------------------------------
-# double-precision Levinson with all-ones right-hand side
+# the double-precision Levinson kernel
 # ---------------------------------------------------------------------------
 
-def _levinson_ones(r):
-    """One recursion pass; returns (x, reflections, variance curve)."""
+def _levinson(r, rhs=None):
+    """One Levinson-Durbin pass solving R x = rhs, R the Toeplitz matrix of r.
+
+    Returns (x, reflections, prediction errors e_0..e_n, variance curve).  A
+    missing rhs stands for the all-ones vector, the only case that collects
+    the curve 1 / sum(x) at every order; otherwise the curve is None.  A
+    breakdown raises `NearSingularError` carrying the reflections computed so
+    far, the offending one last.
+    """
     r = np.asarray(r, dtype=float)
     n = len(r) - 1
+    ones = rhs is None
+    if ones:
+        rhs = np.ones(n + 1)
     a = np.empty(n + 1)
     x = np.empty(n + 1)
     a[0] = 1.0
-    x[0] = 1.0 / r[0]
+    x[0] = rhs[0] / r[0]
     e = r[0]
     refl = np.empty(n)
-    variances = np.empty(n + 1)
-    variances[0] = r[0]
+    errors = np.empty(n + 1)
+    errors[0] = e
+    curve = None
+    if ones:
+        curve = np.empty(n + 1)
+        curve[0] = r[0]
     for m in range(1, n + 1):
         window = r[m:0:-1]
         k = -np.dot(a[:m], window) / e
@@ -92,16 +110,18 @@ def _levinson_ones(r):
             raise NearSingularError(
                 f"Toeplitz factorization breakdown at order {m} "
                 f"(reflection {k:+.17g}); extended double-double precision "
-                f"may reach further", order=m)
+                f"may reach further", order=m, reflections=np.append(refl[:m - 1], k))
         refl[m - 1] = k
         a[m] = 0.0
         a[:m + 1] += k * a[:m + 1][::-1].copy()
         e *= 1.0 - k * k
-        eta = 1.0 - np.dot(x[:m], window)
+        errors[m] = e
+        eta = rhs[m] - np.dot(x[:m], window)
         x[m] = 0.0
         x[:m + 1] += (eta / e) * a[:m + 1][::-1]
-        variances[m] = 1.0 / x[:m + 1].sum()
-    return x, refl, variances
+        if ones:
+            curve[m] = 1.0 / x[:m + 1].sum()
+    return x, refl, errors, curve
 
 
 def _read_only(v):
@@ -110,16 +130,17 @@ def _read_only(v):
 
 
 class _LevinsonPass:
-    """Read-only results of one double pass, plus its refined solution once asked."""
+    """Read-only results of one all-ones pass, plus its refined solution once asked."""
 
-    __slots__ = ("x", "refl", "curve", "refined")
+    __slots__ = ("x", "refl", "errors", "curve", "refined")
 
-    def __init__(self, x, refl, curve):
-        self.x, self.refl, self.curve = (_read_only(v) for v in (x, refl, curve))
+    def __init__(self, x, refl, errors, curve):
+        self.x, self.refl, self.errors, self.curve = (
+            _read_only(v) for v in (x, refl, errors, curve))
         self.refined = None
 
 
-#: the 8 passes used last; an entry holds four vectors of length n+1
+#: the 8 passes used last; an entry holds five vectors of length n+1
 _LEVINSON_MEMO = BoundedMemo(8)
 
 
@@ -129,7 +150,7 @@ def _levinson_pass(r) -> _LevinsonPass:
     key = r.tobytes()
     entry = _LEVINSON_MEMO.get(key)
     if entry is None:
-        entry = _LevinsonPass(*_levinson_ones(r))
+        entry = _LevinsonPass(*_levinson(r))
         _LEVINSON_MEMO.put(key, entry)
     return entry
 
@@ -147,34 +168,14 @@ def _residual(r, x):
 
 
 def _refine(r, x):
-    """One iterative-refinement step, residual in extended precision."""
+    """One iterative-refinement step, residual in extended precision.
+
+    The correction pass repeats the reflections of the pass that produced x,
+    so it cannot break down where that pass did not.
+    """
     if len(r) - 1 > REFINE_MAX_ORDER:
         return x
-    corr = _levinson_general(r, np.asarray(_residual(r, x), dtype=float))
-    return x + corr
-
-
-def _levinson_general(r, rhs):
-    """Levinson recursion for an arbitrary right-hand side."""
-    r = np.asarray(r, dtype=float)
-    n = len(r) - 1
-    a = np.empty(n + 1)
-    x = np.empty(n + 1)
-    a[0] = 1.0
-    x[0] = rhs[0] / r[0]
-    e = r[0]
-    for m in range(1, n + 1):
-        window = r[m:0:-1]
-        k = -np.dot(a[:m], window) / e
-        if abs(k) >= BREAKDOWN_DOUBLE:
-            raise NearSingularError("breakdown during refinement", order=m)
-        a[m] = 0.0
-        a[:m + 1] += k * a[:m + 1][::-1].copy()
-        e *= 1.0 - k * k
-        eta = rhs[m] - np.dot(x[:m], window)
-        x[m] = 0.0
-        x[:m + 1] += (eta / e) * a[:m + 1][::-1]
-    return x
+    return x + _levinson(r, np.asarray(_residual(r, x), dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------

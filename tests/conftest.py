@@ -41,6 +41,13 @@ def dense_blue(r, n):
     return x / total, 1.0 / total
 
 
+def dense_christoffel(r, xi, m):
+    """Oracle: 1 / (v^H R_m^-1 v) with v_k = conj(xi)^k, from a dense solve."""
+    matrix = toeplitz(np.asarray(r)[: m + 1])
+    v = np.conj(complex(xi)) ** np.arange(m + 1)
+    return 1.0 / float(np.real(np.vdot(v, solve(matrix, v, assume_a="pos"))))
+
+
 def complex_fourier_coefficient(model, k, points=200001):
     """Oracle: trapezoid integral of e^{-i k lam} f(lam) on a dense offset grid."""
     lam = np.linspace(-np.pi, np.pi, points)

@@ -146,6 +146,32 @@ class TestExitCodes:
         assert code == 3
         assert "accuracy" in err
 
+    @pytest.mark.parametrize("argv, expected", [
+        # unreadable inputs are validation errors
+        (("blue", "--model", "{tmp}/missing.json", "--n", "4"), 2),
+        (("blue", "--model", "{tmp}/malformed.json", "--n", "4"), 2),
+        (("--config", "{tmp}/missing.json", "blue", "--model", "{models}/f1.json",
+          "--n", "4"), 2),
+        # a breakdown of the shared pass is a trivial measure on the OPUC route
+        (("christoffel", "--model", "{models}/arc.json", "--n", "64"), 2),
+        # a flag the chosen law or mode needs is a usage error
+        (("efficiency", "--law", "eq7.8"), 1),
+        (("efficiency", "--law", "eq7.8", "--alpha", "0"), 1),
+        (("efficiency", "--law", "eq3.3"), 1),
+        (("efficiency", "--law", "beran-kunsch"), 1),
+        (("efficiency", "--law", "samarov-taqqu", "--alpha", "0.2"), 1),
+        (("efficiency", "--finite", "--model", "{models}/f1.json", "--estimator", "lse"), 1),
+        (("asymptote", "--law", "general"), 1),
+        (("asymptote", "--law", "short-memory"), 1),
+        (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json"), 1),
+    ])
+    def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
+        (tmp_path / "malformed.json").write_text('{"variant": ')
+        argv = [a.format(tmp=tmp_path, models=model_dir) for a in argv]
+        code, _, err = run_cli(*argv)
+        assert code == expected, err
+        assert "Traceback" not in err
+
 
 class TestManifest:
     def test_reproducible_result_payload(self, model_dir, tmp_path):
@@ -169,6 +195,14 @@ class TestManifest:
         doc = run_json("blue", "--config", str(config),
                        "--model", str(model_dir / "whitenoise.json"), "--n", "4")
         assert doc["result"]["n"] == 4
+
+    def test_config_before_or_after_the_subcommand(self, model_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": 9, "model": str(model_dir / "whitenoise.json")}))
+        before = run_json("--config", str(config), "blue")
+        after = run_json("blue", "--config", str(config))
+        assert before["result"] == after["result"]
+        assert before["manifest"]["parameters"] == after["manifest"]["parameters"]
 
     def test_out_file_written(self, model_dir, tmp_path):
         target = tmp_path / "cov.csv"

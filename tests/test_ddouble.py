@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 
 import mpmath
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
@@ -60,16 +59,3 @@ def test_accumulation_beats_double():
         acc = dd.add(acc, tiny)
     acc = dd.add(acc, dd.ONE)
     assert_close(acc, mpmath.mpf(1) + mpmath.mpf(1e-25) * 1000)
-
-
-def test_sqrt():
-    val = dd.sqrt(dd.from_float(2.0))
-    assert_close(val, mpmath.sqrt(2), rel=1e-30)
-    with pytest.raises(ValueError):
-        dd.sqrt(dd.from_float(-1.0))
-
-
-def test_dot():
-    xs = [dd.from_float(v) for v in (1.0, 1e-20, -1.0)]
-    ys = [dd.ONE, dd.ONE, dd.ONE]
-    assert to_mp(dd.dot(xs, ys)) == pytest.approx(1e-20, rel=1e-15)

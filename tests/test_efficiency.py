@@ -8,23 +8,9 @@ import numpy as np
 import pytest
 
 import statmean as st
-from statmean.efficiency import SpecialValues, fit_asymptote_constant
+from statmean.efficiency import fit_asymptote_constant
 
 TWO_PI = 2.0 * math.pi
-
-
-class TestSpecialValues:
-    def test_beta_identity_on_grid(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            a, b = rng.uniform(1e-3, 50.0, 2)
-            direct = SpecialValues.beta(a, b)
-            via_gamma = math.exp(SpecialValues.log_gamma(a) + SpecialValues.log_gamma(b)
-                                 - SpecialValues.log_gamma(a + b))
-            assert direct == pytest.approx(via_gamma, rel=1e-12)
-
-    def test_binomial(self):
-        assert SpecialValues.binomial(10, 3) == pytest.approx(120.0, rel=1e-12)
 
 
 class TestFiniteEfficiency:

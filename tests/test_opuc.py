@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 
 import statmean as st
+from statmean import opuc, toeplitz
 from statmean.opuc import christoffel_curve, poisson_weighted_geometric_mean
-from tests.conftest import gram_schmidt_verblunsky
+from tests.conftest import dense_blue, dense_christoffel, gram_schmidt_verblunsky
 
 TWO_PI = 2.0 * math.pi
 LEBESGUE = st.WhiteNoise(1.0)  # density identically 1
@@ -232,3 +233,65 @@ class TestNearTrivial:
         with pytest.raises(st.NearTrivialMeasureError) as err:
             st.szego_recursion(measure, 8)
         assert err.value.index == 7
+
+
+class TestViewOfLevinsonPass:
+    """The recursion is read off the Toeplitz pass; dense oracles stay independent."""
+
+    @pytest.fixture(params=["ma1", "ar1", "fgn", "f025", "f19", "atom"])
+    def measure(self, request, ma1, ar1, atom_measure):
+        return {"ma1": ma1, "ar1": ar1, "fgn": st.FgnDensity(0.8),
+                "f025": st.PowerAtOrigin(0.25), "f19": st.PowerAtOrigin(1.9),
+                "atom": atom_measure}[request.param]
+
+    def test_coefficients_and_norms_are_the_pass_bitwise(self, measure):
+        r = st.covariance_sequence(measure, 512).values
+        state = st.szego_recursion(measure, 512)
+        assert state.verblunsky.tobytes() == (-toeplitz.reflection_coefficients(r)).tobytes()
+        assert state.monic_norms.tobytes() == toeplitz._levinson_pass(r).errors.tobytes()
+
+    def test_no_second_pass_after_the_variance_curve(self, monkeypatch):
+        calls = []
+        kernel = toeplitz._levinson
+        monkeypatch.setattr(toeplitz, "_levinson", lambda *a: calls.append(a) or kernel(*a))
+        toeplitz._LEVINSON_MEMO.clear()
+        measure = st.FgnDensity(0.7)
+        st.blue_variance_curve(st.covariance_sequence(measure, 300))
+        state = st.szego_recursion(measure, 300, probes=(1.0,))
+        st.optimal_polynomial(state, 300)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("probe", [0.5 + 0.2j, complex(np.exp(0.7j))])
+    def test_christoffel_against_dense_oracle(self, measure, probe):
+        state = st.szego_recursion(measure, 64, probes=(probe,))
+        for m in (0, 1, 7, 33, 64):
+            assert st.christoffel(state, probe, m) == pytest.approx(
+                dense_christoffel(state.moments, probe, m), rel=1e-10)
+
+    def test_optimal_polynomial_below_the_order_against_dense_oracle(self, measure):
+        state = st.szego_recursion(measure, 64)
+        for m in (1, 5, 33, 63):
+            weights, _ = dense_blue(state.moments, m)
+            assert np.max(np.abs(st.optimal_polynomial(state, m) - weights)) < 1e-10
+
+    def test_breakdown_of_the_pass_is_a_trivial_measure(self):
+        measure = st.ArcSupported(math.pi / 2, 1.0 / TWO_PI)
+        with pytest.raises(st.NearSingularError) as singular:
+            st.blue_variance_curve(st.covariance_sequence(measure, 40))
+        with pytest.raises(st.NearTrivialMeasureError) as trivial:
+            st.szego_recursion(measure, 40)
+        partial = np.abs(singular.value.reflections)
+        assert len(partial) == singular.value.order
+        assert trivial.value.index == np.flatnonzero(partial >= 1.0 - 1e-13)[0]
+
+    def test_first_coefficient_past_the_bound_is_named(self, monkeypatch):
+        # a pass breaking down at order 3 after a coefficient inside (1 - 1e-13, 1)
+        partial = np.array([0.5, 1.0 - 5e-14, 1.0 - 1e-15])
+
+        def broken(r):
+            raise st.NearSingularError("breakdown", order=3, reflections=partial)
+
+        monkeypatch.setattr(opuc, "_levinson_pass", broken)
+        with pytest.raises(st.NearTrivialMeasureError) as trivial:
+            st.szego_recursion(LEBESGUE, 4)
+        assert trivial.value.index == 1

@@ -13,7 +13,7 @@ import pytest
 import statmean as st
 from statmean import ddouble as dd
 from statmean import toeplitz
-from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson_ones,
+from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson,
                                _levinson_ones_dd, _residual, reflection_coefficients)
 from tests.conftest import dense_blue
 
@@ -154,7 +154,7 @@ class TestRefinementResidual:
         values = st.covariance_sequence(self.MODELS[name], 1024).values
         for n in (1, 2, 17, 256, 1024):
             r = values[:n + 1]
-            x = _levinson_ones(r)[0]
+            x = _levinson(r)[0]
             rl = r.astype(np.longdouble)
             idx = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
             dense = 1 - rl[idx] @ x.astype(np.longdouble)
