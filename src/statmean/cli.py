@@ -39,20 +39,26 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_grid(text):
     """'8:48:4' -> range(8, 49, 4); '8,12,16' -> explicit list."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        if len(parts) == 2:
-            parts.append(1)
-        return list(range(parts[0], parts[1] + 1, parts[2]))
-    return [int(p) for p in text.split(",")]
+    try:
+        if ":" in text:
+            parts = [int(p) for p in text.split(":")]
+            if len(parts) == 2:
+                parts.append(1)
+            return list(range(parts[0], parts[1] + 1, parts[2]))
+        return [int(p) for p in text.split(",")]
+    except ValueError as err:
+        raise _UsageError(f"malformed order grid {text!r}: {err}") from err
 
 
 def _parse_arcs(text):
     from .deterministic import ArcRegion
     arcs = []
-    for part in text.split(","):
-        lo, hi = part.split(":")
-        arcs.append((parse_angle(lo), parse_angle(hi)))
+    try:
+        for part in text.split(","):
+            lo, hi = part.split(":")
+            arcs.append((parse_angle(lo), parse_angle(hi)))
+    except ValueError as err:
+        raise _UsageError(f"malformed arcs {text!r}: {err}") from err
     return ArcRegion(tuple(arcs))
 
 
@@ -247,7 +253,10 @@ def _run(args, manifest):
 
     if cmd == "christoffel":
         measure = load_measure(args.model)
-        probe = complex(args.probe)
+        try:
+            probe = complex(args.probe)
+        except ValueError as err:
+            raise _UsageError(f"malformed probe {args.probe!r}: {err}") from err
         state = opuc.szego_recursion(measure, args.n, probes=(probe,))
         curve = opuc.christoffel_curve(state, probe)
         rows = [("m", "lambda")] + [(m, repr(float(v))) for m, v in enumerate(curve)]

@@ -9,7 +9,8 @@ cross-check at absolute tolerance 1e-12 per coefficient.
 The double-double path (precision="dd") produces covariances accurate to
 ~1e-32, required by the exponential-decay studies where Toeplitz variances
 reach the square of double rounding error.  High-precision values are
-generated with mpmath and stored as (hi, lo) float pairs.
+generated with mpmath and stored as two float arrays: `values` holds each
+rounded to double (the hi part), and `lo` the remainder.
 """
 
 from __future__ import annotations
@@ -98,10 +99,14 @@ class CovarianceSequence:
     values: np.ndarray
     provenance: str                       # "exact" | "quadrature"
     precision: str = "double"             # "double" | "dd"
-    dd_values: tuple | None = None        # ((hi, lo), ...) when precision == "dd"
+    lo: np.ndarray | None = None          # low parts, r = values + lo, when precision == "dd"
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.lo is not None:
+            self.lo = np.asarray(self.lo, dtype=float)
+            if self.lo.shape != self.values.shape:
+                raise ValidationError("low parts must match the values in length")
         if self.values[0] <= 0.0:
             raise ValidationError("r(0) must be positive (non-degenerate process)")
         if np.any(np.abs(self.values[1:]) > self.values[0] * (1.0 + 1e-10) + 1e-300):
@@ -434,13 +439,7 @@ def _covariance_sequence_dd(measure, n):
         wa = mp.mpf(mass)
         aa = mp.mpf(angle)
         vals = [v + wa * mp.cos(aa * k) for k, v in enumerate(vals)]
-    dd = tuple(_to_dd(v) for v in vals)
+    hi = [float(v) for v in vals]
+    lo = [float(v - h) for v, h in zip(vals, hi)]
     prov = "quadrature" if isinstance(model, FlatZero) else "exact"
-    return CovarianceSequence(np.array([h for h, _ in dd]), prov, precision="dd",
-                              dd_values=dd)
-
-
-def _to_dd(x):
-    hi = float(x)
-    lo = float(x - hi)
-    return (hi, lo)
+    return CovarianceSequence(np.array(hi), prov, precision="dd", lo=np.array(lo))

@@ -1,84 +1,135 @@
-"""Compensated double-double arithmetic on (hi, lo) float pairs.
+"""Double-double arithmetic on (hi, lo) float arrays.
 
-A value is represented as an unevaluated sum hi + lo with |lo| <= ulp(hi)/2,
-giving roughly 32 significant decimal digits with the exponent range of a
-double.  Only the operations the extended-precision Toeplitz solvers need are
-provided; everything is a plain function on tuples to keep the inner loops
-cheap.
-
-Error-free transformations follow Dekker and Knuth (two_sum, split, two_prod);
-the composite rules are the standard QD ones.
+A value is the unevaluated sum hi + lo with |lo| <= ulp(hi)/2: about 32
+significant digits with the exponent range of a double.  `DD` holds two numpy
+arrays, or two floats for a scalar, and applies the QD rules of Hida, Li &
+Bailey (2001) elementwise.  Its `sum` and `dot` are error-free before the last
+rounding (Ogita, Rump & Oishi 2005): products are split exactly by two_prod,
+and `math.fsum` adds the parts once for hi and once more for lo.
+`np.asarray` and `float` round a value to double.  two_sum, split and
+two_prod are Knuth's and Dekker's error-free transformations, for floats and
+arrays alike.
 """
 
 from __future__ import annotations
 
+import math
+
+import numpy as np
+
 _SPLITTER = 134217729.0  # 2**27 + 1
 
 
-def two_sum(a: float, b: float):
+def two_sum(a, b):
     s = a + b
     bb = s - a
     return s, (a - (s - bb)) + (b - bb)
 
 
-def quick_two_sum(a: float, b: float):
+def quick_two_sum(a, b):
     # requires |a| >= |b|
     s = a + b
     return s, b - (s - a)
 
 
-def split(a: float):
+def split(a):
     c = _SPLITTER * a
     hi = c - (c - a)
     return hi, a - hi
 
 
-def two_prod(a: float, b: float):
+def two_prod(a, b):
     p = a * b
     ah, al = split(a)
     bh, bl = split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
-ZERO = (0.0, 0.0)
-ONE = (1.0, 0.0)
+def _dd(v):
+    return v if isinstance(v, DD) else DD(v, 0.0)
 
 
-def from_float(a: float):
-    return (float(a), 0.0)
+def _fsum(parts) -> DD:
+    parts = parts.tolist()
+    hi = math.fsum(parts)
+    parts.append(-hi)
+    return DD(hi, math.fsum(parts) if math.isfinite(hi) else 0.0)
 
 
-def add(x, y):
-    s, e = two_sum(x[0], y[0])
-    t, f = two_sum(x[1], y[1])
-    e += t
-    s, e = quick_two_sum(s, e)
-    e += f
-    return quick_two_sum(s, e)
+class DD:
+    """A double-double array or scalar."""
+
+    __slots__ = ("hi", "lo")
+    __array_ufunc__ = None          # numpy defers mixed operations to DD
+
+    def __init__(self, hi, lo):
+        self.hi, self.lo = hi, lo
+
+    def __len__(self):
+        return len(self.hi)
+
+    def __getitem__(self, index):
+        return DD(self.hi[index], self.lo[index])
+
+    def __setitem__(self, index, value):
+        value = _dd(value)
+        self.hi[index], self.lo[index] = value.hi, value.lo
+
+    def __array__(self, dtype=None, copy=None):
+        return np.asarray(self.hi + self.lo, dtype=dtype)
+
+    def __float__(self):
+        return float(self.hi + self.lo)
+
+    def copy(self):
+        return DD(self.hi.copy(), self.lo.copy())
+
+    def setflags(self, write):
+        self.hi.setflags(write=write)
+        self.lo.setflags(write=write)
+
+    def __neg__(self):
+        return DD(-self.hi, -self.lo)
+
+    def __add__(self, other):
+        other = _dd(other)
+        s, e = two_sum(self.hi, other.hi)
+        t, f = two_sum(self.lo, other.lo)
+        s, e = quick_two_sum(s, e + t)
+        return DD(*quick_two_sum(s, e + f))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        # addition commutes bit for bit: two_sum returns the exact error
+        return -self + other
+
+    def __mul__(self, other):
+        other = _dd(other)
+        p, e = two_prod(self.hi, other.hi)
+        return DD(*quick_two_sum(p, e + (self.hi * other.lo + self.lo * other.hi)))
+
+    def __truediv__(self, other):
+        other = _dd(other)
+        q1 = self.hi / other.hi
+        r = self - other * q1
+        q2 = r.hi / other.hi
+        r = r - other * q2
+        return DD(*quick_two_sum(q1, q2)) + r.hi / other.hi
+
+    def __rtruediv__(self, other):
+        return DD(other, 0.0) / self
+
+    def sum(self) -> DD:
+        return _fsum(np.concatenate((self.hi, self.lo)))
 
 
-def neg(x):
-    return (-x[0], -x[1])
+def empty(n: int) -> DD:
+    return DD(np.empty(n), np.empty(n))
 
 
-def sub(x, y):
-    return add(x, neg(y))
-
-
-def mul(x, y):
-    p, e = two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return quick_two_sum(p, e)
-
-
-def div(x, y):
-    q1 = x[0] / y[0]
-    r = sub(x, mul((q1, 0.0), y))
-    q2 = r[0] / y[0]
-    r = sub(r, mul((q2, 0.0), y))
-    q3 = r[0] / y[0]
-    s, e = quick_two_sum(q1, q2)
-    return add((s, e), (q3, 0.0))
-
-def to_float(x) -> float:
-    return x[0] + x[1]
+def dot(x: DD, y: DD) -> DD:
+    p, e = two_prod(np.concatenate((x.hi, x.hi, x.lo, x.lo)),
+                    np.concatenate((y.hi, y.lo, y.hi, y.lo)))
+    return _fsum(np.concatenate((p, e)))

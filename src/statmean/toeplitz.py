@@ -3,27 +3,28 @@
 The core routine is a Levinson-Durbin recursion generalized to the all-ones
 right-hand side: one O(n^2) pass yields the optimal weights and variance at
 every intermediate order, plus the reflection coefficients used for the
-positive-definiteness check and a cheap condition proxy, and the one-step
-prediction errors.  It is the library's only double-precision recursion: the
+positive-definiteness check, and the one-step prediction errors.  It is the
+library's only Levinson recursion, written once over an arithmetic: numpy
+float64, or the double-double arrays of `ddouble` for the extended path.  The
 refinement step runs it with a residual as right-hand side, and `opuc` reads
 its reflections and prediction errors as negated Verblunsky coefficients and
 monic norms.  The all-ones pass runs at most once per exact covariance
-sequence: it is memoised on the sequence's bytes in a bounded memo, so
-`blue_solve`, `blue_variance_curve`, `reflection_coefficients`, the OPUC
-recursion and their callers share it.  Memoised arrays are read-only and
-callers receive copies; a breakdown is raised, never memoised.
+sequence, in either arithmetic: it is memoised on the sequence's bytes (and
+its low parts' in double-double) in a bounded memo, so `blue_solve`,
+`blue_variance_curve`, `reflection_coefficients`, the OPUC recursion and their
+callers share it.  Memoised arrays are read-only and callers receive copies; a
+breakdown is raised, never memoised.
 
 In double precision the solution is polished by one step of iterative
 refinement, memoised with the pass.  Its residual 1 - R x is accumulated in
 extended (80-bit) arithmetic by correlating x with the covariance sequence, in
-O(n) memory.  The extended path runs the same recursion in compensated
-double-double arithmetic and is not memoised.
+O(n) memory.  The double-double pass is not refined.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,8 @@ from .spectra import TWO_PI, as_measure
 
 #: reflection magnitude beyond which the double recursion is declared singular
 BREAKDOWN_DOUBLE = 1.0 - 1e-14
+#: the same for the double-double recursion, compared with the reflection
+#: rounded to double; as a float it is 1.0
 BREAKDOWN_DD = 1.0 - 1e-30
 #: largest order that gets a refinement step.  The cap bounds time (the
 #: correction is a second O(n^2) pass) and keeps outputs above it bit-for-bit
@@ -49,18 +52,17 @@ REFINE_MAX_ORDER = 2048
 INVERSE_DENSITY_CALIBRATION = 1.0 / (TWO_PI * TWO_PI)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ToeplitzSystem:
     """Covariance Toeplitz matrix of order n+1 (entries r(|j-k|))."""
 
     covariance: CovarianceSequence
     precision: str = "double"
-    condition_estimate: float | None = None
 
     def __post_init__(self):
         if self.precision not in ("double", "dd"):
             raise ValidationError(f"unknown precision {self.precision!r}")
-        if self.precision == "dd" and self.covariance.dd_values is None:
+        if self.precision == "dd" and self.covariance.lo is None:
             raise ValidationError("extended precision requires a dd covariance sequence")
 
     @property
@@ -74,53 +76,67 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
 
 
 # ---------------------------------------------------------------------------
-# the double-precision Levinson kernel
+# the Levinson kernel, in double or double-double arithmetic
 # ---------------------------------------------------------------------------
 
-def _levinson(r, rhs=None):
+#: what the kernel needs of an arithmetic beyond its operators.  An extended
+#: arithmetic also checks every pivot and variance; `note` ends its errors.
+_Arithmetic = namedtuple("_Arithmetic", "empty dot breakdown extended note")
+_DOUBLE = _Arithmetic(np.empty, np.dot, BREAKDOWN_DOUBLE, False,
+                      "; extended double-double precision may reach further")
+_DD = _Arithmetic(dd.empty, dd.dot, BREAKDOWN_DD, True, " in double-double precision")
+
+
+def _levinson(r, rhs=None, ar=_DOUBLE):
     """One Levinson-Durbin pass solving R x = rhs, R the Toeplitz matrix of r.
 
-    Returns (x, reflections, prediction errors e_0..e_n, variance curve).  A
-    missing rhs stands for the all-ones vector, the only case that collects
-    the curve 1 / sum(x) at every order; otherwise the curve is None.  A
-    breakdown raises `NearSingularError` carrying the reflections computed so
-    far, the offending one last.
+    r is a float array, or a `dd.DD` array with `ar` = _DD.  Returns (x,
+    reflections, prediction errors e_0..e_n, variance curve) in the same
+    arithmetic.  A missing rhs stands for the all-ones vector, the only case
+    that collects the curve 1 / sum(x) at every order; otherwise the curve is
+    None.  A breakdown raises `NearSingularError` carrying the reflections
+    computed so far, the offending one last.
     """
-    r = np.asarray(r, dtype=float)
     n = len(r) - 1
     ones = rhs is None
     if ones:
         rhs = np.ones(n + 1)
-    a = np.empty(n + 1)
-    x = np.empty(n + 1)
+    a = ar.empty(n + 1)
+    x = ar.empty(n + 1)
     a[0] = 1.0
     x[0] = rhs[0] / r[0]
     e = r[0]
-    refl = np.empty(n)
-    errors = np.empty(n + 1)
+    refl = ar.empty(n)
+    errors = ar.empty(n + 1)
     errors[0] = e
     curve = None
     if ones:
-        curve = np.empty(n + 1)
+        curve = ar.empty(n + 1)
         curve[0] = r[0]
     for m in range(1, n + 1):
         window = r[m:0:-1]
-        k = -np.dot(a[:m], window) / e
-        if abs(k) >= BREAKDOWN_DOUBLE:
+        k = -ar.dot(a[:m], window) / e
+        if abs(float(k)) >= ar.breakdown:
             raise NearSingularError(
                 f"Toeplitz factorization breakdown at order {m} "
-                f"(reflection {k:+.17g}); extended double-double precision "
-                f"may reach further", order=m, reflections=np.append(refl[:m - 1], k))
+                f"(reflection {float(k):+.17g}){ar.note}", order=m, extended=ar.extended,
+                reflections=np.append(refl[:m - 1], k))
         refl[m - 1] = k
         a[m] = 0.0
         a[:m + 1] += k * a[:m + 1][::-1].copy()
         e *= 1.0 - k * k
+        if ar.extended and float(e) <= 0.0:
+            raise NearSingularError(f"pivot loss at order {m}{ar.note}", order=m,
+                                    extended=True)
         errors[m] = e
-        eta = rhs[m] - np.dot(x[:m], window)
+        eta = rhs[m] - ar.dot(x[:m], window)
         x[m] = 0.0
         x[:m + 1] += (eta / e) * a[:m + 1][::-1]
         if ones:
             curve[m] = 1.0 / x[:m + 1].sum()
+            if ar.extended and float(curve[m]) <= 0.0:
+                raise NearSingularError(f"variance loss at order {m}{ar.note}", order=m,
+                                        extended=True)
     return x, refl, errors, curve
 
 
@@ -130,7 +146,8 @@ def _read_only(v):
 
 
 class _LevinsonPass:
-    """Read-only results of one all-ones pass, plus its refined solution once asked."""
+    """Read-only results of one all-ones pass, in the arithmetic it ran in,
+    plus its refined solution once asked."""
 
     __slots__ = ("x", "refl", "errors", "curve", "refined")
 
@@ -140,19 +157,33 @@ class _LevinsonPass:
         self.refined = None
 
 
-#: the 8 passes used last; an entry holds five vectors of length n+1
+#: the 8 passes used last; an entry holds five vectors of length n+1, each
+#: two arrays in double-double
 _LEVINSON_MEMO = BoundedMemo(8)
 
 
-def _levinson_pass(r) -> _LevinsonPass:
-    """The memoised pass over the exact values r; a breakdown raises every time."""
+def _levinson_pass(r, lo=None) -> _LevinsonPass:
+    """The memoised pass over the exact values r, in double-double when their
+    low parts lo are given; a breakdown raises every time."""
     r = np.asarray(r, dtype=float)
-    key = r.tobytes()
+    if lo is None:
+        key, args = r.tobytes(), (r,)
+    else:
+        lo = np.asarray(lo, dtype=float)
+        key, args = (r.tobytes(), lo.tobytes()), (dd.DD(r, lo), None, _DD)
     entry = _LEVINSON_MEMO.get(key)
     if entry is None:
-        entry = _LevinsonPass(*_levinson(r))
+        entry = _LevinsonPass(*_levinson(*args))
         _LEVINSON_MEMO.put(key, entry)
     return entry
+
+
+def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
+    if precision != "dd":
+        return _levinson_pass(covariance.values)
+    if covariance.lo is None:
+        raise ValidationError("extended precision requires a dd covariance sequence")
+    return _levinson_pass(covariance.values, covariance.lo)
 
 
 def _residual(r, x):
@@ -179,50 +210,6 @@ def _refine(r, x):
 
 
 # ---------------------------------------------------------------------------
-# double-double path
-# ---------------------------------------------------------------------------
-
-def _levinson_ones_dd(rdd, collect_curve=False):
-    n = len(rdd) - 1
-    a = [dd.ONE]
-    x = [dd.div(dd.ONE, rdd[0])]
-    e = rdd[0]
-    variances = [rdd[0]]
-    refl = []
-    for m in range(1, n + 1):
-        acc = dd.ZERO
-        for j in range(m):
-            acc = dd.add(acc, dd.mul(a[j], rdd[m - j]))
-        k = dd.neg(dd.div(acc, e))
-        if abs(dd.to_float(k)) >= BREAKDOWN_DD:
-            raise NearSingularError(
-                f"extended-precision Toeplitz factorization breakdown at order {m}",
-                order=m, extended=True)
-        refl.append(k)
-        rev = a[::-1]
-        a = [dd.add(a[j] if j < m else dd.ZERO, dd.mul(k, rev[j - 1] if j >= 1 else dd.ZERO))
-             for j in range(m + 1)]
-        e = dd.mul(e, dd.sub(dd.ONE, dd.mul(k, k)))
-        if dd.to_float(e) <= 0.0:
-            raise NearSingularError("extended-precision pivot loss", order=m, extended=True)
-        acc = dd.ZERO
-        for j in range(m):
-            acc = dd.add(acc, dd.mul(x[j], rdd[m - j]))
-        coef = dd.div(dd.sub(dd.ONE, acc), e)
-        x = [dd.add(x[j] if j < m else dd.ZERO, dd.mul(coef, a[m - j])) for j in range(m + 1)]
-        if collect_curve:
-            s = dd.ZERO
-            for xj in x:
-                s = dd.add(s, xj)
-            v = dd.div(dd.ONE, s)
-            if dd.to_float(v) <= 0.0:
-                raise NearSingularError("extended-precision variance loss", order=m,
-                                        extended=True)
-            variances.append(v)
-    return x, refl, variances
-
-
-# ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
@@ -234,25 +221,16 @@ def blue_solve(system: ToeplitzSystem):
     """
     from .estimators import EstimatorWeights
 
-    r = system.covariance.values
-    if system.precision == "dd":
-        x, refl, _ = _levinson_ones_dd(system.covariance.dd_values)
-        s = dd.ZERO
-        for xj in x:
-            s = dd.add(s, xj)
-        variance = dd.to_float(dd.div(dd.ONE, s))
-        coeffs = np.array([dd.to_float(dd.div(xj, s)) for xj in x])
-        refl_f = np.array([dd.to_float(k) for k in refl])
-    else:
-        entry = _levinson_pass(r)
+    entry = _pass_for(system.covariance, system.precision)
+    x = entry.x
+    if system.precision == "double":
         if entry.refined is None:
-            entry.refined = _read_only(_refine(r, entry.x))
-        x, refl_f = entry.refined, entry.refl
-        total = x.sum()
-        variance = 1.0 / total
-        coeffs = x / total
+            entry.refined = _read_only(_refine(system.covariance.values, entry.x))
+        x = entry.refined
+    total = x.sum()
+    variance = float(1.0 / total)
+    coeffs = np.asarray(x / total, dtype=float)
     coeffs = coeffs / coeffs.sum()
-    system.condition_estimate = _condition_proxy(refl_f)
     if variance <= 0.0:
         raise NearSingularError("non-positive variance from factorization",
                                 order=system.order)
@@ -261,24 +239,12 @@ def blue_solve(system: ToeplitzSystem):
 
 def blue_variance_curve(covariance: CovarianceSequence, precision: str = "double"):
     """Variance of the optimal estimator at every order 0..n in one pass."""
-    if precision == "dd":
-        if covariance.dd_values is None:
-            raise ValidationError("extended curve requires a dd covariance sequence")
-        _, _, variances = _levinson_ones_dd(covariance.dd_values, collect_curve=True)
-        return np.array([dd.to_float(v) for v in variances])
-    return _levinson_pass(covariance.values).curve.copy()
+    return np.array(_pass_for(covariance, precision).curve, dtype=float)
 
 
 def reflection_coefficients(r):
     """Reflection (Schur) coefficients of the prediction recursion."""
     return _levinson_pass(r).refl.copy()
-
-
-def _condition_proxy(refl):
-    """prod 1/(1-k^2): a growth proxy, reported not guaranteed."""
-    refl = np.asarray(refl, dtype=float)
-    with np.errstate(over="ignore", divide="ignore"):
-        return float(np.exp(-np.sum(np.log1p(-refl * refl))))
 
 
 def quadratic_form(weights, covariance: CovarianceSequence) -> float:

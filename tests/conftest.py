@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import solve, toeplitz
@@ -39,6 +41,31 @@ def dense_blue(r, n):
     x = solve(matrix, np.ones(n + 1), assume_a="pos")
     total = x.sum()
     return x / total, 1.0 / total
+
+
+def mp_dense_blue(cov, dps=50):
+    """Oracle: optimal variances and weights from a dense solve at `dps` digits.
+
+    The exact values hi + lo of a dd covariance sequence are factored as
+    R = L L^T by Cholesky.  The leading blocks of L factor the leading blocks
+    of R, so with y = L^-1 1 the variance at order m is 1 / sum(y[:m+1]^2);
+    the weights at the full order are x / sum(x) with x = L^-T y.  Returns the
+    variance at every order and those weights, as mpmath numbers.
+    """
+    with mpmath.workdps(dps):
+        r = [mpmath.mpf(h) + mpmath.mpf(l) for h, l in zip(cov.values, cov.lo)]
+        size = len(r)
+        low = mpmath.cholesky(mpmath.matrix(
+            [[r[abs(i - j)] for j in range(size)] for i in range(size)]))
+        y = []
+        for i in range(size):
+            y.append((1 - mpmath.fsum(low[i, j] * y[j] for j in range(i))) / low[i, i])
+        curve = [1 / s for s in itertools.accumulate(v * v for v in y)]
+        x = [mpmath.mpf(0)] * size
+        for i in reversed(range(size)):
+            x[i] = (y[i] - mpmath.fsum(low[j, i] * x[j] for j in range(i + 1, size))) / low[i, i]
+        total = mpmath.fsum(x)
+        return curve, [v / total for v in x]
 
 
 def dense_christoffel(r, xi, m):

@@ -164,6 +164,11 @@ class TestExitCodes:
         (("asymptote", "--law", "general"), 1),
         (("asymptote", "--law", "short-memory"), 1),
         (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json"), 1),
+        # a malformed flag value is a usage error
+        (("decay", "--model", "{models}/arc.json", "--n-grid", "abc"), 1),
+        (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "xyz"), 1),
+        (("chebyshev", "--arcs", "foo", "--n-grid", "4:8:4"), 1),
+        (("chebyshev", "--arcs", "0.1pi:0.2pi", "--n-grid", "4:0:0"), 1),
     ])
     def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
         (tmp_path / "malformed.json").write_text('{"variant": ')
@@ -171,6 +176,8 @@ class TestExitCodes:
         code, _, err = run_cli(*argv)
         assert code == expected, err
         assert "Traceback" not in err
+        if expected == 1:
+            assert "usage error" in err
 
 
 class TestManifest:

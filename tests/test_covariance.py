@@ -157,8 +157,8 @@ class TestExtendedPrecision:
         assert ddcov.precision == "dd"
         assert np.max(np.abs(ddcov.values - dcov.values)) < 1e-15
         # lo parts are genuinely tiny corrections
-        lo = np.array([l for _, l in ddcov.dd_values])
-        assert np.max(np.abs(lo)) < 1e-15
+        assert ddcov.lo.shape == ddcov.values.shape
+        assert np.max(np.abs(ddcov.lo)) < 1e-15
 
     def test_dd_falpha(self):
         ddcov = st.covariance_sequence(st.PowerAtOrigin(0.25), 8, precision="dd")

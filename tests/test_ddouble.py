@@ -1,28 +1,43 @@
-"""Compensated pair arithmetic against an mpmath oracle."""
+"""Double-double array arithmetic against an mpmath oracle."""
 
 from __future__ import annotations
 
-import math
-
 import mpmath
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statmean import ddouble as dd
 
-mpmath.mp.dps = 50
+DPS = 50
 
 finite = hst.floats(min_value=-1e10, max_value=1e10,
                     allow_nan=False, allow_infinity=False).filter(lambda x: abs(x) > 1e-10)
+unit = hst.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
-def to_mp(x):
-    return mpmath.mpf(x[0]) + mpmath.mpf(x[1])
+@hst.composite
+def dd_pair(draw, max_size=8):
+    """Two double-double arrays of one length, with nonzero low parts."""
+    size = draw(hst.integers(1, max_size))
+
+    def one():
+        hi = np.array(draw(hst.lists(finite, min_size=size, max_size=size)))
+        lo = hi * np.array(draw(hst.lists(unit, min_size=size, max_size=size))) * 2.0 ** -60
+        return dd.DD(*dd.two_sum(hi, lo))
+
+    return one(), one()
 
 
-def assert_close(pair, reference, rel=1e-30):
-    err = abs(to_mp(pair) - reference)
-    assert err <= rel * max(1, abs(reference))
+def to_mp(v):
+    """Exact values of a double-double array as mpmath numbers."""
+    return [mpmath.mpf(float(h)) + mpmath.mpf(float(lo))
+            for h, lo in zip(np.atleast_1d(v.hi), np.atleast_1d(v.lo))]
+
+
+def assert_close(value, reference, rel=1e-30):
+    for got, want in zip(to_mp(value), reference):
+        assert abs(got - want) <= rel * max(1, abs(want))
 
 
 def test_two_sum_exact():
@@ -36,26 +51,89 @@ def test_two_prod_exact():
         (mpmath.mpf(1) - mpmath.mpf(2) ** -30)
 
 
-@given(a=finite, b=finite)
-@settings(max_examples=200, deadline=None)
-def test_mul_accuracy(a, b):
-    x, y = dd.from_float(a), dd.from_float(b)
-    assert_close(dd.mul(x, y), mpmath.mpf(a) * mpmath.mpf(b))
+@given(a=hst.lists(finite, min_size=1, max_size=8), b=hst.lists(finite, min_size=1, max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_error_free_transformations_are_exact(a, b):
+    size = min(len(a), len(b))
+    a, b = np.array(a[:size]), np.array(b[:size])
+    with mpmath.workdps(DPS):
+        for (s, e), exact in ((dd.two_sum(a, b), [mpmath.mpf(x) + mpmath.mpf(y)
+                                                  for x, y in zip(a, b)]),
+                              (dd.two_prod(a, b), [mpmath.mpf(x) * mpmath.mpf(y)
+                                                   for x, y in zip(a, b)])):
+            assert [mpmath.mpf(float(u)) + mpmath.mpf(float(v))
+                    for u, v in zip(s, e)] == exact
 
 
-@given(a=finite, b=finite)
+@given(pair=dd_pair())
 @settings(max_examples=200, deadline=None)
-def test_div_round_trip(a, b):
-    x, y = dd.from_float(a), dd.from_float(b)
-    q = dd.div(x, y)
-    assert_close(dd.mul(q, y), mpmath.mpf(a), rel=1e-29)
+def test_add_sub_accuracy(pair):
+    x, y = pair
+    with mpmath.workdps(DPS):
+        assert_close(x + y, [u + v for u, v in zip(to_mp(x), to_mp(y))])
+        assert_close(x - y, [u - v for u, v in zip(to_mp(x), to_mp(y))])
+
+
+@given(pair=dd_pair())
+@settings(max_examples=200, deadline=None)
+def test_mul_accuracy(pair):
+    x, y = pair
+    with mpmath.workdps(DPS):
+        assert_close(x * y, [u * v for u, v in zip(to_mp(x), to_mp(y))])
+
+
+@given(pair=dd_pair())
+@settings(max_examples=200, deadline=None)
+def test_div_round_trip(pair):
+    x, y = pair
+    with mpmath.workdps(DPS):
+        assert_close(x / y, [u / v for u, v in zip(to_mp(x), to_mp(y))])
+        assert_close((x / y) * y, to_mp(x), rel=1e-29)
+
+
+@given(pair=dd_pair(max_size=64))
+@settings(max_examples=100, deadline=None)
+def test_sum_and_dot_are_correctly_rounded(pair):
+    """hi is the exact value rounded to double, and lo the exact remainder rounded."""
+    x, y = pair
+    with mpmath.workdps(400):          # enough digits to hold every sum exactly
+        for got, exact in ((x.sum(), mpmath.fsum(to_mp(x))),
+                           (dd.dot(x, y), mpmath.fsum(u * v for u, v in
+                                                      zip(to_mp(x), to_mp(y))))):
+            assert got.hi == float(exact)
+            assert got.lo == float(exact - got.hi)
+
+
+def test_scalar_operands_broadcast():
+    x = dd.DD(np.array([1.0, 3.0]), np.array([2.0 ** -60, -(2.0 ** -60)]))
+    third = 1.0 / dd.DD(3.0, 0.0)
+    with mpmath.workdps(DPS):
+        assert_close(third * x, [v / 3 for v in to_mp(x)])
+        assert_close(1.0 - x, [1 - v for v in to_mp(x)])
+    assert float(third) == 1.0 / 3.0
+    assert np.asarray(x).tolist() == [1.0, 3.0]
+
+
+def test_indexing_and_assignment():
+    x = dd.empty(3)
+    x[0] = 1.0
+    x[1:] = dd.DD(np.array([2.0, 4.0]), np.array([1e-20, 1e-21]))
+    assert x.hi.tolist() == [1.0, 2.0, 4.0]
+    assert x.lo.tolist() == [0.0, 1e-20, 1e-21]
+    rev = x[::-1]
+    assert rev.hi.tolist() == [4.0, 2.0, 1.0] and len(rev) == 3
 
 
 def test_accumulation_beats_double():
     """Summing 1 + k*eps^2 terms keeps ~32 digits where double loses them."""
-    acc = dd.ZERO
-    tiny = dd.from_float(1e-25)
+    acc = dd.DD(0.0, 0.0)
+    tiny = dd.DD(1e-25, 0.0)
     for _ in range(1000):
-        acc = dd.add(acc, tiny)
-    acc = dd.add(acc, dd.ONE)
-    assert_close(acc, mpmath.mpf(1) + mpmath.mpf(1e-25) * 1000)
+        acc = acc + tiny
+    acc = acc + 1.0
+    with mpmath.workdps(DPS):
+        assert_close(acc, [mpmath.mpf(1) + mpmath.mpf(1e-25) * 1000])
+    terms = dd.DD(np.full(1001, 1e-25), np.zeros(1001))
+    terms[0] = 1.0
+    with mpmath.workdps(DPS):
+        assert_close(terms.sum(), [mpmath.mpf(1) + mpmath.mpf(1e-25) * 1000])

@@ -2,20 +2,21 @@
 
 from __future__ import annotations
 
+import copy
 import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
 import statmean as st
-from statmean import ddouble as dd
 from statmean import toeplitz
-from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson,
-                               _levinson_ones_dd, _residual, reflection_coefficients)
-from tests.conftest import dense_blue
+from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson, _residual,
+                               reflection_coefficients)
+from tests.conftest import dense_blue, mp_dense_blue
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,10 +48,16 @@ class TestBlueSolve:
         assert variance == pytest.approx(vref, rel=1e-10)
         assert np.max(np.abs(weights.coefficients - wref)) < 1e-10
 
-    def test_condition_estimate_recorded(self, ma1):
+    def test_system_is_frozen_and_left_unchanged(self, ma1):
         system = st.system_for(ma1, 16)
+        before = copy.deepcopy(system)
+        with pytest.raises(AttributeError):
+            system.precision = "dd"
         st.blue_solve(system)
-        assert system.condition_estimate is not None and system.condition_estimate >= 1.0
+        assert vars(system).keys() == vars(before).keys()
+        assert system.precision == before.precision
+        assert system.covariance.provenance == before.covariance.provenance
+        assert _bits(system.covariance.values) == _bits(before.covariance.values)
 
     def test_near_singular_raises_with_advice(self):
         cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 40)
@@ -65,9 +72,44 @@ class TestBlueSolve:
         weights, variance = st.blue_solve(st.ToeplitzSystem(cov, precision="dd"))
         assert variance > 0
         assert weights.coefficients.sum() == pytest.approx(1.0, abs=1e-13)
-        # oracle: solve the same system fully in double-double via the curve
-        _, _, variances = _levinson_ones_dd(cov.dd_values, collect_curve=True)
-        assert variance == pytest.approx(dd.to_float(variances[30]), rel=1e-12)
+        curve, _ = mp_dense_blue(cov)
+        assert variance == pytest.approx(float(curve[30]), rel=1e-9)
+
+
+def _mp(v):
+    """A double-double value as an mpmath number, exactly."""
+    return mpmath.mpf(float(v.hi)) + mpmath.mpf(float(v.lo))
+
+
+class TestExtendedAgainstMpmath:
+    """The double-double pass against a 50-digit dense solve of R x = 1."""
+
+    CASES = {"power_law_1": (st.PowerAtOrigin(1.0), 64, 1e-24),
+             "power_law_2": (st.PowerAtOrigin(2.0), 64, 1e-24),
+             "flat_zero_1.5": (st.FlatZero(1.5), 48, 1e-24),
+             # variance 7.3e-24: the Toeplitz condition spends most of the dd digits
+             "arc_pi/2": (st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 30, 1e-9)}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_curve_and_weights(self, name):
+        model, n, tol = self.CASES[name]
+        cov = st.covariance_sequence(model, n, precision="dd")
+        curve_ref, weights_ref = mp_dense_blue(cov)
+        entry = toeplitz._levinson_pass(cov.values, cov.lo)
+        total = entry.x.sum()
+        with mpmath.workdps(50):
+            curve_err = max(abs(_mp(entry.curve[m]) / curve_ref[m] - 1) for m in range(n + 1))
+            weights_err = max(abs(_mp(entry.x[j] / total) - w)
+                              for j, w in enumerate(weights_ref))
+        assert curve_err <= tol
+        assert weights_err <= tol * max(abs(w) for w in weights_ref)
+        # the public results are those values rounded to double
+        weights, variance = st.blue_solve(st.ToeplitzSystem(cov, precision="dd"))
+        public = st.blue_variance_curve(cov, precision="dd")
+        assert variance == pytest.approx(float(curve_ref[n]), rel=tol + 2e-16)
+        assert public == pytest.approx([float(v) for v in curve_ref], rel=tol + 2e-16)
+        assert np.max(np.abs(weights.coefficients - [float(w) for w in weights_ref])) <= (
+            (tol + 1e-14) * max(abs(w) for w in weights_ref))
 
 
 def _bits(a):
@@ -106,6 +148,19 @@ class TestLevinsonMemo:
         entry = toeplitz._levinson_pass(cov.values)
         for a in (entry.x, entry.refl, entry.curve, entry.refined):
             assert not a.flags.writeable
+
+    def test_dd_pass_is_memoised_apart_from_the_double_one(self, monkeypatch):
+        calls = []
+        kernel = toeplitz._levinson
+        monkeypatch.setattr(toeplitz, "_levinson", lambda *a: calls.append(a) or kernel(*a))
+        toeplitz._LEVINSON_MEMO.clear()
+        cov = st.covariance_sequence(st.PowerAtOrigin(1.0), 64, precision="dd")
+        curve = st.blue_variance_curve(cov, precision="dd")
+        st.blue_solve(st.ToeplitzSystem(cov, precision="dd"))
+        assert _bits(st.blue_variance_curve(cov, precision="dd")) == _bits(curve)
+        assert len(calls) == 1
+        st.blue_variance_curve(cov)          # double, on the same hi parts
+        assert len(calls) == 2
 
     def test_memo_stays_at_its_bound(self):
         memo = toeplitz._LEVINSON_MEMO
