@@ -266,6 +266,8 @@ def _run(args, manifest):
         if args.finite:
             measure = load_measure(args.model)
             grid = _parse_grid(args.n_grid) if args.n_grid else [args.n]
+            if not grid:
+                raise ValidationError("n grid must be nonempty")
             values = {}
             for n in grid:
                 w = _estimator_weights(args.estimator, n, args.alpha, None)

@@ -1,21 +1,27 @@
 """Covariance sequences r(0..n) from spectral measures.
 
-Exact closed forms are used wherever the model reduces to a power-at-origin
-factor times a finite trigonometric polynomial (white noise, pure-MA ARMA,
-fractional factors of those, products, scalings, arc-supported indicators);
-everything else goes through singularity-graded quadrature with a refinement
-cross-check at absolute tolerance 1e-12 per coefficient.
+A variant with a closed form computes it itself (`SpectralModel.covariances`),
+written once over an arithmetic this module supplies: numpy float64 arrays
+for precision="double", numpy object arrays of 40-digit mpmath numbers for
+precision="dd".  The closed forms, the same in both precisions, cover models
+that reduce to a power-at-origin factor times a finite trigonometric
+polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
+scalings), arc-supported indicators and their scalings, and shifts of any of
+these by pi; a flat-zero density is integrated by 40-digit Gauss-Legendre
+quadrature in double-double.  Every other density goes through
+singularity-graded double quadrature with a refinement cross-check at
+absolute tolerance 1e-12 per coefficient, and has no double-double form.
 
-The double-double path (precision="dd") produces covariances accurate to
-~1e-32, required by the exponential-decay studies where Toeplitz variances
-reach the square of double rounding error.  High-precision values are
-generated with mpmath and stored as two float arrays: `values` holds each
-rounded to double (the hi part), and `lo` the remainder.
+The double-double path produces covariances accurate to ~1e-32, required by
+the exponential-decay studies where Toeplitz variances reach the square of
+double rounding error.  The 40-digit values are stored as two float arrays:
+`values` holds each rounded to double (the hi part), and `lo` the remainder.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -25,9 +31,7 @@ from scipy.special import gammaln
 from . import quadrature
 from .errors import AccuracyError, ValidationError
 from .memo import BoundedMemo
-from .spectra import (TWO_PI, ArcSupported, ArfimaFactor, Arma, FlatZero,
-                      FrequencyShifted, PowerAtOrigin, Product, Scaled,
-                      SpectralMeasure, WhiteNoise, as_measure)
+from .spectra import as_measure
 
 #: absolute tolerance per quadrature coefficient
 QUAD_TOL = 1e-12
@@ -127,96 +131,6 @@ class CovarianceSequence:
         return bool(np.all(np.abs(refl) < 1.0))
 
 
-# -- exact reduction ---------------------------------------------------------
-#
-# A model reduces to (alpha, C, gamma) when f = C * f_alpha(lam) * g(lam) with
-# g a nonnegative trig polynomial sum_t gamma_|t| e^{i t lam}; then
-# r(k) = C * [gamma_0 r_a(k) + sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))].
-
-def _reduce_exact(model):
-    if isinstance(model, WhiteNoise):
-        if model.level == 0.0:
-            return 0.0, 0.0, np.array([1.0])
-        return 0.0, TWO_PI * model.level, np.array([1.0])
-    if isinstance(model, PowerAtOrigin):
-        return model.alpha, 1.0, np.array([1.0])
-    if isinstance(model, Arma) and not model.has_ar_part():
-        theta = np.asarray(model.ma)
-        gamma = np.correlate(theta, theta, mode="full")[len(theta) - 1:]
-        return 0.0, model.scale, gamma
-    if isinstance(model, Scaled):
-        base = _reduce_exact(model.model)
-        if base is None:
-            return None
-        a, c, g = base
-        return a, c * model.factor, g
-    if isinstance(model, ArfimaFactor):
-        base = _reduce_exact(model.base)
-        if base is None:
-            return None
-        a, c, g = base
-        a_new = a - model.d
-        if not a_new > -0.5:
-            return None
-        return a_new, c, g
-    if isinstance(model, Product):
-        left = _reduce_exact(model.left)
-        right = _reduce_exact(model.right)
-        if left is None or right is None:
-            return None
-        (a1, c1, g1), (a2, c2, g2) = left, right
-        a = a1 + a2
-        if a <= -0.5:
-            return None
-        # product of two symmetric trig polynomials: convolve full coefficient
-        # vectors and keep the nonnegative-lag half
-        f1 = np.concatenate((g1[:0:-1], g1))
-        f2 = np.concatenate((g2[:0:-1], g2))
-        full = np.convolve(f1, f2)
-        mid = (len(full) - 1) // 2
-        return a, c1 * c2 / TWO_PI, full[mid:]
-    return None
-
-
-def _exact_from_reduction(alpha, c, gamma, kmax):
-    q = len(gamma) - 1
-    ra = falpha_covariance_array(alpha, kmax + q)
-    k = np.arange(kmax + 1)
-    out = gamma[0] * ra[k]
-    for t in range(1, q + 1):
-        out = out + gamma[t] * (ra[k + t] + ra[np.abs(k - t)])
-    return c * out
-
-
-def _arc_covariances(alpha, level, kmax):
-    k = np.arange(1, kmax + 1)
-    out = np.empty(kmax + 1)
-    out[0] = 2.0 * level * (math.pi - alpha)
-    out[1:] = -2.0 * level * np.sin(k * alpha) / k
-    return out
-
-
-def _exact_density_covariances(model, kmax):
-    """Exact r(0..kmax) of the density or None when no closed form applies."""
-    if isinstance(model, ArcSupported):
-        return _arc_covariances(model.alpha, model.level, kmax)
-    if isinstance(model, Scaled) and isinstance(model.model, ArcSupported):
-        return model.factor * _arc_covariances(model.model.alpha, model.model.level, kmax)
-    if isinstance(model, FrequencyShifted) and abs(abs(model.shift) - math.pi) < 1e-15:
-        inner = _exact_density_covariances(model.model, kmax)
-        if inner is None:
-            return None
-        signs = np.where(np.arange(kmax + 1) % 2 == 0, 1.0, -1.0)
-        return signs * inner
-    red = _reduce_exact(model)
-    if red is None:
-        return None
-    alpha, c, gamma = red
-    if c == 0.0:
-        return np.zeros(kmax + 1)
-    return _exact_from_reduction(alpha, c, gamma, kmax)
-
-
 # -- quadrature path ---------------------------------------------------------
 
 def _cosine_moments(lam, w, fvals, kmax):
@@ -273,41 +187,67 @@ _COV_CACHE = BoundedMemo(64)
 
 
 def covariance_sequence(measure, n: int, precision: str = "double") -> CovarianceSequence:
-    """r(0..n) of a measure: density Fourier coefficients plus atom cosines."""
+    """r(0..n) of a measure: density Fourier coefficients plus atom cosines.
+
+    The density's closed form is taken in the precision's arithmetic; without
+    one, double precision integrates it and double-double refuses.
+    """
     measure = as_measure(measure)
     if n < 0:
         raise ValidationError("n must be nonnegative")
     measure.require_order(n)
-    from .spectra import is_even_density
-    if not is_even_density(measure.density):
+    model = measure.density
+    if not model.is_even():
         raise ValidationError(
             "covariances of a density shifted off 0/pi are complex-valued; reduce "
             "the shifted-regression problem to the unshifted one first")
-    if precision == "dd":
-        return _covariance_sequence_dd(measure, n)
-    if precision != "double":
-        raise ValidationError(f"unknown precision {precision!r}")
-
-    model = measure.density
-    key = (model.key(), "double")
+    ar = _arithmetic(precision)
+    key = (model.key(), precision)
     cached = _COV_CACHE.get(key)
     if cached is not None and cached[0] >= n:
         dens, prov = cached[1][:n + 1].copy(), cached[2]
     else:
-        exact = None if model.zero_density() else _exact_density_covariances(model, n)
-        if model.zero_density():
-            dens, prov = np.zeros(n + 1), "exact"
-        elif exact is not None:
-            dens, prov = exact, "exact"
-        else:
-            dens, prov = _quadrature_density_covariances(model, n), "quadrature"
+        found = (np.zeros(n + 1), "exact") if model.zero_density() else model.covariances(n, ar)
+        if found is None and precision == "dd":
+            raise ValidationError(
+                "extended-precision covariances need a closed form, the same set in both "
+                "precisions: white noise, power-at-origin, pure-MA, their fractional "
+                "factors, products and scalings, arc-supported, shifts of these by pi, "
+                "and flat-zero (by 40-digit quadrature)")
+        dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
         _COV_CACHE.put(key, (n, dens.copy(), prov))
+    k = ar.arange(n + 1)
     for angle, mass in measure.atoms:
-        dens = dens + mass * np.cos(np.arange(n + 1) * angle)
-    return CovarianceSequence(dens, prov)
+        dens = dens + ar.cos(k * ar.num(angle)) * ar.num(mass)
+    if precision == "double":
+        return CovarianceSequence(dens, prov)
+    hi = dens.astype(float)
+    return CovarianceSequence(hi, prov, precision="dd", lo=(dens - hi).astype(float))
 
 
-# -- extended precision ------------------------------------------------------
+# -- arithmetics -------------------------------------------------------------
+
+#: what a variant's closed form needs of an arithmetic beyond + - * /: the
+#: array dtype, `num` converting a double parameter, integer lags by `arange`,
+#: pi, elementwise sin and cos, r_alpha(0..kmax) by `falpha`, and `flat_zero`,
+#: r(0..kmax) of exp(-|lam|^-a) by quadrature where the arithmetic has one
+_Arithmetic = namedtuple("_Arithmetic", "dtype num arange pi sin cos falpha flat_zero")
+
+_DOUBLE = _Arithmetic(float, float, np.arange, math.pi, np.sin, np.cos,
+                      falpha_covariance_array, None)
+
+
+def _arithmetic(precision: str) -> _Arithmetic:
+    """numpy float64 arrays, or numpy object arrays of 40-digit mpmath numbers."""
+    if precision == "double":
+        return _DOUBLE
+    if precision != "dd":
+        raise ValidationError(f"unknown precision {precision!r}")
+    mp = _mp()
+    return _Arithmetic(object, mp.mpf, lambda *a: np.arange(*a).astype(object), mp.pi,
+                       np.frompyfunc(mp.sin, 1, 1), np.frompyfunc(mp.cos, 1, 1),
+                       _mp_falpha, _mp_flatzero)
+
 
 def _mp():
     import mpmath
@@ -325,7 +265,7 @@ def _mp_falpha(alpha, kmax):
             out.append(mp.mpf(0))
         else:
             out.append((-1) ** k * mp.gamma(2 * a + 1) / (mp.gamma(a + k + 1) * mp.gamma(x)))
-    return out
+    return np.array(out, dtype=object)
 
 
 def _mp_flatzero(a, kmax):
@@ -359,7 +299,7 @@ def _mp_flatzero(a, kmax):
     for _ in range(2, kmax + 1):
         cos_prev, cos_cur = cos_cur, [t * c - p for t, c, p in zip(two_cos, cos_cur, cos_prev)]
         out.append(2 * mp.fsum(w * f * c for w, f, c in zip(wts, fv, cos_cur)))
-    return out
+    return np.array(out, dtype=object)
 
 
 _MP_GL_CACHE: dict = {}
@@ -370,76 +310,25 @@ def _mp_gl_nodes(m):
     if m in _MP_GL_CACHE:
         return _MP_GL_CACHE[m]
     mp = _mp()
+
+    def legendre(x):
+        """(P_m(x), P_m'(x)) by the three-term recurrence."""
+        p0, p1 = mp.mpf(1), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, m * (x * p1 - p0) / (x * x - 1)
+
     xs, ws = [], []
     for i in range(1, m + 1):
         x = mp.mpf(math.cos(math.pi * (i - 0.25) / (m + 0.5)))
         for _ in range(60):
-            p0, p1 = mp.mpf(1), x
-            for j in range(2, m + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = m * (x * p1 - p0) / (x * x - 1)
-            dx = p1 / dp
+            p, dp = legendre(x)
+            dx = p / dp
             x -= dx
             if abs(dx) < mp.mpf("1e-45"):
                 break
-        p0, p1 = mp.mpf(1), x
-        for j in range(2, m + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = m * (x * p1 - p0) / (x * x - 1)
+        dp = legendre(x)[1]
         xs.append(x)
         ws.append(2 / ((1 - x * x) * dp * dp))
     _MP_GL_CACHE[m] = (xs, ws)
     return xs, ws
-
-
-def _mp_density_covariances(model, kmax):
-    mp = _mp()
-    if isinstance(model, ArcSupported):
-        a, lv = mp.mpf(model.alpha), mp.mpf(model.level)
-        out = [2 * lv * (mp.pi - a)]
-        out += [-2 * lv * mp.sin(a * k) / k for k in range(1, kmax + 1)]
-        return out
-    if isinstance(model, FlatZero):
-        return _mp_flatzero(model.a, kmax)
-    if isinstance(model, Scaled):
-        inner = _mp_density_covariances(model.model, kmax)
-        if inner is None:
-            return None
-        return [mp.mpf(model.factor) * v for v in inner]
-    red = _reduce_exact(model)
-    if red is not None:
-        alpha, c, gamma = red
-        ra = _mp_falpha(alpha, kmax + len(gamma) - 1)
-        out = []
-        for k in range(kmax + 1):
-            acc = mp.mpf(gamma[0]) * ra[k]
-            for t in range(1, len(gamma)):
-                acc += mp.mpf(gamma[t]) * (ra[k + t] + ra[abs(k - t)])
-            out.append(mp.mpf(c) * acc)
-        return out
-    return None
-
-
-def _covariance_sequence_dd(measure, n):
-    mp = _mp()
-    model = measure.density
-    key = (model.key(), "dd")
-    cached = _COV_CACHE.get(key)
-    if cached is not None and cached[0] >= n:
-        vals = list(cached[1][:n + 1])
-    else:
-        vals = _mp_density_covariances(model, n)
-        if vals is None:
-            raise ValidationError(
-                "extended-precision covariances are not available for this model; "
-                "supported: white noise, power-at-origin, pure-MA, their products "
-                "and scalings, arc-supported, flat-zero")
-        _COV_CACHE.put(key, (n, list(vals), "exact"))
-    for angle, mass in measure.atoms:
-        wa = mp.mpf(mass)
-        aa = mp.mpf(angle)
-        vals = [v + wa * mp.cos(aa * k) for k, v in enumerate(vals)]
-    hi = [float(v) for v in vals]
-    lo = [float(v - h) for v, h in zip(vals, hi)]
-    prov = "quadrature" if isinstance(model, FlatZero) else "exact"
-    return CovarianceSequence(np.array(hi), prov, precision="dd", lo=np.array(lo))

@@ -227,16 +227,16 @@ def decay_rate_from_variances(measure, n_grid=None, precision: str = "auto") -> 
 
 
 def _curve_with_truncation(measure, nmax, precision):
-    """Variance curve reaching as far as the factorization allows."""
+    """Variance curve reaching as far as the factorization allows: after a
+    breakdown, the orders below it, as the failed pass computed them."""
     cov = covariance_sequence(measure, nmax, precision=precision)
     try:
         return blue_variance_curve(cov, precision=precision), None
     except NearSingularError as err:
         if err.order <= 2:
             raise
-        cov = covariance_sequence(measure, err.order - 1, precision=precision)
         kind = "extended" if precision == "dd" else "double"
-        return (blue_variance_curve(cov, precision=precision),
+        return (err.curve[:err.order],
                 f"grid truncated at order {err.order - 1}: factorization breakdown "
                 f"in {kind} precision")
 

@@ -26,17 +26,19 @@ class AccuracyError(StatmeanError):
 class NearSingularError(StatmeanError):
     """A Toeplitz factorization broke down (reflection magnitude too close to 1).
 
-    The double recursion also carries the reflections it computed up to and
-    including the offending one, so callers can locate the first coefficient
-    past their own bound.
+    The recursion also carries the reflections it computed up to and including
+    the offending one, so callers can locate the first coefficient past their
+    own bound, and, on the all-ones pass, the variance curve at the orders
+    below the failing one (rounded to double), so they can keep that prefix.
     """
 
     def __init__(self, message: str, order: int, extended: bool = False,
-                 reflections=None):
+                 reflections=None, curve=None):
         super().__init__(message)
         self.order = order
         self.extended = extended
         self.reflections = reflections
+        self.curve = curve
 
 
 class NearTrivialMeasureError(StatmeanError):

@@ -192,8 +192,7 @@ def szego_function(model: SpectralModel, z: complex, tail_tol: float = 1e-10,
         raise ValidationError("z must lie strictly inside the unit disk")
     if szego_integral(model) is MINUS_INFINITY:
         raise ValidationError("outer function requires a convergent log-integral")
-    from .spectra import is_even_density
-    if not is_even_density(model):
+    if not model.is_even():
         raise ValidationError("outer-function evaluation assumes an even density")
 
     lam, w = model_grid(model, osc_k=64)

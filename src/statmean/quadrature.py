@@ -144,13 +144,13 @@ def log_integral_grid(model, depth_override=None):
 
     A contact ln f ~ -c*|lambda|^(-a) (a < 1, flat-zero class) needs geometric
     panels down to scales where the remaining mass of |lambda|^(-a) is
-    negligible, which takes about 12/((1-a)*log10 2) halvings.
+    negligible, which takes about 12/((1-a)*log10 2) halvings; a is the rate
+    the model declares on its essential singularity.
     """
     depth = SINGULAR_PANELS
     for s in model.singularities():
         if s.kind == "essential":
-            a = getattr(model, "a", 0.5)
-            depth = max(depth, int(12.0 / ((1.0 - min(a, 0.95)) * math.log10(2.0))) + 10)
+            depth = max(depth, int(12.0 / ((1.0 - min(s.rate, 0.95)) * math.log10(2.0))) + 10)
     if depth_override:
         depth = max(depth, depth_override)
     return model_grid(model, osc_k=0, depth=depth)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -60,13 +60,15 @@ class Singularity:
 
     kind is one of:
       * "algebraic": f ~ c*|lambda-angle|**exponent near the angle,
-      * "essential": f vanishes faster than any power (flat zero),
+      * "essential": f vanishes faster than any power (flat zero), with
+        ln f ~ -c*|lambda-angle|**(-rate),
       * "edge": jump discontinuity (support edge of an arc density).
     """
 
     angle: float
     kind: str
     exponent: float | None = None
+    rate: float | None = None
 
 
 def _reduce_angle(lam):
@@ -83,7 +85,11 @@ def _check_angle_range(angle):
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Base class; concrete variants implement `values` (vectorized)."""
+    """Base class; concrete variants implement `values` (vectorized).
+
+    A combinator lists the models it is built from in `children`, and unless
+    it overrides them the structural queries below are walks over those.
+    """
 
     def values(self, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -94,19 +100,52 @@ class SpectralModel:
             return np.log(self.values(lam))
 
     def singularities(self) -> tuple[Singularity, ...]:
-        return ()
+        return _merge_singularities(tuple(s for c in self.children() for s in c.singularities()))
 
     def origin_exponent(self) -> float | None:
         """Known local power of f at 0 (f ~ c*|lambda|**e), None when unknown."""
         return None
 
+    def children(self) -> tuple[SpectralModel, ...]:
+        return ()
+
     def szego_diverges(self) -> bool:
         """True when the log-integral is -infinity, decided analytically."""
-        return False
+        return self.zero_density() or any(c.szego_diverges() for c in self.children())
 
     def zero_density(self) -> bool:
         """True when the density is identically zero."""
-        return False
+        return any(c.zero_density() for c in self.children())
+
+    def is_even(self) -> bool:
+        """True when f(-lam) == f(lam) holds structurally; only a frequency
+        shift off 0 and +/-pi breaks it (complex covariances)."""
+        return all(c.is_even() for c in self.children())
+
+    def falpha_reduction(self):
+        """(alpha, C, gamma) with f = C * f_alpha * g, where g = sum_t gamma_|t|
+        e^{i t lam} is a nonnegative trigonometric polynomial; None if f has
+        no such form."""
+        return None
+
+    def covariances(self, kmax: int, ar):
+        """(r(0..kmax), provenance) in the arithmetic `ar` of `covariance`, or
+        None without a closed form.  Parameters enter through `ar.num`, right
+        of any array: an mpmath number on the left converts it very slowly.
+
+        The default evaluates the reduction: r(k) = C * [gamma_0 r_a(k) +
+        sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))].
+        """
+        red = self.falpha_reduction()
+        if red is None:
+            return None
+        alpha, c, gamma = red
+        ra = ar.falpha(alpha, kmax + len(gamma) - 1)
+        k = np.arange(kmax + 1)
+        out = ra[k] * ar.num(gamma[0])
+        for t in range(1, len(gamma)):
+            out = out + (ra[k + t] + ra[np.abs(k - t)]) * ar.num(gamma[t])
+        return out * ar.num(c), "exact"
 
     def to_json(self) -> dict:
         raise NotImplementedError
@@ -133,14 +172,14 @@ class WhiteNoise(SpectralModel):
             return np.full_like(lam, -np.inf)
         return np.full_like(lam, math.log(self.level))
 
-    def szego_diverges(self):
-        return self.level == 0.0
-
     def zero_density(self):
         return self.level == 0.0
 
     def origin_exponent(self):
         return 0.0 if self.level > 0 else None
+
+    def falpha_reduction(self):
+        return 0.0, TWO_PI * self.level, np.array([1.0])
 
     def to_json(self):
         return {"variant": "white_noise", "level": self.level}
@@ -173,9 +212,6 @@ class Arma(SpectralModel):
             if np.any(np.abs(np.abs(roots) - 1.0) < 1e-8):
                 raise ValidationError("AR polynomial must have no roots on the unit circle")
 
-    def has_ar_part(self) -> bool:
-        return len(self.ar) > 1
-
     def values(self, lam):
         z = np.exp(1j * np.asarray(lam, dtype=float))
         num = np.abs(np.polynomial.polynomial.polyval(z, self.ma)) ** 2
@@ -196,6 +232,12 @@ class Arma(SpectralModel):
         if abs(theta_at_one) > 1e-12:
             return 0.0
         return None
+
+    def falpha_reduction(self):
+        if len(self.ar) > 1:
+            return None
+        theta = np.asarray(self.ma)
+        return 0.0, self.scale, np.correlate(theta, theta, mode="full")[len(theta) - 1:]
 
     def to_json(self):
         return {"variant": "arma", "ma": list(self.ma), "ar": list(self.ar),
@@ -231,6 +273,9 @@ class PowerAtOrigin(SpectralModel):
     def origin_exponent(self):
         return 2.0 * self.alpha
 
+    def falpha_reduction(self):
+        return self.alpha, 1.0, np.array([1.0])
+
     def to_json(self):
         return {"variant": "power_at_origin", "alpha": self.alpha}
 
@@ -265,11 +310,14 @@ class ArfimaFactor(SpectralModel):
         be = self.base.origin_exponent()
         return None if be is None else be - 2.0 * self.d
 
-    def szego_diverges(self):
-        return self.base.szego_diverges()
+    def children(self):
+        return (self.base,)
 
-    def zero_density(self):
-        return self.base.zero_density()
+    def falpha_reduction(self):
+        base = self.base.falpha_reduction()
+        if base is None or not base[0] - self.d > -0.5:
+            return None
+        return base[0] - self.d, base[1], base[2]
 
     def to_json(self):
         return {"variant": "arfima", "d": self.d, "base": self.base.to_json()}
@@ -408,8 +456,8 @@ class FisherHartwig(SpectralModel):
         at_zero = sum(2.0 * e for a, e in self.points if abs(a) < 1e-12)
         return be + at_zero
 
-    def szego_diverges(self):
-        return self.base.szego_diverges()
+    def children(self):
+        return (self.base,)
 
     def to_json(self):
         return {"variant": "fisher_hartwig", "base": self.base.to_json(),
@@ -440,10 +488,15 @@ class FlatZero(SpectralModel):
             return -lam ** (-self.a)
 
     def singularities(self):
-        return (Singularity(0.0, "essential", None),)
+        return (Singularity(0.0, "essential", rate=self.a),)
 
     def szego_diverges(self):
         return self.a >= 1.0
+
+    def covariances(self, kmax, ar):
+        if ar.flat_zero is None:
+            return None
+        return ar.flat_zero(self.a, kmax), "quadrature"
 
     def to_json(self):
         return {"variant": "flat_zero", "a": self.a}
@@ -481,9 +534,9 @@ class PollaczekSzego(SpectralModel):
         return out[0] if scalar else out
 
     def singularities(self):
-        return (Singularity(0.0, "essential", None),
-                Singularity(math.pi, "essential", None),
-                Singularity(-math.pi, "essential", None))
+        # ln f ~ -pi*a/|lambda - angle| at each
+        return tuple(Singularity(angle, "essential", rate=1.0)
+                     for angle in (0.0, math.pi, -math.pi))
 
     def szego_diverges(self):
         return True
@@ -516,6 +569,14 @@ class ArcSupported(SpectralModel):
     def szego_diverges(self):
         return True
 
+    def covariances(self, kmax, ar):
+        a, lv = ar.num(self.alpha), ar.num(self.level)
+        k = ar.arange(1, kmax + 1)
+        out = np.empty(kmax + 1, dtype=ar.dtype)
+        out[0] = 2 * lv * (ar.pi - a)
+        out[1:] = ar.sin(k * a) * (-2 * lv) / k
+        return out, "exact"
+
     def to_json(self):
         return {"variant": "arc_supported", "alpha": self.alpha, "level": self.level}
 
@@ -531,20 +592,24 @@ class Product(SpectralModel):
     def log_values(self, lam):
         return self.left.log_values(lam) + self.right.log_values(lam)
 
-    def singularities(self):
-        return _merge_singularities(self.left.singularities() + self.right.singularities())
-
     def origin_exponent(self):
         a, b = self.left.origin_exponent(), self.right.origin_exponent()
         if a is None or b is None:
             return None
         return a + b
 
-    def szego_diverges(self):
-        return self.left.szego_diverges() or self.right.szego_diverges()
+    def children(self):
+        return (self.left, self.right)
 
-    def zero_density(self):
-        return self.left.zero_density() or self.right.zero_density()
+    def falpha_reduction(self):
+        left, right = self.left.falpha_reduction(), self.right.falpha_reduction()
+        if left is None or right is None or not left[0] + right[0] > -0.5:
+            return None
+        (a1, c1, g1), (a2, c2, g2) = left, right
+        # product of two symmetric trig polynomials: convolve full coefficient
+        # vectors and keep the nonnegative-lag half
+        full = np.convolve(np.concatenate((g1[:0:-1], g1)), np.concatenate((g2[:0:-1], g2)))
+        return a1 + a2, c1 * c2 / TWO_PI, full[(len(full) - 1) // 2:]
 
     def to_json(self):
         return {"variant": "product", "left": self.left.to_json(), "right": self.right.to_json()}
@@ -567,17 +632,24 @@ class Scaled(SpectralModel):
             return np.full_like(np.asarray(lam, dtype=float), -np.inf)
         return math.log(self.factor) + self.model.log_values(lam)
 
-    def singularities(self):
-        return self.model.singularities()
-
     def origin_exponent(self):
         return self.model.origin_exponent() if self.factor > 0 else None
 
-    def szego_diverges(self):
-        return self.factor == 0.0 or self.model.szego_diverges()
+    def children(self):
+        return (self.model,)
 
     def zero_density(self):
-        return self.factor == 0.0 or self.model.zero_density()
+        return self.factor == 0.0 or super().zero_density()
+
+    def falpha_reduction(self):
+        inner = self.model.falpha_reduction()
+        return None if inner is None else (inner[0], inner[1] * self.factor, inner[2])
+
+    def covariances(self, kmax, ar):
+        # the factor multiplies the model's closed form, whatever gives it; the
+        # reduction above folds it into C only inside products and fractions
+        inner = self.model.covariances(kmax, ar)
+        return None if inner is None else (inner[0] * ar.num(self.factor), inner[1])
 
     def to_json(self):
         return {"variant": "scaled", "model": self.model.to_json(), "factor": self.factor}
@@ -600,7 +672,7 @@ class FrequencyShifted(SpectralModel):
         return self.model.log_values(_reduce_angle(np.asarray(lam, dtype=float) + self.shift))
 
     def singularities(self):
-        return tuple(Singularity(float(_reduce_angle(s.angle - self.shift)), s.kind, s.exponent)
+        return tuple(replace(s, angle=float(_reduce_angle(s.angle - self.shift)))
                      for s in self.model.singularities())
 
     def origin_exponent(self):
@@ -608,11 +680,19 @@ class FrequencyShifted(SpectralModel):
             return self.model.origin_exponent()
         return None
 
-    def szego_diverges(self):
-        return self.model.szego_diverges()
+    def children(self):
+        return (self.model,)
 
-    def zero_density(self):
-        return self.model.zero_density()
+    def is_even(self):
+        return min(abs(self.shift), abs(abs(self.shift) - math.pi)) < 1e-15 and super().is_even()
+
+    def covariances(self, kmax, ar):
+        """A shift by pi multiplies r(k) by (-1)^k."""
+        by_pi = abs(abs(self.shift) - math.pi) < 1e-15
+        inner = self.model.covariances(kmax, ar) if by_pi else None
+        if inner is not None:
+            inner = inner[0] * (-1.0) ** np.arange(kmax + 1), inner[1]
+        return inner
 
     def to_json(self):
         return {"variant": "frequency_shifted", "model": self.model.to_json(), "shift": self.shift}
@@ -627,7 +707,7 @@ def _merge_singularities(sings):
         elif prev.kind == "algebraic" and s.kind == "algebraic":
             seen[round(s.angle, 12)] = Singularity(prev.angle, "algebraic",
                                                    prev.exponent + s.exponent)
-        elif s.kind == "essential":
+        elif s.kind == "essential" and (prev.kind != "essential" or s.rate > prev.rate):
             seen[round(s.angle, 12)] = s
     return tuple(seen.values())
 
@@ -677,23 +757,6 @@ def as_measure(obj) -> SpectralMeasure:
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-def is_even_density(model: SpectralModel) -> bool:
-    """True when f(-lam) == f(lam) holds structurally.
-
-    Every variant is even except a frequency shift by anything other than 0
-    or +/-pi (possibly nested); those models have complex covariances and are
-    rejected by the real Toeplitz machinery.
-    """
-    if isinstance(model, FrequencyShifted):
-        ok = abs(model.shift) < 1e-15 or abs(abs(model.shift) - math.pi) < 1e-15
-        return ok and is_even_density(model.model)
-    for name in ("base", "model", "left", "right"):
-        inner = getattr(model, name, None)
-        if isinstance(inner, SpectralModel) and not is_even_density(inner):
-            return False
-    return True
-
 
 def evaluate(model: SpectralModel, angle):
     """Pointwise density value(s); `angle` may be a scalar or an array in [-pi, pi]."""
@@ -770,13 +833,7 @@ def classify(measure) -> Classification:
 
 
 def _contains_arc(model) -> bool:
-    if isinstance(model, ArcSupported):
-        return True
-    for name in ("base", "model", "left", "right"):
-        inner = getattr(model, name, None)
-        if isinstance(inner, SpectralModel) and _contains_arc(inner):
-            return True
-    return False
+    return isinstance(model, ArcSupported) or any(map(_contains_arc, model.children()))
 
 
 def safe_probe_grid(model: SpectralModel, count: int) -> np.ndarray:

@@ -95,8 +95,13 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
     arithmetic.  A missing rhs stands for the all-ones vector, the only case
     that collects the curve 1 / sum(x) at every order; otherwise the curve is
     None.  A breakdown raises `NearSingularError` carrying the reflections
-    computed so far, the offending one last.
+    computed so far, the offending one last, and the curve below its order.
     """
+    def breakdown(what, m, reflections=None):
+        prefix = None if curve is None else np.array(curve[:m], dtype=float)
+        return NearSingularError(f"{what}{ar.note}", order=m, extended=ar.extended,
+                                 reflections=reflections, curve=prefix)
+
     n = len(r) - 1
     ones = rhs is None
     if ones:
@@ -117,17 +122,14 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
         window = r[m:0:-1]
         k = -ar.dot(a[:m], window) / e
         if abs(float(k)) >= ar.breakdown:
-            raise NearSingularError(
-                f"Toeplitz factorization breakdown at order {m} "
-                f"(reflection {float(k):+.17g}){ar.note}", order=m, extended=ar.extended,
-                reflections=np.append(refl[:m - 1], k))
+            raise breakdown(f"Toeplitz factorization breakdown at order {m} "
+                            f"(reflection {float(k):+.17g})", m, np.append(refl[:m - 1], k))
         refl[m - 1] = k
         a[m] = 0.0
         a[:m + 1] += k * a[:m + 1][::-1].copy()
         e *= 1.0 - k * k
         if ar.extended and float(e) <= 0.0:
-            raise NearSingularError(f"pivot loss at order {m}{ar.note}", order=m,
-                                    extended=True)
+            raise breakdown(f"pivot loss at order {m}", m)
         errors[m] = e
         eta = rhs[m] - ar.dot(x[:m], window)
         x[m] = 0.0
@@ -135,8 +137,7 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
         if ones:
             curve[m] = 1.0 / x[:m + 1].sum()
             if ar.extended and float(curve[m]) <= 0.0:
-                raise NearSingularError(f"variance loss at order {m}{ar.note}", order=m,
-                                        extended=True)
+                raise breakdown(f"variance loss at order {m}", m)
     return x, refl, errors, curve
 
 

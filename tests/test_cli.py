@@ -179,6 +179,13 @@ class TestExitCodes:
         if expected == 1:
             assert "usage error" in err
 
+    def test_empty_finite_grid_is_a_validation_error(self, model_dir):
+        """As in decay and chebyshev, an empty order grid exits 2."""
+        code, out, err = run_cli("efficiency", "--finite", "--model", str(model_dir / "f1.json"),
+                                 "--estimator", "lse", "--n-grid", "4:0:1")
+        assert code == 2 and "validation error" in err, err
+        assert "Traceback" not in err and '"efficiency"' not in out
+
 
 class TestManifest:
     def test_reproducible_result_payload(self, model_dir, tmp_path):

@@ -174,6 +174,42 @@ class TestExtendedPrecision:
             st.covariance_sequence(ar1, 4, precision="dd")
 
 
+class TestOneClosedFormSet:
+    """Both precisions take a model's closed form from the same variant code."""
+
+    ARC = st.ArcSupported(0.455 * math.pi, 1.0 / TWO_PI)
+
+    def test_scaled_flat_zero_dd_reports_its_quadrature(self):
+        cov = st.covariance_sequence(st.Scaled(st.FlatZero(1.5), 2.0), 8, precision="dd")
+        assert cov.provenance == "quadrature"
+
+    def test_nested_scaling_of_an_arc_is_exact_in_double(self):
+        nested = st.covariance_sequence(st.Scaled(st.Scaled(self.ARC, 2.0), 1.5), 32)
+        single = st.covariance_sequence(st.Scaled(self.ARC, 3.0), 32)
+        assert nested.provenance == "exact"
+        np.testing.assert_allclose(nested.values, single.values, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("inner", [ARC, st.PowerAtOrigin(0.3)])
+    def test_dd_shift_by_pi_alternates_signs_bitwise(self, inner):
+        base = st.covariance_sequence(inner, 16, precision="dd")
+        shifted = st.covariance_sequence(st.FrequencyShifted(inner, math.pi), 16, precision="dd")
+        signs = np.where(np.arange(17) % 2 == 0, 1.0, -1.0)
+        assert shifted.provenance == "exact"
+        assert (signs * base.values).tobytes() == shifted.values.tobytes()
+        assert (signs * base.lo).tobytes() == shifted.lo.tobytes()
+
+    @pytest.mark.parametrize("model", [st.Scaled(st.PowerAtOrigin(1.0), 1.7),
+                                       st.Product(st.PowerAtOrigin(0.25), st.Arma((1.0, -0.5))),
+                                       st.FrequencyShifted(st.ArfimaFactor(0.2, st.WhiteNoise()),
+                                                           -math.pi)])
+    def test_dd_hi_parts_round_the_double_closed_form(self, model):
+        ddcov = st.covariance_sequence(model, 24, precision="dd")
+        dcov = st.covariance_sequence(model, 24)
+        assert ddcov.provenance == dcov.provenance == "exact"
+        scale = np.max(np.abs(dcov.values))
+        assert np.max(np.abs(ddcov.values + ddcov.lo - dcov.values)) < 1e-14 * scale
+
+
 class TestGammaReflection:
     def test_signed_values_against_mpmath(self):
         """Reflection sign tracking for arguments deep in the left half-line."""

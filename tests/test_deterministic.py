@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import statmean as st
+from statmean import toeplitz
 from statmean.deterministic import ArcRegion
 
 COS_BOUND = math.cos(math.pi / 4)
@@ -127,3 +128,32 @@ class TestDecayRate:
         assert report.warning is not None
         assert report.orders[-1] < 40
         assert report.rho == pytest.approx(0.414, abs=0.05)
+
+
+class TestTruncationReusesTheFailedPass:
+    def test_one_pass_per_precision_and_the_prefix_bits(self, monkeypatch):
+        """A breakdown carries the curve below its order, so the decay fit
+        keeps it instead of factoring the prefix a second time."""
+        arc = st.ArcSupported(0.455 * math.pi, 1.0 / (2.0 * math.pi))
+        passes = []
+        levinson = toeplitz._levinson
+
+        def counted(r, *args, **kwargs):
+            passes.append(len(r))
+            return levinson(r, *args, **kwargs)
+
+        monkeypatch.setattr(toeplitz, "_levinson", counted)
+        rep = st.decay_rate_from_variances(arc, range(8, 97, 8))
+        assert passes == [98, 98]                 # r(0..97) in double, then in dd
+        assert rep.precision == "dd" and rep.warning.startswith("grid truncated")
+
+        for precision in ("double", "dd"):
+            cov = st.covariance_sequence(arc, 97, precision=precision)
+            with pytest.raises(st.NearSingularError) as info:
+                st.blue_variance_curve(cov, precision=precision)
+            m = info.value.order
+            lo = None if cov.lo is None else cov.lo[:m]
+            prefix = st.CovarianceSequence(cov.values[:m], cov.provenance, precision, lo)
+            curve = st.blue_variance_curve(prefix, precision=precision)
+            assert info.value.curve.tobytes() == curve.tobytes()
+        assert rep.sigmas.tobytes() == np.sqrt(curve[rep.orders]).tobytes()

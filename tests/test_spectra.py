@@ -93,6 +93,20 @@ class TestSzegoIntegral:
         assert out is MINUS_INFINITY
         assert not isinstance(out, float)
 
+    def test_wrapped_flat_zero_grades_at_its_own_rate(self):
+        """The grid depth comes from the rate on the essential singularity,
+        so wrapping the model does not change it."""
+        bare = st.szego_integral(st.FlatZero(0.9))
+        scaled = st.szego_integral(st.Scaled(st.FlatZero(0.9), 2.0))
+        product = st.szego_integral(st.Product(st.FlatZero(0.9), st.WhiteNoise(1.0)))
+        assert scaled == pytest.approx(bare + TWO_PI * math.log(2.0), abs=1e-10)
+        assert product == pytest.approx(bare, abs=1e-10)
+        # two contacts at one angle: the faster rate sets the depth, in either order
+        both = bare + st.szego_integral(st.FlatZero(0.5))
+        for pair in ((0.9, 0.5), (0.5, 0.9)):
+            model = st.Product(st.FlatZero(pair[0]), st.FlatZero(pair[1]))
+            assert st.szego_integral(model) == pytest.approx(both, abs=1e-10)
+
 
 class TestGeometricMean:
     def test_constant(self):
@@ -195,6 +209,18 @@ class TestMeasure:
     def test_zero_density_needs_atoms(self):
         with pytest.raises(st.ValidationError):
             st.SpectralMeasure(st.WhiteNoise(0.0))
+
+    @pytest.mark.parametrize("wrap", [
+        lambda m: st.FisherHartwig(m, ((1.0, 0.3), (-1.0, 0.3))),
+        lambda m: st.ArfimaFactor(0.2, m),
+        lambda m: st.Product(st.PowerAtOrigin(0.3), m),
+        lambda m: st.FrequencyShifted(m, math.pi),
+    ])
+    def test_zero_base_makes_every_combinator_zero(self, wrap):
+        model = wrap(st.WhiteNoise(0.0))
+        assert model.zero_density() and model.szego_diverges()
+        with pytest.raises(st.ValidationError):
+            st.SpectralMeasure(model)
 
     def test_finite_atom_measure_rejected_at_high_order(self):
         atoms = tuple((0.1 * j + 0.05, 1.0) for j in range(5))

@@ -1,0 +1,133 @@
+"""SHA-256 digests of the library's numerical outputs over the benchmark's op lists.
+
+    PYTHONPATH=src python tools/fingerprint.py --seed 1
+
+Two digests are printed, one line each:
+
+* ``double``: over the first double-sweep round, the `blue_solve` weights and
+  variance, `blue_variance_curve`, `reflection_coefficients`,
+  `efficiency_finite` of the sample mean (value, numerator, denominator) and
+  `pseudo_best_weights` under the op's density at order min(n, 256);
+* ``dd``: over the first extended-decay round, the double-double covariance
+  `values` and `lo`, the double-double variance curve and `blue_solve`, and
+  for arc and flat-zero ops the decay report.
+
+Two commits that print the same digests for a seed give bitwise the same
+outputs on those ops.  An op that raises contributes its exception's class
+and message instead.  The op lists come from `perfbench.workloads`, so the
+tool needs the repository root and `src` on the import path; it adds both.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import math
+import os
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+for path in (ROOT, os.path.join(ROOT, "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
+
+import numpy as np  # noqa: E402
+
+from perfbench import workloads  # noqa: E402
+from statmean import (covariance, deterministic, efficiency, estimators,  # noqa: E402
+                      spectra, toeplitz)
+
+
+class Digest:
+    """A SHA-256 over labelled float arrays, strings and exceptions."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.items = 0
+
+    def add(self, label, value):
+        self.sha.update(label.encode() + b"\0")
+        if isinstance(value, str):
+            self.sha.update(value.encode())
+        else:
+            self.sha.update(np.ascontiguousarray(value, dtype=float).tobytes())
+        self.items += 1
+
+    def run(self, label, fn):
+        """Add fn()'s (name, value) pairs, or the exception it raises."""
+        try:
+            pairs = fn()
+        except Exception as err:          # an error is an output too
+            pairs = [("error", f"{type(err).__name__}: {err}")]
+        for name, value in pairs:
+            self.add(f"{label}.{name}", value)
+
+
+def _double_outputs(spec):
+    n = spec["n"]
+    measure = spectra.measure_from_json(spec["measure"])
+    cov = covariance.covariance_sequence(measure, n)
+    weights, variance = toeplitz.blue_solve(toeplitz.ToeplitzSystem(cov))
+    eff = efficiency.efficiency_finite(estimators.lse_weights(n), measure)
+    return [("blue.weights", weights.coefficients), ("blue.variance", variance),
+            ("curve", toeplitz.blue_variance_curve(cov)),
+            ("reflections", toeplitz.reflection_coefficients(cov.values)),
+            ("efficiency", [eff.value, eff.numerator_variance, eff.denominator_variance])]
+
+
+def _pseudo_best(spec):
+    measure = spectra.measure_from_json(spec["measure"])
+    w = estimators.pseudo_best_weights(measure.density, min(spec["n"], 256))
+    return [("weights", w.coefficients)]
+
+
+def _extended_model(spec):
+    p = spec["params"]
+    if spec["kind"] == "arc":
+        return spectra.ArcSupported(p["edge_over_pi"] * math.pi, 1.0 / workloads.TWO_PI)
+    if spec["kind"] == "flat_zero":
+        return spectra.FlatZero(p["a"])
+    return spectra.Scaled(spectra.PowerAtOrigin(p["alpha"]), p["scale"])
+
+
+def _dd_outputs(spec):
+    cov = covariance.covariance_sequence(_extended_model(spec), spec["n"], precision="dd")
+    out = [("values", cov.values), ("lo", cov.lo), ("provenance", cov.provenance)]
+    out.append(("curve", toeplitz.blue_variance_curve(cov, precision="dd")))
+    weights, variance = toeplitz.blue_solve(toeplitz.ToeplitzSystem(cov, precision="dd"))
+    return out + [("blue.weights", weights.coefficients), ("blue.variance", variance)]
+
+
+def _decay(spec):
+    rep = deterministic.decay_rate_from_variances(_extended_model(spec), spec["decay_grid"],
+                                                  precision="auto")
+    return [("rho", rep.rho), ("orders", rep.orders), ("sigmas", rep.sigmas),
+            ("se", rep.fit_standard_error),
+            ("labels", f"{rep.neutrality}|{rep.precision}|{rep.warning}")]
+
+
+def fingerprint(seed: int) -> dict:
+    double, dd = Digest(), Digest()
+    for spec in workloads.first_rounds("double-sweep", seed, 1)[0]:
+        label = f"op{spec['op']}"
+        double.run(label, lambda: _double_outputs(spec))
+        double.run(label + ".pseudo_best", lambda: _pseudo_best(spec))
+    for spec in workloads.first_rounds("extended-decay", seed, 1)[0]:
+        label = f"op{spec['op']}"
+        dd.run(label, lambda: _dd_outputs(spec))
+        if "decay_grid" in spec:
+            dd.run(label + ".decay", lambda: _decay(spec))
+    return {"double": double, "dd": dd}
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    args = parser.parse_args(argv)
+    for name, digest in fingerprint(args.seed).items():
+        print(f"{name} seed={args.seed} items={digest.items} sha256={digest.sha.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
