@@ -8,7 +8,8 @@ timing).  JSON results embed the manifest; CSV results carry it as a leading
 
 Angles are accepted as plain radians or as multiples of pi with a literal
 "pi" suffix ("0.5pi", "-pi"), avoiding decimal drift in arc definitions.  A
---config JSON file may hold default flag values; explicit flags win.
+--config JSON file may hold default flag values, checked as if typed on the
+command line; explicit flags win.
 """
 
 from __future__ import annotations
@@ -147,6 +148,7 @@ def build_parser() -> _Parser:
     # suppressed default: a --config given before the subcommand survives
     for child in sub.choices.values():
         child.add_argument("--config", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    p.subcommands = sub.choices
     return p
 
 
@@ -157,8 +159,6 @@ REQUIRED_FLAGS = {
     "weights": ("estimator", "n"),
     "variance": ("model", "estimator", "n"),
     "christoffel": ("model", "n"),
-    "efficiency": (),
-    "asymptote": (),
     "chebyshev": ("arcs", "n_grid"),
     "decay": ("model", "n_grid"),
     "simulate": ("model", "estimator", "n"),
@@ -179,9 +179,40 @@ MODE_FLAGS = {
 }
 
 
+def _apply_config(parser, args, argv):
+    """Parse the --config file's values into `args` as if typed on the line,
+    for the subcommand's flags not given there; a value that fails its flag's
+    type or choices is a ValidationError."""
+    try:
+        with open(args.config) as fh:
+            defaults = json.load(fh)
+    except (OSError, ValueError) as err:
+        raise ValidationError(f"cannot read config {args.config}: {err}") from err
+    if not isinstance(defaults, dict):
+        raise ValidationError(f"config {args.config} must hold a JSON object")
+    explicit = {tok[2:].split("=")[0].replace("-", "_") for tok in argv if tok.startswith("--")}
+    sub = parser.subcommands[args.subcommand]
+    tokens = []
+    for key, value in defaults.items():
+        flag = "--" + key.replace("_", "-")
+        action = sub._option_string_actions.get(flag)
+        if action is None or action.dest in explicit | {"help", "config"}:
+            continue
+        if action.nargs != 0:
+            tokens.append(f"{flag}={value}")
+        elif not isinstance(value, bool):
+            raise ValidationError(f"config {flag} must be true or false, got {value!r}")
+        elif value:
+            tokens.append(flag)
+    try:
+        sub.parse_args(tokens, namespace=args)
+    except _UsageError as err:
+        raise ValidationError(f"config {args.config}: {err}") from None
+
+
 def _check_required(args):
     mode = "finite" if getattr(args, "finite", False) else getattr(args, "law", None)
-    needs = REQUIRED_FLAGS[args.subcommand] + MODE_FLAGS.get((args.subcommand, mode), ())
+    needs = REQUIRED_FLAGS.get(args.subcommand, ()) + MODE_FLAGS.get((args.subcommand, mode), ())
     missing = []
     for need in needs:
         names = need if isinstance(need, tuple) else (need,)
@@ -214,12 +245,10 @@ def _run(args, manifest):
     cmd = args.subcommand
 
     if cmd == "classify":
-        measure = load_measure(args.model)
-        rec = classify(measure)
-        szego = rec.szego_integral
+        rec = classify(load_measure(args.model))
         return {"determinism": rec.determinism, "memory": rec.memory,
                 "origin_exponent": rec.origin_exponent,
-                "szego_integral": None if not rec.nondeterministic else szego,
+                "szego_integral": rec.szego_integral if rec.nondeterministic else None,
                 "nondeterministic": rec.nondeterministic}, None
 
     if cmd == "covariance":
@@ -286,12 +315,10 @@ def _run(args, manifest):
     if cmd == "asymptote":
         if args.law == "general":
             return {"constant": efficiency.general_class_asymptote(args.alpha, args.g0)}, None
+        density = load_measure(args.model).density
         if args.law == "short-memory":
-            measure = load_measure(args.model)
-            return {"constant": efficiency.short_memory_variance_limit(measure.density)}, None
-        measure = load_measure(args.model)
-        return {"constant": efficiency.underestimation_limit(int(args.alpha),
-                                                             measure.density)}, None
+            return {"constant": efficiency.short_memory_variance_limit(density)}, None
+        return {"constant": efficiency.underestimation_limit(args.alpha, density)}, None
 
     if cmd == "chebyshev":
         region = _parse_arcs(args.arcs)
@@ -326,19 +353,20 @@ def _run(args, manifest):
     raise ValidationError(f"unknown subcommand {cmd!r}")
 
 
-def _emit(payload, rows, manifest, out_path):
-    if payload is not None:
-        text = json.dumps({"manifest": manifest, "result": payload}, indent=2,
-                          allow_nan=False, default=float) + "\n"
-    else:
-        lines = [CSV_MANIFEST_PREFIX + json.dumps(manifest, default=float)]
-        lines += [",".join(str(c) for c in row) for row in rows]
-        text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _render(payload, rows, manifest) -> str:
+    """The output text; a result that is not finite (CSV cells hold repr(float)
+    for numbers) is an AccuracyError."""
+    if rows is not None and any(c in ("nan", "inf", "-inf") for row in rows for c in row):
+        raise AccuracyError("result is not finite")
+    try:
+        if payload is not None:
+            return json.dumps({"manifest": manifest, "result": payload}, indent=2,
+                              allow_nan=False, default=float) + "\n"
+        lines = [CSV_MANIFEST_PREFIX + json.dumps(manifest, allow_nan=False, default=float)]
+    except ValueError as err:
+        raise AccuracyError(f"result is not finite: {err}") from None
+    lines += [",".join(str(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
@@ -346,22 +374,19 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        # config supplies values for flags not explicitly present on the line
         if args.config:
-            try:
-                with open(args.config) as fh:
-                    defaults = json.load(fh)
-            except (OSError, ValueError) as err:
-                raise ValidationError(f"cannot read config {args.config}: {err}") from err
-            if not isinstance(defaults, dict):
-                raise ValidationError(f"config {args.config} must hold a JSON object")
-            explicit = {tok[2:].split("=")[0].replace("-", "_")
-                        for tok in argv if tok.startswith("--")}
-            for key, value in defaults.items():
-                key = key.replace("-", "_")
-                if key not in explicit and hasattr(args, key):
-                    setattr(args, key, value)
+            _apply_config(parser, args, argv)
         _check_required(args)
+        manifest = {
+            "subcommand": args.subcommand,
+            "parameters": {k: v for k, v in vars(args).items()
+                           if k not in ("subcommand", "config", "out") and v is not None},
+            "version": __version__,
+        }
+        started = time.time()
+        payload, rows = _run(args, manifest)
+        manifest["elapsed_seconds"] = round(time.time() - started, 6)
+        text = _render(payload, rows, manifest)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         parser.print_usage(sys.stderr)
@@ -369,30 +394,17 @@ def main(argv=None) -> int:
     except ValidationError as err:
         sys.stderr.write(f"validation error: {err}\n")
         return 2
-
-    manifest = {
-        "subcommand": args.subcommand,
-        "parameters": {k: v for k, v in vars(args).items()
-                       if k not in ("subcommand", "config", "out") and v is not None},
-        "version": __version__,
-    }
-    started = time.time()
-    try:
-        payload, rows = _run(args, manifest)
-    except ValidationError as err:
-        sys.stderr.write(f"validation error: {err}\n")
-        return 2
-    except (AccuracyError, NearSingularError) as err:
+    except (AccuracyError, NearSingularError, OverflowError) as err:
         sys.stderr.write(f"numerical-accuracy error: {err}\n")
         return 3
-    except _UsageError as err:
-        sys.stderr.write(f"usage error: {err}\n")
-        return 1
     except StatmeanError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    manifest["elapsed_seconds"] = round(time.time() - started, 6)
-    _emit(payload, rows, manifest, getattr(args, "out", None))
+    if getattr(args, "out", None):
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

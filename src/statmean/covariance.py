@@ -7,7 +7,7 @@ precision="dd".  The closed forms, the same in both precisions, cover models
 that reduce to a power-at-origin factor times a finite trigonometric
 polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
 scalings), arc-supported indicators and their scalings, and shifts of any of
-these by pi; a flat-zero density is integrated by 40-digit Gauss-Legendre
+these by 0 or pi; a flat-zero density is integrated by 40-digit Gauss-Legendre
 quadrature in double-double.  Every other density goes through
 singularity-graded double quadrature with a refinement cross-check at
 absolute tolerance 1e-12 per coefficient, and has no double-double form.
@@ -212,7 +212,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
             raise ValidationError(
                 "extended-precision covariances need a closed form, the same set in both "
                 "precisions: white noise, power-at-origin, pure-MA, their fractional "
-                "factors, products and scalings, arc-supported, shifts of these by pi, "
+                "factors, products and scalings, arc-supported, shifts of these by 0 or pi, "
                 "and flat-zero (by 40-digit quadrature)")
         dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
         _COV_CACHE.put(key, (n, dens.copy(), prov))

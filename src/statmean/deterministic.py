@@ -51,8 +51,8 @@ class ArcRegion:
                 merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
             else:
                 merged.append((lo, hi))
-        if not merged:
-            raise ValidationError("region must be nonempty")
+        if not any(hi > lo for lo, hi in merged):
+            raise ValidationError("region must have positive length")
         object.__setattr__(self, "arcs", tuple(merged))
 
     @property

@@ -119,9 +119,9 @@ def underestimation_limit(alpha: int, g: SpectralModel) -> float:
     Equals [(2a+1)!/a!]^2 / pi times the integral of g; the integral of g is
     its covariance value at lag zero.
     """
-    if alpha != int(alpha) or alpha < 0:
+    if not (alpha >= 0 and float(alpha).is_integer()):
         raise ValidationError("alpha must be a nonnegative integer")
-    a = int(alpha)
+    a = float(alpha)
     integral_g = covariance_sequence(as_measure(g), 0).values[0]
     factor = math.exp(float(gammaln(2 * a + 2) - gammaln(a + 1))) ** 2
     return factor / math.pi * integral_g

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -30,8 +30,12 @@ from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
 
-#: Offset used when a probe grid would otherwise hit a singular angle exactly.
-SINGULARITY_PROBE_OFFSET = 1e-9
+#: Largest `FgnDensity.series_truncation`, the series terms per side.
+MAX_SERIES_TRUNCATION = 10**5
+
+#: An angle in radians.  In a model document it may also be a multiple of pi
+#: written with a "pi" suffix (see `parse_angle`).
+Angle = float
 
 
 class MinusInfinityType:
@@ -73,14 +77,17 @@ class Singularity:
 
 def _reduce_angle(lam):
     """Reduce angles mod 2*pi into [-pi, pi]."""
-    out = np.mod(np.asarray(lam, dtype=float) + np.pi, TWO_PI) - np.pi
-    return out
+    return np.mod(np.asarray(lam, dtype=float) + np.pi, TWO_PI) - np.pi
 
 
 def _check_angle_range(angle):
     a = np.asarray(angle, dtype=float)
-    if np.any(a < -np.pi - 1e-12) or np.any(a > np.pi + 1e-12):
+    if not np.all((a >= -np.pi - 1e-12) & (a <= np.pi + 1e-12)):
         raise ValidationError("angle must lie in [-pi, pi]")
+
+
+#: model classes by their `variant`, the discriminator of a model document
+_VARIANTS: dict[str, type] = {}
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,18 @@ class SpectralModel:
     """Base class; concrete variants implement `values` (vectorized).
 
     A combinator lists the models it is built from in `children`, and unless
-    it overrides them the structural queries below are walks over those.
+    it overrides them the structural queries below are walks over those.  The
+    dataclass fields are the model document: `to_json` writes them under the
+    class's `variant` name and `model_from_json` reads them back.
     """
+
+    variant = None
+
+    def __init_subclass__(cls, variant=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if variant is not None:
+            cls.variant = variant
+            _VARIANTS[variant] = cls
 
     def values(self, lam: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -148,7 +165,7 @@ class SpectralModel:
         return out * ar.num(c), "exact"
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        return {"variant": self.variant, **_fields_json(self)}
 
     def key(self) -> str:
         """Canonical string used as a cache key."""
@@ -156,7 +173,7 @@ class SpectralModel:
 
 
 @dataclass(frozen=True)
-class WhiteNoise(SpectralModel):
+class WhiteNoise(SpectralModel, variant="white_noise"):
     level: float = 1.0 / TWO_PI
 
     def __post_init__(self):
@@ -181,12 +198,9 @@ class WhiteNoise(SpectralModel):
     def falpha_reduction(self):
         return 0.0, TWO_PI * self.level, np.array([1.0])
 
-    def to_json(self):
-        return {"variant": "white_noise", "level": self.level}
-
 
 @dataclass(frozen=True)
-class Arma(SpectralModel):
+class Arma(SpectralModel, variant="arma"):
     """Rational density scale/(2*pi) * |theta(e^{i*lam})|^2 / |psi(e^{i*lam})|^2.
 
     `ma` and `ar` are the full polynomial coefficient sequences (constant term
@@ -201,6 +215,8 @@ class Arma(SpectralModel):
     def __post_init__(self):
         object.__setattr__(self, "ma", tuple(float(c) for c in self.ma))
         object.__setattr__(self, "ar", tuple(float(c) for c in self.ar))
+        if not all(map(math.isfinite, self.ma + self.ar)):
+            raise ValidationError("ARMA coefficients must be finite")
         if not self.ma or not any(self.ma):
             raise ValidationError("MA polynomial must be nonzero")
         if not self.ar or self.ar[0] == 0.0:
@@ -228,10 +244,7 @@ class Arma(SpectralModel):
         return tuple(sing)
 
     def origin_exponent(self):
-        theta_at_one = sum(self.ma)
-        if abs(theta_at_one) > 1e-12:
-            return 0.0
-        return None
+        return 0.0 if abs(sum(self.ma)) > 1e-12 else None
 
     def falpha_reduction(self):
         if len(self.ar) > 1:
@@ -239,13 +252,9 @@ class Arma(SpectralModel):
         theta = np.asarray(self.ma)
         return 0.0, self.scale, np.correlate(theta, theta, mode="full")[len(theta) - 1:]
 
-    def to_json(self):
-        return {"variant": "arma", "ma": list(self.ma), "ar": list(self.ar),
-                "scale": self.scale}
-
 
 @dataclass(frozen=True)
-class PowerAtOrigin(SpectralModel):
+class PowerAtOrigin(SpectralModel, variant="power_at_origin"):
     """f(lambda) = (2*pi)^{-1} |1 - e^{i*lambda}|^{2*alpha}, alpha > -1/2."""
 
     alpha: float
@@ -276,12 +285,9 @@ class PowerAtOrigin(SpectralModel):
     def falpha_reduction(self):
         return self.alpha, 1.0, np.array([1.0])
 
-    def to_json(self):
-        return {"variant": "power_at_origin", "alpha": self.alpha}
-
 
 @dataclass(frozen=True)
-class ArfimaFactor(SpectralModel):
+class ArfimaFactor(SpectralModel, variant="arfima"):
     """Multiplies a base density by |1 - e^{-i*lambda}|^{-2d}, d < 1/2."""
 
     d: float
@@ -319,12 +325,9 @@ class ArfimaFactor(SpectralModel):
             return None
         return base[0] - self.d, base[1], base[2]
 
-    def to_json(self):
-        return {"variant": "arfima", "d": self.d, "base": self.base.to_json()}
-
 
 @dataclass(frozen=True)
-class FgnDensity(SpectralModel):
+class FgnDensity(SpectralModel, variant="fgn"):
     """Fractional Gaussian noise density with Hurst index in (0, 1).
 
     f(lambda) = scale * |1-e^{-i*lambda}|^2 * sum_k |lambda + 2*pi*k|^{-(2H+1)}.
@@ -342,8 +345,9 @@ class FgnDensity(SpectralModel):
             raise ValidationError("Hurst index must lie in (0, 1)")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("scale must be a positive real")
-        if self.series_truncation < 1:
-            raise ValidationError("series truncation must be a positive integer")
+        if not 1 <= self.series_truncation <= MAX_SERIES_TRUNCATION:
+            raise ValidationError(
+                f"series truncation must be an integer in [1, {MAX_SERIES_TRUNCATION}]")
 
     def _offcenter_series(self, lam):
         """sum over k != 0 of |lam + 2 pi k|^-(2H+1) plus the integral tail."""
@@ -352,10 +356,11 @@ class FgnDensity(SpectralModel):
                             np.arange(1, self.series_truncation + 1)))
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
         out = np.empty_like(lam)
-        # chunk to keep the (points x terms) table small
-        for lo in range(0, lam.size, 4096):
-            block = lam[lo:lo + 4096, None]
-            out[lo:lo + 4096] = np.sum(np.abs(block + TWO_PI * k) ** (-(2 * h + 1)), axis=1)
+        # chunk to keep the (points x terms) table at most 2^22 entries
+        step = min(4096, 2**22 // k.size)
+        for lo in range(0, lam.size, step):
+            block = lam[lo:lo + step, None]
+            out[lo:lo + step] = np.sum(np.abs(block + TWO_PI * k) ** (-(2 * h + 1)), axis=1)
         # tail beyond the midpoint K+1/2: integral plus the first
         # Euler-Maclaurin (midpoint-rule) correction g'(K+1/2)/24
         edge = TWO_PI * (self.series_truncation + 0.5)
@@ -394,13 +399,9 @@ class FgnDensity(SpectralModel):
     def origin_exponent(self):
         return 1.0 - 2.0 * self.hurst
 
-    def to_json(self):
-        return {"variant": "fgn", "hurst": self.hurst, "scale": self.scale,
-                "series_truncation": self.series_truncation}
-
 
 @dataclass(frozen=True)
-class FisherHartwig(SpectralModel):
+class FisherHartwig(SpectralModel, variant="fisher_hartwig"):
     """base density times prod_k |e^{i*lambda} - e^{i*lambda_k}|^{2*alpha_k}.
 
     The point set must be symmetric under negation (points at 0 and +/-pi may
@@ -408,7 +409,7 @@ class FisherHartwig(SpectralModel):
     """
 
     base: SpectralModel
-    points: tuple[tuple[float, float], ...]
+    points: tuple[tuple[Angle, float], ...]
 
     def __post_init__(self):
         pts = tuple((float(a), float(e)) for a, e in self.points)
@@ -459,13 +460,9 @@ class FisherHartwig(SpectralModel):
     def children(self):
         return (self.base,)
 
-    def to_json(self):
-        return {"variant": "fisher_hartwig", "base": self.base.to_json(),
-                "points": [list(p) for p in self.points]}
-
 
 @dataclass(frozen=True)
-class FlatZero(SpectralModel):
+class FlatZero(SpectralModel, variant="flat_zero"):
     """f(lambda) = exp(-|lambda|^{-a}) with f(0) = 0; a >= 1 kills the Szego integral."""
 
     a: float
@@ -498,12 +495,9 @@ class FlatZero(SpectralModel):
             return None
         return ar.flat_zero(self.a, kmax), "quadrature"
 
-    def to_json(self):
-        return {"variant": "flat_zero", "a": self.a}
-
 
 @dataclass(frozen=True)
-class PollaczekSzego(SpectralModel):
+class PollaczekSzego(SpectralModel, variant="pollaczek_szego"):
     """Even density exp((2|lambda|-pi)*phi)/cosh(pi*phi), phi = (a/2)*cot|lambda|.
 
     The contact with zero at 0 and +/-pi is of exponential order, so the Szego
@@ -541,16 +535,13 @@ class PollaczekSzego(SpectralModel):
     def szego_diverges(self):
         return True
 
-    def to_json(self):
-        return {"variant": "pollaczek_szego", "a": self.a}
-
 
 @dataclass(frozen=True)
-class ArcSupported(SpectralModel):
+class ArcSupported(SpectralModel, variant="arc_supported"):
     """level * indicator{alpha <= |lambda| <= pi}; purely deterministic spectrum."""
 
-    alpha: float
-    level: float
+    alpha: Angle
+    level: float = 1.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < math.pi):
@@ -577,12 +568,9 @@ class ArcSupported(SpectralModel):
         out[1:] = ar.sin(k * a) * (-2 * lv) / k
         return out, "exact"
 
-    def to_json(self):
-        return {"variant": "arc_supported", "alpha": self.alpha, "level": self.level}
-
 
 @dataclass(frozen=True)
-class Product(SpectralModel):
+class Product(SpectralModel, variant="product"):
     left: SpectralModel
     right: SpectralModel
 
@@ -611,12 +599,9 @@ class Product(SpectralModel):
         full = np.convolve(np.concatenate((g1[:0:-1], g1)), np.concatenate((g2[:0:-1], g2)))
         return a1 + a2, c1 * c2 / TWO_PI, full[(len(full) - 1) // 2:]
 
-    def to_json(self):
-        return {"variant": "product", "left": self.left.to_json(), "right": self.right.to_json()}
-
 
 @dataclass(frozen=True)
-class Scaled(SpectralModel):
+class Scaled(SpectralModel, variant="scaled"):
     model: SpectralModel
     factor: float
 
@@ -651,16 +636,13 @@ class Scaled(SpectralModel):
         inner = self.model.covariances(kmax, ar)
         return None if inner is None else (inner[0] * ar.num(self.factor), inner[1])
 
-    def to_json(self):
-        return {"variant": "scaled", "model": self.model.to_json(), "factor": self.factor}
-
 
 @dataclass(frozen=True)
-class FrequencyShifted(SpectralModel):
+class FrequencyShifted(SpectralModel, variant="frequency_shifted"):
     """Base density evaluated at lambda + shift, reduced mod 2*pi into [-pi, pi]."""
 
     model: SpectralModel
-    shift: float
+    shift: Angle
 
     def __post_init__(self):
         _check_angle_range(self.shift)
@@ -683,19 +665,20 @@ class FrequencyShifted(SpectralModel):
     def children(self):
         return (self.model,)
 
+    def _axis_sign(self):
+        """1.0 for a shift by 0, -1.0 for one by +/-pi, None for any other."""
+        if abs(self.shift) < 1e-15:
+            return 1.0
+        return -1.0 if abs(abs(self.shift) - math.pi) < 1e-15 else None
+
     def is_even(self):
-        return min(abs(self.shift), abs(abs(self.shift) - math.pi)) < 1e-15 and super().is_even()
+        return self._axis_sign() is not None and super().is_even()
 
     def covariances(self, kmax, ar):
-        """A shift by pi multiplies r(k) by (-1)^k."""
-        by_pi = abs(abs(self.shift) - math.pi) < 1e-15
-        inner = self.model.covariances(kmax, ar) if by_pi else None
-        if inner is not None:
-            inner = inner[0] * (-1.0) ** np.arange(kmax + 1), inner[1]
-        return inner
-
-    def to_json(self):
-        return {"variant": "frequency_shifted", "model": self.model.to_json(), "shift": self.shift}
+        """A shift by 0 or pi multiplies r(k) by (+1)^k or (-1)^k."""
+        sign = self._axis_sign()
+        inner = None if sign is None else self.model.covariances(kmax, ar)
+        return None if inner is None else (inner[0] * sign ** np.arange(kmax + 1), inner[1])
 
 
 def _merge_singularities(sings):
@@ -717,7 +700,7 @@ class SpectralMeasure:
     """A density plus optional point atoms; the source of truth for f, mu, F."""
 
     density: SpectralModel
-    atoms: tuple[tuple[float, float], ...] = ()
+    atoms: tuple[tuple[Angle, float], ...] = ()
 
     def __post_init__(self):
         atoms = tuple((float(a), float(w)) for a, w in self.atoms)
@@ -739,11 +722,8 @@ class SpectralMeasure:
                 f"a purely atomic measure needs at least {n + 2} atoms to support "
                 f"an order-{n} computation")
 
-    def key(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True)
-
     def to_json(self) -> dict:
-        return {"density": self.density.to_json(), "atoms": [list(a) for a in self.atoms]}
+        return _fields_json(self)
 
 
 def as_measure(obj) -> SpectralMeasure:
@@ -836,124 +816,99 @@ def _contains_arc(model) -> bool:
     return isinstance(model, ArcSupported) or any(map(_contains_arc, model.children()))
 
 
-def safe_probe_grid(model: SpectralModel, count: int) -> np.ndarray:
-    """Uniform grid on [-pi, pi] nudged off the model's singular angles."""
-    grid = np.linspace(-np.pi, np.pi, count)
-    for s in model.singularities():
-        hit = np.abs(grid - s.angle) < SINGULARITY_PROBE_OFFSET
-        grid[hit] = s.angle + SINGULARITY_PROBE_OFFSET
-    return grid
-
-
 # ---------------------------------------------------------------------------
 # JSON loading
 # ---------------------------------------------------------------------------
 
 def parse_angle(text) -> float:
     """Angles as plain floats or multiples of pi via a 'pi' suffix ('0.5pi', '-pi')."""
-    if isinstance(text, (int, float)):
-        return float(text)
-    s = str(text).strip().lower()
+    if not isinstance(text, str):
+        return _real(text)
+    s = text.strip().lower()
     if s.endswith("pi"):
         head = s[:-2].strip()
-        if head in ("", "+"):
-            return math.pi
-        if head == "-":
-            return -math.pi
-        return float(head) * math.pi
+        return float({"": "1", "+": "1", "-": "-1"}.get(head, head)) * math.pi
     return float(s)
 
 
-_VARIANTS = {}
+def _real(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
 
 
-def _register(name):
-    def wrap(fn):
-        _VARIANTS[name] = fn
-        return fn
-    return wrap
+def _integer(value) -> int:
+    number = _real(value)
+    if not number.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(number)
 
 
-@_register("white_noise")
-def _(d):
-    return WhiteNoise(level=float(d.get("level", 1.0 / TWO_PI)))
+def _items(value, length=None) -> list:
+    """A JSON list, of `length` items when given."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise TypeError(f"expected a list{'' if length is None else f' of {length}'}, "
+                        f"got {value!r}")
+    return value
 
 
-@_register("arma")
-def _(d):
-    return Arma(ma=tuple(d.get("ma", (1.0,))), ar=tuple(d.get("ar", (1.0,))),
-                scale=float(d.get("scale", 1.0)))
+def _fields_json(obj) -> dict:
+    """The fields of a model or measure as JSON values: nested models become
+    documents, tuples lists."""
+    def encode(value):
+        if isinstance(value, SpectralModel):
+            return value.to_json()
+        return [encode(v) for v in value] if isinstance(value, tuple) else value
+    return {f.name: encode(getattr(obj, f.name)) for f in fields(obj)}
 
 
-@_register("power_at_origin")
-def _(d):
-    return PowerAtOrigin(alpha=float(d["alpha"]))
-
-
-@_register("arfima")
-def _(d):
-    return ArfimaFactor(d=float(d["d"]), base=model_from_json(d["base"]))
-
-
-@_register("fgn")
-def _(d):
-    return FgnDensity(hurst=float(d["hurst"]), scale=float(d.get("scale", 1.0)),
-                      series_truncation=int(d.get("series_truncation", 200)))
-
-
-@_register("fisher_hartwig")
-def _(d):
-    pts = tuple((parse_angle(a), float(e)) for a, e in d["points"])
-    return FisherHartwig(base=model_from_json(d["base"]), points=pts)
-
-
-@_register("flat_zero")
-def _(d):
-    return FlatZero(a=float(d["a"]))
-
-
-@_register("pollaczek_szego")
-def _(d):
-    return PollaczekSzego(a=float(d["a"]))
-
-
-@_register("arc_supported")
-def _(d):
-    return ArcSupported(alpha=parse_angle(d["alpha"]), level=float(d.get("level", 1.0)))
-
-
-@_register("product")
-def _(d):
-    return Product(left=model_from_json(d["left"]), right=model_from_json(d["right"]))
-
-
-@_register("scaled")
-def _(d):
-    return Scaled(model=model_from_json(d["model"]), factor=float(d["factor"]))
-
-
-@_register("frequency_shifted")
-def _(d):
-    return FrequencyShifted(model=model_from_json(d["model"]), shift=parse_angle(d["shift"]))
+def _from_fields(cls, doc: dict, name: str):
+    """cls built from the document's fields, each decoded by its annotation;
+    a missing field takes the constructor's default."""
+    kwargs = {}
+    for f in fields(cls):
+        if f.name in doc:
+            try:
+                kwargs[f.name] = _DECODERS[f.type](doc[f.name])
+            except (TypeError, ValueError, OverflowError) as err:
+                raise ValidationError(f"{name}.{f.name}: {err}") from None
+        elif f.default is MISSING:
+            raise ValidationError(f"{name}: missing field {f.name!r}")
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"{name}: {err}") from None
 
 
 def model_from_json(doc) -> SpectralModel:
-    """Build a model from a dict with a 'variant' discriminator."""
+    """Build a model from its document, a JSON object whose 'variant' names the
+    class and whose other keys are the constructor's field names.  Unknown keys
+    are ignored; a missing, ill-typed or out-of-range field is a ValidationError."""
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ValidationError("model document needs a 'variant' field")
-    try:
-        builder = _VARIANTS[doc["variant"]]
-    except KeyError:
-        raise ValidationError(f"unknown model variant {doc['variant']!r}") from None
-    return builder(doc)
+    variant = doc["variant"]
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ValidationError(f"unknown model variant {variant!r}")
+    return _from_fields(_VARIANTS[variant], doc, variant)
 
 
 def measure_from_json(doc) -> SpectralMeasure:
     """Build a measure from {'density': ..., 'atoms': ...} or a bare model document."""
-    if "density" in doc:
-        atoms = tuple((parse_angle(a), float(w)) for a, w in doc.get("atoms", ()))
-        return SpectralMeasure(model_from_json(doc["density"]), atoms)
+    if isinstance(doc, dict) and "density" in doc:
+        return _from_fields(SpectralMeasure, doc, "measure")
     return SpectralMeasure(model_from_json(doc))
+
+
+#: decoders of document values by the annotation of the field they fill
+_DECODERS = {
+    "float": _real,
+    "int": _integer,
+    "Angle": parse_angle,
+    "tuple[float, ...]": lambda v: tuple(map(_real, _items(v))),
+    "tuple[tuple[Angle, float], ...]": lambda v: tuple(
+        (parse_angle(a), _real(b)) for a, b in (_items(p, 2) for p in _items(v))),
+    "SpectralModel": model_from_json,
+}
 
 
 def load_measure(path) -> SpectralMeasure:

@@ -268,8 +268,10 @@ def quadratic_form(weights, covariance: CovarianceSequence) -> float:
         for t in range(1, lags):
             acc += 2.0 * np.longdouble(r[t]) * np.dot(cl[:-t], cl[t:])
         return float(acc)
-    from scipy.signal import fftconvolve
-    auto = fftconvolve(c, c[::-1])
+    # the full autocorrelation, as scipy.signal.fftconvolve(c, c[::-1]) forms it
+    from scipy import fft
+    size = fft.next_fast_len(2 * len(c) - 1, real=True)
+    auto = fft.irfft(fft.rfft(c, size) * fft.rfft(c[::-1], size), size)
     mid = len(c) - 1
     acorr = auto[mid:mid + lags]
     acorr[0] = float(np.dot(c, c))

@@ -5,6 +5,9 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -169,6 +172,12 @@ class TestExitCodes:
         (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "xyz"), 1),
         (("chebyshev", "--arcs", "foo", "--n-grid", "4:8:4"), 1),
         (("chebyshev", "--arcs", "0.1pi:0.2pi", "--n-grid", "4:0:0"), 1),
+        # values argparse accepts and the computation refuses
+        (("chebyshev", "--arcs", "0:0", "--n-grid", "4"), 2),
+        (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json",
+          "--alpha", "nan"), 2),
+        (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json",
+          "--alpha", "1.5"), 2),
     ])
     def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
         (tmp_path / "malformed.json").write_text('{"variant": ')
@@ -185,6 +194,76 @@ class TestExitCodes:
                                  "--estimator", "lse", "--n-grid", "4:0:1")
         assert code == 2 and "validation error" in err, err
         assert "Traceback" not in err and '"efficiency"' not in out
+
+
+    @pytest.mark.parametrize("doc", [
+        {"variant": "power_at_origin"},
+        {"variant": "power_at_origin", "alpha": "x"},
+        {"variant": "arc_supported", "alpha": "zpi"},
+        {"variant": "arma", "ma": 5},
+        {"variant": "product", "left": {"variant": "white_noise"}},
+        {"density": {"variant": "white_noise"}, "atoms": [[0.0]]},
+        3,
+        {"density": {"variant": "white_noise"}, "atoms": [["nan", 0.5]]},
+        {"variant": "fisher_hartwig", "base": {"variant": "white_noise"},
+         "points": [["nan", 0.3]]},
+        {"variant": "fgn", "hurst": 0.7, "series_truncation": 1e9},
+    ])
+    @pytest.mark.parametrize("subcommand", ["classify", "covariance"])
+    def test_malformed_model_document_exits_two(self, tmp_path, doc, subcommand):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [subcommand, "--model", str(path)] + (["--n", "4"] if subcommand != "classify" else [])
+        code, out, err = run_cli(*argv)
+        assert code == 2 and "validation error" in err, err
+        assert out == ""
+
+    @pytest.mark.parametrize("config", [{"n": "abc"}, {"n": 64.5}, {"n": [4]}, {"n": True},
+                                        {"format": "xml"}, {"model": {"variant": "arma"}}])
+    def test_config_values_are_checked_like_flags(self, model_dir, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict({"model": str(model_dir / "f1.json"), "n": 4}, **config)))
+        code, out, err = run_cli("covariance", "--config", str(path))
+        assert code == 2 and "validation error" in err, err
+        assert out == "" and "Traceback" not in err
+
+    def test_config_switch_needs_a_boolean(self, model_dir, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"finite": "yes"}))
+        code, _, err = run_cli("efficiency", "--config", str(path), "--estimator", "lse",
+                               "--model", str(model_dir / "f1.json"), "--n", "4")
+        assert code == 2 and "validation error" in err, err
+
+    @pytest.mark.parametrize("doc, argv", [
+        ({"variant": "arma", "ma": [1e308, 1e308]}, ["classify"]),
+        ({"variant": "arma", "ma": [1e308, 1e308]}, ["covariance", "--n", "4"]),
+        ({"variant": "arma", "ma": [1e308, 1e308]}, ["covariance", "--n", "4", "--format", "json"]),
+        ({"variant": "arfima", "d": -1e9, "base": {"variant": "white_noise"}},
+         ["covariance", "--n", "4"]),
+    ])
+    def test_non_finite_result_exits_three(self, tmp_path, doc, argv):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code, out, err = run_cli(*argv, "--model", str(path))
+        assert code == 3 and "numerical-accuracy error" in err, err
+        assert out == ""
+
+
+class TestImports:
+    def test_variance_loads_neither_scipy_signal_nor_mpmath(self, tmp_path):
+        """scipy.signal alone costs about a second of start-up."""
+        model = tmp_path / "power.json"          # a long-range r(k): the FFT route
+        model.write_text(json.dumps({"variant": "power_at_origin", "alpha": 0.3}))
+        script = ("import sys; from statmean.cli import main; "
+                  f"code = main(['variance', '--model', {str(model)!r}, "
+                  "'--estimator', 'lse', '--n', '1024']); "
+                  "print(code, 'scipy.signal' in sys.modules, 'mpmath' in sys.modules)")
+        src = str(resources.files("statmean").joinpath("..").resolve())
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.split()[-3:] == ["0", "False", "False"], done.stdout + done.stderr
 
 
 class TestManifest:
@@ -209,6 +288,13 @@ class TestManifest:
         doc = run_json("blue", "--config", str(config),
                        "--model", str(model_dir / "whitenoise.json"), "--n", "4")
         assert doc["result"]["n"] == 4
+
+    def test_config_values_convert_as_typed(self, model_dir, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n": "9", "precision": "double", "unknown": [1]}))
+        doc = run_json("blue", "--config", str(config),
+                       "--model", str(model_dir / "whitenoise.json"))
+        assert doc["result"]["n"] == 9 and doc["manifest"]["parameters"]["n"] == 9
 
     def test_config_before_or_after_the_subcommand(self, model_dir, tmp_path):
         config = tmp_path / "config.json"

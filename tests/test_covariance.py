@@ -198,6 +198,16 @@ class TestOneClosedFormSet:
         assert (signs * base.values).tobytes() == shifted.values.tobytes()
         assert (signs * base.lo).tobytes() == shifted.lo.tobytes()
 
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    @pytest.mark.parametrize("inner", [ARC, st.PowerAtOrigin(0.3)])
+    def test_shift_by_zero_is_the_model_itself_bitwise(self, inner, precision):
+        base = st.covariance_sequence(inner, 16, precision=precision)
+        shifted = st.covariance_sequence(st.FrequencyShifted(inner, 0.0), 16, precision=precision)
+        assert shifted.provenance == base.provenance == "exact"
+        assert shifted.values.tobytes() == base.values.tobytes()
+        if precision == "dd":
+            assert shifted.lo.tobytes() == base.lo.tobytes()
+
     @pytest.mark.parametrize("model", [st.Scaled(st.PowerAtOrigin(1.0), 1.7),
                                        st.Product(st.PowerAtOrigin(0.25), st.Arma((1.0, -0.5))),
                                        st.FrequencyShifted(st.ArfimaFactor(0.2, st.WhiteNoise()),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import statmean as st
-from statmean.spectra import MINUS_INFINITY, parse_angle, safe_probe_grid
+from statmean.spectra import MINUS_INFINITY, parse_angle
 
 TWO_PI = 2.0 * math.pi
 
@@ -47,7 +48,7 @@ class TestEvaluate:
         st.FisherHartwig(st.WhiteNoise(1.0), ((0.7, 0.3), (-0.7, 0.3)))  # ok
 
     def test_product_and_scaled_compose_pointwise(self, ma1):
-        lam = safe_probe_grid(ma1, 101)
+        lam = np.linspace(-math.pi, math.pi, 101)
         prod = st.Product(ma1, st.PowerAtOrigin(0.5))
         assert np.allclose(prod.values(lam), ma1.values(lam) * st.PowerAtOrigin(0.5).values(lam))
         assert np.allclose(st.Scaled(ma1, 2.5).values(lam), 2.5 * ma1.values(lam))
@@ -229,18 +230,127 @@ class TestMeasure:
             st.covariance_sequence(measure, 6)
 
 
+MA = st.Arma((1.0, 0.4, -0.2), (1.0, -0.5), 0.7)
+
+#: every variant, nested products, scalings, shifts and Fisher-Hartwig points,
+#: with their cache keys as the hand-written encoders wrote them
+KEYED_CATALOGUE = [
+    (st.WhiteNoise(),
+     '{"level": 0.15915494309189535, "variant": "white_noise"}'),
+    (st.WhiteNoise(0.3),
+     '{"level": 0.3, "variant": "white_noise"}'),
+    (st.Arma((1.0, -0.5)),
+     '{"ar": [1.0], "ma": [1.0, -0.5], "scale": 1.0, "variant": "arma"}'),
+    (MA,
+     '{"ar": [1.0, -0.5], "ma": [1.0, 0.4, -0.2], "scale": 0.7, "variant": "arma"}'),
+    (st.PowerAtOrigin(0.3),
+     '{"alpha": 0.3, "variant": "power_at_origin"}'),
+    (st.PowerAtOrigin(1),
+     '{"alpha": 1, "variant": "power_at_origin"}'),
+    (st.ArfimaFactor(0.2, st.Arma((1.0, 0.3))),
+     '{"base": {"ar": [1.0], "ma": [1.0, 0.3], "scale": 1.0, "variant": "arma"}, "d": 0.2, "variant": "arfima"}'),
+    (st.FgnDensity(0.7),
+     '{"hurst": 0.7, "scale": 1.0, "series_truncation": 200, "variant": "fgn"}'),
+    (st.FgnDensity(0.3, 2.0, 300),
+     '{"hurst": 0.3, "scale": 2.0, "series_truncation": 300, "variant": "fgn"}'),
+    (st.FisherHartwig(st.WhiteNoise(1.0), ((0.5, 0.2), (-0.5, 0.2))),
+     '{"base": {"level": 1.0, "variant": "white_noise"}, "points": [[0.5, 0.2], [-0.5, 0.2]], "variant": "fisher_hartwig"}'),
+    (st.FisherHartwig(st.PowerAtOrigin(0.1), ((0.0, 0.3), (math.pi, 0.25))),
+     '{"base": {"alpha": 0.1, "variant": "power_at_origin"}, "points": [[0.0, 0.3], [3.141592653589793, 0.25]], "variant": "fisher_hartwig"}'),
+    (st.FlatZero(1.5),
+     '{"a": 1.5, "variant": "flat_zero"}'),
+    (st.PollaczekSzego(1.0),
+     '{"a": 1.0, "variant": "pollaczek_szego"}'),
+    (st.ArcSupported(0.5 * math.pi, 1.0 / TWO_PI),
+     '{"alpha": 1.5707963267948966, "level": 0.15915494309189535, "variant": "arc_supported"}'),
+    (st.Product(st.FlatZero(1.5), st.Scaled(st.PollaczekSzego(1.0), 2.0)),
+     '{"left": {"a": 1.5, "variant": "flat_zero"}, "right": {"factor": 2.0, "model": {"a": 1.0, "variant": "pollaczek_szego"}, "variant": "scaled"}, "variant": "product"}'),
+    (st.Product(st.PowerAtOrigin(0.3), st.Product(MA, st.WhiteNoise(0.2))),
+     '{"left": {"alpha": 0.3, "variant": "power_at_origin"}, "right": {"left": {"ar": [1.0, -0.5], "ma": [1.0, 0.4, -0.2], "scale": 0.7, "variant": "arma"}, "right": {"level": 0.2, "variant": "white_noise"}, "variant": "product"}, "variant": "product"}'),
+    (st.Scaled(st.Scaled(st.ArcSupported(0.455 * math.pi, 0.5 / math.pi), 2.0), 1.5),
+     '{"factor": 1.5, "model": {"factor": 2.0, "model": {"alpha": 1.429424657383356, "level": 0.15915494309189535, "variant": "arc_supported"}, "variant": "scaled"}, "variant": "scaled"}'),
+    (st.FrequencyShifted(st.ArcSupported(1.0, 1.0), math.pi),
+     '{"model": {"alpha": 1.0, "level": 1.0, "variant": "arc_supported"}, "shift": 3.141592653589793, "variant": "frequency_shifted"}'),
+    (st.FrequencyShifted(st.ArfimaFactor(-0.3, st.WhiteNoise()), -0.25),
+     '{"model": {"base": {"level": 0.15915494309189535, "variant": "white_noise"}, "d": -0.3, "variant": "arfima"}, "shift": -0.25, "variant": "frequency_shifted"}'),
+]
+
+
 class TestJson:
+    @pytest.mark.parametrize("model, key", KEYED_CATALOGUE)
+    def test_key_strings_are_pinned(self, model, key):
+        """The covariance and grid caches are keyed by these strings."""
+        assert model.key() == key
+
     def test_round_trip(self, ma1):
-        models = [ma1, st.PowerAtOrigin(0.25), st.FgnDensity(0.7, 2.0, 300),
-                  st.Product(st.FlatZero(1.5), st.Scaled(st.PollaczekSzego(1.0), 2.0)),
-                  st.FisherHartwig(st.WhiteNoise(1.0), ((0.5, 0.2), (-0.5, 0.2))),
-                  st.FrequencyShifted(st.ArcSupported(1.0, 1.0), math.pi)]
-        for model in models:
+        for model in [ma1] + [m for m, _ in KEYED_CATALOGUE]:
             rebuilt = st.model_from_json(json.loads(json.dumps(model.to_json())))
             assert rebuilt == model
 
+    def test_measure_document_is_pinned(self):
+        measure = st.SpectralMeasure(st.WhiteNoise(0.2), ((0.0, 0.5), (1.25, 0.3)))
+        assert json.dumps(measure.to_json(), sort_keys=True) == (
+            '{"atoms": [[0.0, 0.5], [1.25, 0.3]], "density": {"level": 0.2, "variant": "white_noise"}}')
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"variant": "power_at_origin"}, "power_at_origin: missing field 'alpha'"),
+        ({"variant": "power_at_origin", "alpha": "x"}, "power_at_origin.alpha"),
+        ({"variant": "power_at_origin", "alpha": [1.0]}, "power_at_origin.alpha"),
+        ({"variant": "power_at_origin", "alpha": True}, "power_at_origin.alpha"),
+        ({"variant": "arc_supported", "alpha": "zpi"}, "arc_supported.alpha"),
+        ({"variant": "arma", "ma": 5}, "arma.ma"),
+        ({"variant": "arma", "ma": [1.0, None]}, "arma.ma"),
+        ({"variant": "fgn", "hurst": 0.7, "series_truncation": 2.5}, "fgn.series_truncation"),
+        ({"variant": "product", "left": {"variant": "white_noise"}},
+         "product: missing field 'right'"),
+        ({"variant": "scaled", "model": {"variant": "flat_zero"}, "factor": 2.0},
+         "flat_zero: missing field 'a'"),
+        ({"variant": "fisher_hartwig", "base": {"variant": "white_noise"},
+          "points": [[0.5, 0.2, 1.0]]}, "fisher_hartwig.points"),
+        ({"density": {"variant": "white_noise"}, "atoms": [[0.0]]}, "measure.atoms"),
+        ({"density": {"variant": "white_noise"}, "atoms": 7}, "measure.atoms"),
+        ({"variant": ["white_noise"]}, "unknown model variant"),
+        (3, "'variant'"),
+        ([], "'variant'"),
+    ])
+    def test_malformed_document_names_the_field(self, doc, message):
+        with pytest.raises(st.ValidationError, match=re.escape(message)):
+            st.measure_from_json(doc)
+
+    def test_missing_fields_take_the_constructor_defaults(self):
+        assert st.model_from_json({"variant": "arma"}) == st.Arma()
+        assert st.model_from_json({"variant": "white_noise"}) == st.WhiteNoise()
+        assert st.model_from_json({"variant": "fgn", "hurst": 0.6, "extra": "ignored"}) == \
+            st.FgnDensity(0.6)
+        assert st.model_from_json({"variant": "arc_supported", "alpha": "0.5pi"}) == \
+            st.ArcSupported(0.5 * math.pi)
+        assert st.ArcSupported(1.0).level == 1.0
+
+    @pytest.mark.parametrize("doc", [
+        {"variant": "frequency_shifted", "model": {"variant": "white_noise"}, "shift": "nan"},
+        {"variant": "fisher_hartwig", "base": {"variant": "white_noise"},
+         "points": [["nanpi", 0.3]]},
+        {"density": {"variant": "white_noise"}, "atoms": [["nan", 0.5]]},
+        {"density": {"variant": "white_noise"}, "atoms": [["infpi", 0.5]]},
+    ])
+    def test_non_finite_angles_are_refused(self, doc):
+        with pytest.raises(st.ValidationError, match="angle"):
+            st.measure_from_json(doc)
+
+    @pytest.mark.parametrize("truncation", [0, st.spectra.MAX_SERIES_TRUNCATION + 1, 10**9])
+    def test_fgn_series_truncation_is_bounded(self, truncation):
+        with pytest.raises(st.ValidationError, match="series truncation"):
+            st.FgnDensity(0.7, series_truncation=truncation)
+        with pytest.raises(st.ValidationError, match="series truncation"):
+            st.model_from_json({"variant": "fgn", "hurst": 0.7,
+                                "series_truncation": float(truncation)})
+
+    def test_non_finite_arma_coefficients_are_refused(self):
+        with pytest.raises(st.ValidationError, match="finite"):
+            st.Arma((1.0, math.nan))
+
     def test_measure_round_trip(self, atom_measure):
-        rebuilt = st.measure_from_json(atom_measure.to_json())
+        rebuilt = st.measure_from_json(json.loads(json.dumps(atom_measure.to_json())))
         assert rebuilt == atom_measure
 
     def test_unknown_variant(self):

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/fingerprint.py --seed 1
 
-Two digests are printed, one line each:
+Three digests are printed, one line each:
 
 * ``double``: over the first double-sweep round, the `blue_solve` weights and
   variance, `blue_variance_curve`, `reflection_coefficients`,
@@ -10,7 +10,10 @@ Two digests are printed, one line each:
   `pseudo_best_weights` under the op's density at order min(n, 256);
 * ``dd``: over the first extended-decay round, the double-double covariance
   `values` and `lo`, the double-double variance curve and `blue_solve`, and
-  for arc and flat-zero ops the decay report.
+  for arc and flat-zero ops the decay report;
+* ``cli``: over the first cli-oneshot round, run in-process through
+  `statmean.cli.main`, each op's exit code and its result payload (JSON) or
+  rows (CSV) without the manifest, or the last line of its error message.
 
 Two commits that print the same digests for a seed give bitwise the same
 outputs on those ops.  An op that raises contributes its exception's class
@@ -22,9 +25,13 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
+import json
 import math
 import os
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 for path in (ROOT, os.path.join(ROOT, "src")):
@@ -34,8 +41,8 @@ for path in (ROOT, os.path.join(ROOT, "src")):
 import numpy as np  # noqa: E402
 
 from perfbench import workloads  # noqa: E402
-from statmean import (covariance, deterministic, efficiency, estimators,  # noqa: E402
-                      spectra, toeplitz)
+from statmean import (cli, covariance, deterministic, efficiency,  # noqa: E402
+                      estimators, spectra, toeplitz)
 
 
 class Digest:
@@ -106,8 +113,28 @@ def _decay(spec):
             ("labels", f"{rep.neutrality}|{rep.precision}|{rep.warning}")]
 
 
+def _cli_outputs(spec, model_dir):
+    argv = list(spec["argv"])
+    if "model" in spec:
+        path = os.path.join(model_dir, f"op{spec['op']}.json")
+        with open(path, "w") as fh:
+            json.dump(spec["model"], fh)
+        argv[1:1] = ["--model", path]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    text = out.getvalue()
+    if code != 0:
+        result = err.getvalue().strip().splitlines()[-1].replace(model_dir, "<dir>")
+    elif text.startswith("{"):
+        result = json.dumps(json.loads(text)["result"], sort_keys=True)
+    else:
+        result = text.split("\n", 1)[1]
+    return [("exit", str(code)), ("result", result)]
+
+
 def fingerprint(seed: int) -> dict:
-    double, dd = Digest(), Digest()
+    double, dd, cli_digest = Digest(), Digest(), Digest()
     for spec in workloads.first_rounds("double-sweep", seed, 1)[0]:
         label = f"op{spec['op']}"
         double.run(label, lambda: _double_outputs(spec))
@@ -117,7 +144,10 @@ def fingerprint(seed: int) -> dict:
         dd.run(label, lambda: _dd_outputs(spec))
         if "decay_grid" in spec:
             dd.run(label + ".decay", lambda: _decay(spec))
-    return {"double": double, "dd": dd}
+    with tempfile.TemporaryDirectory() as model_dir:
+        for spec in workloads.first_rounds("cli-oneshot", seed, 1)[0]:
+            cli_digest.run(f"op{spec['op']}", lambda: _cli_outputs(spec, model_dir))
+    return {"double": double, "dd": dd, "cli": cli_digest}
 
 
 def main(argv=None):
