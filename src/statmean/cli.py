@@ -186,7 +186,7 @@ def _apply_config(parser, args, argv):
     try:
         with open(args.config) as fh:
             defaults = json.load(fh)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ValidationError(f"cannot read config {args.config}: {err}") from err
     if not isinstance(defaults, dict):
         raise ValidationError(f"config {args.config} must hold a JSON object")
@@ -387,6 +387,14 @@ def main(argv=None) -> int:
         payload, rows = _run(args, manifest)
         manifest["elapsed_seconds"] = round(time.time() - started, 6)
         text = _render(payload, rows, manifest)
+        if getattr(args, "out", None):
+            try:
+                with open(args.out, "w") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise ValidationError(f"cannot write {args.out}: {err}") from None
+        else:
+            sys.stdout.write(text)
     except _UsageError as err:
         sys.stderr.write(f"usage error: {err}\n")
         parser.print_usage(sys.stderr)
@@ -400,11 +408,6 @@ def main(argv=None) -> int:
     except StatmeanError as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

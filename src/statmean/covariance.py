@@ -8,9 +8,11 @@ that reduce to a power-at-origin factor times a finite trigonometric
 polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
 scalings), arc-supported indicators and their scalings, and shifts of any of
 these by 0 or pi; a flat-zero density is integrated by 40-digit Gauss-Legendre
-quadrature in double-double.  Every other density goes through
-singularity-graded double quadrature with a refinement cross-check at
-absolute tolerance 1e-12 per coefficient, and has no double-double form.
+quadrature in double-double.  The first group rests on r_alpha from one ratio
+recurrence, carried in double-double and rounded once for double, at 40
+digits for double-double.  Every other density goes through singularity-graded
+double quadrature with a refinement cross-check at absolute tolerance 1e-12
+per coefficient, and has no double-double form.
 
 The double-double path produces covariances accurate to ~1e-32, required by
 the exponential-decay studies where Toeplitz variances reach the square of
@@ -20,58 +22,41 @@ double rounding error.  The 40-digit values are stored as two float arrays:
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import binom, gammaln
 
+from . import ddouble as dd
 from . import quadrature
-from .errors import AccuracyError, ValidationError
-from .memo import BoundedMemo
+from .errors import AccuracyError, NearSingularError, ValidationError
+from .memo import BoundedMemo, read_only
 from .spectra import as_measure
 
 #: absolute tolerance per quadrature coefficient
 QUAD_TOL = 1e-12
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 1e-12 and abs(x - round(x)) < 1e-12
-
-
-def _signed_reciprocal_gamma_log(x: float):
-    """(sign, log|Gamma(x)|) with sign from the parity of reflection counts.
-
-    Returns (0, +inf) at non-positive integers, implementing the convention
-    1/Gamma(x) = 0 there.
-    """
-    if _is_nonpositive_integer(x):
-        return 0, math.inf
-    if x > 0:
-        return 1, float(gammaln(x))
-    # Gamma(x) on (-m, -m+1) has sign (-1)^m; m = ceil(-x) reflections
-    m = math.ceil(-x)
-    sign = -1 if m % 2 else 1
-    log_abs = math.log(math.pi) - math.log(abs(math.sin(math.pi * x))) - float(gammaln(1.0 - x))
-    return sign, log_abs
+def falpha_covariance_array(alpha: float, kmax: int) -> np.ndarray:
+    """r_alpha(0..kmax) by the ratio recurrence r(k+1) = r(k) (k-a)/(k+a+1)
+    from r(0) = binom(2a, a), carried in double-double and rounded once.  k-a
+    and k+1+a are exact double-double values, so at an integer a the factor
+    k-a is an exact 0 and every later lag an exact +0.0."""
+    if not alpha > -0.5:
+        raise ValidationError("alpha must satisfy alpha > -1/2")
+    k = np.arange(kmax, dtype=float)
+    ratios = dd.DD(*dd.two_sum(k, -alpha)) / dd.DD(*dd.two_sum(k + 1.0, alpha))
+    factors = dd.DD(np.append(binom(2.0 * alpha, alpha), ratios.hi), np.append(0.0, ratios.lo))
+    return np.asarray(factors.cumprod())
 
 
 def covariance_exact_falpha(alpha: float, k: int) -> float:
     """r_alpha(k) = (-1)^k Gamma(2a+1) / (Gamma(a+k+1) Gamma(a-k+1))."""
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
-    k = abs(int(k))
-    sign, log_tail = _signed_reciprocal_gamma_log(alpha - k + 1.0)
-    if sign == 0:
-        return 0.0
-    log_val = float(gammaln(2.0 * alpha + 1.0)) - float(gammaln(alpha + k + 1.0)) - log_tail
-    return (-1.0) ** k * sign * math.exp(log_val)
-
-
-def falpha_covariance_array(alpha: float, kmax: int) -> np.ndarray:
-    return np.array([covariance_exact_falpha(alpha, k) for k in range(kmax + 1)])
+    return float(falpha_covariance_array(alpha, abs(int(k)))[-1])
 
 
 class Asymptote(NamedTuple):
@@ -96,9 +81,10 @@ def covariance_asymptote_falpha(alpha: float, k: int) -> Asymptote:
     return Asymptote(c_alpha * float(k) ** (-2.0 * alpha - 1.0), False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class CovarianceSequence:
-    """Values r(0..n) with provenance and precision metadata."""
+    """Values r(0..n) with provenance and precision metadata.  The arrays are
+    read-only copies of those given."""
 
     values: np.ndarray
     provenance: str                       # "exact" | "quadrature"
@@ -106,11 +92,12 @@ class CovarianceSequence:
     lo: np.ndarray | None = None          # low parts, r = values + lo, when precision == "dd"
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.lo is not None:
-            self.lo = np.asarray(self.lo, dtype=float)
-            if self.lo.shape != self.values.shape:
-                raise ValidationError("low parts must match the values in length")
+        for name in ("values", "lo"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, read_only(np.array(value, dtype=float)))
+        if self.lo is not None and self.lo.shape != self.values.shape:
+            raise ValidationError("low parts must match the values in length")
         if self.values[0] <= 0.0:
             raise ValidationError("r(0) must be positive (non-degenerate process)")
         if np.any(np.abs(self.values[1:]) > self.values[0] * (1.0 + 1e-10) + 1e-300):
@@ -120,15 +107,13 @@ class CovarianceSequence:
     def order(self) -> int:
         return len(self.values) - 1
 
-    def check_positive_definite(self, order: int | None = None) -> bool:
-        """Attempt a Levinson factorization of the leading Toeplitz block."""
+    def check_positive_definite(self) -> bool:
+        """Whether a Levinson factorization of the Toeplitz matrix succeeds."""
         from .toeplitz import reflection_coefficients
-        order = self.order if order is None else order
         try:
-            refl = reflection_coefficients(self.values[:order + 1])
-        except Exception:
+            return bool(np.all(np.abs(reflection_coefficients(self.values)) < 1.0))
+        except NearSingularError:
             return False
-        return bool(np.all(np.abs(refl) < 1.0))
 
 
 # -- quadrature path ---------------------------------------------------------
@@ -205,7 +190,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
     key = (model.key(), precision)
     cached = _COV_CACHE.get(key)
     if cached is not None and cached[0] >= n:
-        dens, prov = cached[1][:n + 1].copy(), cached[2]
+        dens, prov = cached[1][:n + 1], cached[2]
     else:
         found = (np.zeros(n + 1), "exact") if model.zero_density() else model.covariances(n, ar)
         if found is None and precision == "dd":
@@ -215,7 +200,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
                 "factors, products and scalings, arc-supported, shifts of these by 0 or pi, "
                 "and flat-zero (by 40-digit quadrature)")
         dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
-        _COV_CACHE.put(key, (n, dens.copy(), prov))
+        _COV_CACHE.put(key, (n, dens, prov))
     k = ar.arange(n + 1)
     for angle, mass in measure.atoms:
         dens = dens + ar.cos(k * ar.num(angle)) * ar.num(mass)
@@ -256,16 +241,12 @@ def _mp():
 
 
 def _mp_falpha(alpha, kmax):
+    """The ratio recurrence of `falpha_covariance_array` at 40 digits."""
     mp = _mp()
     a = mp.mpf(alpha)
-    out = []
-    for k in range(kmax + 1):
-        x = a - k + 1
-        if x <= 0 and abs(x - mp.nint(x)) < mp.mpf("1e-30"):
-            out.append(mp.mpf(0))
-        else:
-            out.append((-1) ** k * mp.gamma(2 * a + 1) / (mp.gamma(a + k + 1) * mp.gamma(x)))
-    return np.array(out, dtype=object)
+    k = np.arange(kmax).astype(object)
+    factors = np.concatenate(([mp.binomial(2 * a, a)], (k - a) / (k + 1 + a)))
+    return np.multiply.accumulate(factors)
 
 
 def _mp_flatzero(a, kmax):
@@ -302,13 +283,9 @@ def _mp_flatzero(a, kmax):
     return np.array(out, dtype=object)
 
 
-_MP_GL_CACHE: dict = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _mp_gl_nodes(m):
     """Gauss-Legendre nodes at working precision via Newton on P_m."""
-    if m in _MP_GL_CACHE:
-        return _MP_GL_CACHE[m]
     mp = _mp()
 
     def legendre(x):
@@ -330,5 +307,4 @@ def _mp_gl_nodes(m):
         dp = legendre(x)[1]
         xs.append(x)
         ws.append(2 / ((1 - x * x) * dp * dp))
-    _MP_GL_CACHE[m] = (xs, ws)
     return xs, ws

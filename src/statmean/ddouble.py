@@ -124,6 +124,15 @@ class DD:
     def sum(self) -> DD:
         return _fsum(np.concatenate((self.hi, self.lo)))
 
+    def cumprod(self) -> DD:
+        """Running products x0, x0 x1, ...: a prefix product by doubling strides."""
+        out = self.copy()
+        stride = 1
+        while stride < len(out):
+            out[stride:] = out[stride:] * out[:-stride]
+            stride *= 2
+        return out
+
 
 def empty(n: int) -> DD:
     return DD(np.empty(n), np.empty(n))

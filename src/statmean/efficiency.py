@@ -145,18 +145,3 @@ def general_class_asymptote(alpha: float, g0: float) -> float:
     if not g0 > 0.0:
         raise ValidationError("g0 must be positive")
     return math.exp(float(gammaln(2 * alpha + 1.0) - betaln(alpha + 1.0, alpha + 1.0))) * g0
-
-
-def fit_asymptote_constant(orders, variances, power: float) -> float:
-    """Fit a in Var ~ a * n^(-power) with the rate fixed by theory.
-
-    Geometric mean of Var * n^power over the top half of the grid; fitting
-    only the constant avoids conflating rate and constant estimation.
-    """
-    orders = np.asarray(orders, dtype=float)
-    variances = np.asarray(variances, dtype=float)
-    if len(orders) != len(variances) or len(orders) == 0:
-        raise ValidationError("need matching nonempty grids")
-    scaled = np.log(variances) + power * np.log(orders)
-    top = scaled[len(scaled) // 2:]
-    return float(np.exp(top.mean()))

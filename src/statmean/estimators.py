@@ -9,13 +9,14 @@ runs the independent Fejer-kernel integral route and insists the two agree.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betaln, gammaln
 
 from .covariance import covariance_sequence
 from .errors import AccuracyError, ValidationError
+from .memo import read_only
 from .quadrature import model_grid
 from .spectra import TWO_PI, SpectralModel, as_measure
 
@@ -23,9 +24,10 @@ from .spectra import TWO_PI, SpectralModel, as_measure
 WEIGHT_SUM_TOL = 1e-12
 
 
-@dataclass
+@dataclass(frozen=True)
 class EstimatorWeights:
-    """Coefficient vector c_0..c_n with a label describing its construction."""
+    """Coefficient vector c_0..c_n with a label describing its construction.
+    The coefficients are a read-only copy of those given."""
 
     coefficients: np.ndarray
     label: str = "custom"            # lse | parabolic | adenstedt | blue | pseudo_best | custom
@@ -33,7 +35,8 @@ class EstimatorWeights:
     design: str | None = None        # model key for blue / pseudo-best
 
     def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
+        coefficients = read_only(np.array(self.coefficients, dtype=float))
+        object.__setattr__(self, "coefficients", coefficients)
         if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
             raise ValidationError("weights must be a nonempty vector")
         total = self.coefficients.sum()

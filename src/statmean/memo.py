@@ -12,6 +12,12 @@ import threading
 from collections import OrderedDict
 
 
+def read_only(v):
+    """v, an array or a double-double pair, with its write flag cleared."""
+    v.setflags(write=False)
+    return v
+
+
 class BoundedMemo:
     """Mapping of at most `maxsize` entries, least recently used out first."""
 

@@ -139,10 +139,10 @@ class SpectralModel:
         shift off 0 and +/-pi breaks it (complex covariances)."""
         return all(c.is_even() for c in self.children())
 
-    def falpha_reduction(self):
+    def falpha_reduction(self, ar):
         """(alpha, C, gamma) with f = C * f_alpha * g, where g = sum_t gamma_|t|
-        e^{i t lam} is a nonnegative trigonometric polynomial; None if f has
-        no such form."""
+        e^{i t lam} is a nonnegative trigonometric polynomial and C a number of
+        the arithmetic `ar`; None if f has no such form."""
         return None
 
     def covariances(self, kmax: int, ar):
@@ -153,7 +153,7 @@ class SpectralModel:
         The default evaluates the reduction: r(k) = C * [gamma_0 r_a(k) +
         sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))].
         """
-        red = self.falpha_reduction()
+        red = self.falpha_reduction(ar)
         if red is None:
             return None
         alpha, c, gamma = red
@@ -162,7 +162,7 @@ class SpectralModel:
         out = ra[k] * ar.num(gamma[0])
         for t in range(1, len(gamma)):
             out = out + (ra[k + t] + ra[np.abs(k - t)]) * ar.num(gamma[t])
-        return out * ar.num(c), "exact"
+        return out * c, "exact"
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **_fields_json(self)}
@@ -195,8 +195,8 @@ class WhiteNoise(SpectralModel, variant="white_noise"):
     def origin_exponent(self):
         return 0.0 if self.level > 0 else None
 
-    def falpha_reduction(self):
-        return 0.0, TWO_PI * self.level, np.array([1.0])
+    def falpha_reduction(self, ar):
+        return 0.0, 2 * ar.pi * ar.num(self.level), np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -246,11 +246,11 @@ class Arma(SpectralModel, variant="arma"):
     def origin_exponent(self):
         return 0.0 if abs(sum(self.ma)) > 1e-12 else None
 
-    def falpha_reduction(self):
+    def falpha_reduction(self, ar):
         if len(self.ar) > 1:
             return None
         theta = np.asarray(self.ma)
-        return 0.0, self.scale, np.correlate(theta, theta, mode="full")[len(theta) - 1:]
+        return 0.0, ar.num(self.scale), np.correlate(theta, theta, mode="full")[len(theta) - 1:]
 
 
 @dataclass(frozen=True)
@@ -282,8 +282,8 @@ class PowerAtOrigin(SpectralModel, variant="power_at_origin"):
     def origin_exponent(self):
         return 2.0 * self.alpha
 
-    def falpha_reduction(self):
-        return self.alpha, 1.0, np.array([1.0])
+    def falpha_reduction(self, ar):
+        return self.alpha, ar.num(1.0), np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -319,8 +319,8 @@ class ArfimaFactor(SpectralModel, variant="arfima"):
     def children(self):
         return (self.base,)
 
-    def falpha_reduction(self):
-        base = self.base.falpha_reduction()
+    def falpha_reduction(self, ar):
+        base = self.base.falpha_reduction(ar)
         if base is None or not base[0] - self.d > -0.5:
             return None
         return base[0] - self.d, base[1], base[2]
@@ -589,15 +589,15 @@ class Product(SpectralModel, variant="product"):
     def children(self):
         return (self.left, self.right)
 
-    def falpha_reduction(self):
-        left, right = self.left.falpha_reduction(), self.right.falpha_reduction()
+    def falpha_reduction(self, ar):
+        left, right = self.left.falpha_reduction(ar), self.right.falpha_reduction(ar)
         if left is None or right is None or not left[0] + right[0] > -0.5:
             return None
         (a1, c1, g1), (a2, c2, g2) = left, right
         # product of two symmetric trig polynomials: convolve full coefficient
         # vectors and keep the nonnegative-lag half
         full = np.convolve(np.concatenate((g1[:0:-1], g1)), np.concatenate((g2[:0:-1], g2)))
-        return a1 + a2, c1 * c2 / TWO_PI, full[(len(full) - 1) // 2:]
+        return a1 + a2, c1 * c2 / (2 * ar.pi), full[(len(full) - 1) // 2:]
 
 
 @dataclass(frozen=True)
@@ -626,9 +626,9 @@ class Scaled(SpectralModel, variant="scaled"):
     def zero_density(self):
         return self.factor == 0.0 or super().zero_density()
 
-    def falpha_reduction(self):
-        inner = self.model.falpha_reduction()
-        return None if inner is None else (inner[0], inner[1] * self.factor, inner[2])
+    def falpha_reduction(self, ar):
+        inner = self.model.falpha_reduction(ar)
+        return None if inner is None else (inner[0], inner[1] * ar.num(self.factor), inner[2])
 
     def covariances(self, kmax, ar):
         # the factor multiplies the model's closed form, whatever gives it; the
@@ -880,10 +880,31 @@ def _from_fields(cls, doc: dict, name: str):
         raise ValidationError(f"{name}: {err}") from None
 
 
+#: deepest nesting of lists and objects in a model document; it keeps every
+#: walk over a model, one recursion per level, inside Python's limit
+MAX_DOCUMENT_DEPTH = 64
+
+
+def _check_depth(doc):
+    """Refuse a document with items below MAX_DOCUMENT_DEPTH levels of nesting."""
+    level = [doc]
+    for _ in range(MAX_DOCUMENT_DEPTH + 1):
+        level = [v for item in level if isinstance(item, (dict, list))
+                 for v in (item.values() if isinstance(item, dict) else item)]
+    if level:
+        raise ValidationError(f"model document nested deeper than {MAX_DOCUMENT_DEPTH} levels")
+
+
 def model_from_json(doc) -> SpectralModel:
     """Build a model from its document, a JSON object whose 'variant' names the
     class and whose other keys are the constructor's field names.  Unknown keys
-    are ignored; a missing, ill-typed or out-of-range field is a ValidationError."""
+    are ignored; a missing, ill-typed or out-of-range field is a ValidationError,
+    and so is a document nested deeper than MAX_DOCUMENT_DEPTH."""
+    _check_depth(doc)
+    return _model(doc)
+
+
+def _model(doc) -> SpectralModel:
     if not isinstance(doc, dict) or "variant" not in doc:
         raise ValidationError("model document needs a 'variant' field")
     variant = doc["variant"]
@@ -894,9 +915,10 @@ def model_from_json(doc) -> SpectralModel:
 
 def measure_from_json(doc) -> SpectralMeasure:
     """Build a measure from {'density': ..., 'atoms': ...} or a bare model document."""
+    _check_depth(doc)
     if isinstance(doc, dict) and "density" in doc:
         return _from_fields(SpectralMeasure, doc, "measure")
-    return SpectralMeasure(model_from_json(doc))
+    return SpectralMeasure(_model(doc))
 
 
 #: decoders of document values by the annotation of the field they fill
@@ -907,7 +929,7 @@ _DECODERS = {
     "tuple[float, ...]": lambda v: tuple(map(_real, _items(v))),
     "tuple[tuple[Angle, float], ...]": lambda v: tuple(
         (parse_angle(a), _real(b)) for a, b in (_items(p, 2) for p in _items(v))),
-    "SpectralModel": model_from_json,
+    "SpectralModel": _model,
 }
 
 
@@ -915,6 +937,6 @@ def load_measure(path) -> SpectralMeasure:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, RecursionError) as err:
         raise ValidationError(f"cannot read model {path}: {err}") from err
     return measure_from_json(doc)

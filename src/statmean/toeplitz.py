@@ -31,15 +31,12 @@ import numpy as np
 from . import ddouble as dd
 from .covariance import CovarianceSequence, covariance_sequence
 from .errors import NearSingularError, ValidationError
-from .memo import BoundedMemo
+from .memo import BoundedMemo, read_only
 from .quadrature import model_grid
 from .spectra import TWO_PI, as_measure
 
 #: reflection magnitude beyond which the double recursion is declared singular
 BREAKDOWN_DOUBLE = 1.0 - 1e-14
-#: the same for the double-double recursion, compared with the reflection
-#: rounded to double; as a float it is 1.0
-BREAKDOWN_DD = 1.0 - 1e-30
 #: largest order that gets a refinement step.  The cap bounds time (the
 #: correction is a second O(n^2) pass) and keeps outputs above it bit-for-bit
 #: as they were; the residual itself takes O(n) memory at any order.
@@ -84,7 +81,9 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
 _Arithmetic = namedtuple("_Arithmetic", "empty dot breakdown extended note")
 _DOUBLE = _Arithmetic(np.empty, np.dot, BREAKDOWN_DOUBLE, False,
                       "; extended double-double precision may reach further")
-_DD = _Arithmetic(dd.empty, dd.dot, BREAKDOWN_DD, True, " in double-double precision")
+# the double-double pass stops on pivot and variance loss; its reflection
+# bound, compared with the reflection rounded to double, is 1.0 itself
+_DD = _Arithmetic(dd.empty, dd.dot, 1.0, True, " in double-double precision")
 
 
 def _levinson(r, rhs=None, ar=_DOUBLE):
@@ -141,11 +140,6 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
     return x, refl, errors, curve
 
 
-def _read_only(v):
-    v.setflags(write=False)
-    return v
-
-
 class _LevinsonPass:
     """Read-only results of one all-ones pass, in the arithmetic it ran in,
     plus its refined solution once asked."""
@@ -154,7 +148,7 @@ class _LevinsonPass:
 
     def __init__(self, x, refl, errors, curve):
         self.x, self.refl, self.errors, self.curve = (
-            _read_only(v) for v in (x, refl, errors, curve))
+            read_only(v) for v in (x, refl, errors, curve))
         self.refined = None
 
 
@@ -226,7 +220,7 @@ def blue_solve(system: ToeplitzSystem):
     x = entry.x
     if system.precision == "double":
         if entry.refined is None:
-            entry.refined = _read_only(_refine(system.covariance.values, entry.x))
+            entry.refined = read_only(_refine(system.covariance.values, entry.x))
         x = entry.refined
     total = x.sum()
     variance = float(1.0 / total)

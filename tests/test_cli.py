@@ -218,6 +218,25 @@ class TestExitCodes:
         assert code == 2 and "validation error" in err, err
         assert out == ""
 
+    @pytest.mark.parametrize("depth", [400, 3000])
+    def test_deeply_nested_model_document_exits_two(self, tmp_path, depth):
+        """Past the document depth limit at 400 levels, inside the JSON parser at 3000."""
+        text = '{"variant": "white_noise"}'
+        for _ in range(depth):
+            text = f'{{"variant": "scaled", "factor": 1.0, "model": {text}}}'
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run_cli("classify", "--model", str(path))
+        assert code == 2 and "validation error" in err, err
+        assert out == ""
+
+    def test_unwritable_out_path_exits_two(self, model_dir, tmp_path):
+        out_path = tmp_path / "missing-dir" / "x.json"
+        code, out, err = run_cli("classify", "--model", str(model_dir / "f1.json"),
+                                 "--out", str(out_path))
+        assert code == 2 and "validation error" in err, err
+        assert out == "" and not out_path.exists()
+
     @pytest.mark.parametrize("config", [{"n": "abc"}, {"n": 64.5}, {"n": [4]}, {"n": True},
                                         {"format": "xml"}, {"model": {"variant": "arma"}}])
     def test_config_values_are_checked_like_flags(self, model_dir, tmp_path, config):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -142,6 +144,19 @@ class TestCovarianceSequence:
         assert cov.precision == "double"
         assert cov.order == 4
 
+    def test_frozen_with_read_only_copies(self):
+        given, lo = np.array([2.0, -1.0, 0.0]), np.zeros(3)
+        cov = st.CovarianceSequence(given, "exact", precision="dd", lo=lo)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cov.values = given
+        with pytest.raises(ValueError):
+            cov.values[0] = 3.0
+        with pytest.raises(ValueError):
+            cov.lo[0] = 1.0
+        given[0] = 3.0                                   # the caller's arrays stay theirs
+        lo[0] = 1.0
+        assert cov.values[0] == 2.0 and cov.lo[0] == 0.0
+
     def test_invalid_sequence_rejected(self):
         with pytest.raises(st.ValidationError):
             st.CovarianceSequence(np.array([1.0, 2.0]), "exact")
@@ -220,9 +235,83 @@ class TestOneClosedFormSet:
         assert np.max(np.abs(ddcov.values + ddcov.lo - dcov.values)) < 1e-14 * scale
 
 
+def _mp_falpha_gamma(alpha, kmax):
+    """r_alpha(0..kmax) at 50 digits from the gamma form, 0 at the poles."""
+    a = mpmath.mpf(alpha)
+    out = []
+    for k in range(kmax + 1):
+        x = a - k + 1
+        pole = x <= 0 and x == mpmath.nint(x)
+        out.append(0 if pole else (-1) ** k * mpmath.gamma(2 * a + 1)
+                   / (mpmath.gamma(a + k + 1) * mpmath.gamma(x)))
+    return out
+
+
+class TestRatioRecurrence:
+    """r_alpha by r(k+1) = r(k) (k-a)/(k+a+1), in double-double rounded once."""
+
+    @pytest.mark.parametrize("alpha", [-0.4, 0.3, 1.3, 1.55, 1.9, 2.5])
+    def test_within_eight_ulps_of_fifty_digits(self, alpha):
+        kmax = 4096
+        with mpmath.workdps(50):
+            a = mpmath.mpf(alpha)
+            ref = [mpmath.binomial(2 * a, a)]
+            for k in range(kmax):
+                ref.append(ref[-1] * (k - a) / (k + 1 + a))
+            ref = np.array([float(r) for r in ref])
+        ulps = np.abs(falpha_covariance_array(alpha, kmax) - ref) / np.spacing(np.abs(ref))
+        assert ulps.max() <= 8
+
+    @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 4])
+    def test_integer_alpha_is_exact(self, alpha):
+        r = falpha_covariance_array(float(alpha), 64)
+        exact = [(-1) ** k * math.comb(2 * alpha, alpha + k) for k in range(alpha + 1)]
+        assert r[:alpha + 1].tolist() == exact
+        assert np.all(r[alpha + 1:] == 0.0) and not np.any(np.signbit(r[alpha + 1:]))
+        # the symbol 2 pi f(0) is 1 at alpha = 0 and vanishes exactly otherwise
+        assert r[0] + 2.0 * r[1:].sum() == (1.0 if alpha == 0 else 0.0)
+
+    def test_near_integer_alpha_is_not_an_integer(self):
+        assert falpha_covariance_array(1.0 + 1e-13, 4)[2] != 0.0
+
+    def test_dd_against_fifty_digit_gamma_form(self):
+        cov = st.covariance_sequence(st.PowerAtOrigin(1.55), 256, precision="dd")
+        with mpmath.workdps(50):
+            ref = _mp_falpha_gamma(1.55, 256)
+            err = [abs(mpmath.mpf(h) + mpmath.mpf(lo) - r)
+                   for h, lo, r in zip(cov.values, cov.lo, ref)]
+        assert float(max(err)) < 1e-30
+
+    def test_dd_white_noise_constant_at_forty_digits(self):
+        cov = st.covariance_sequence(st.WhiteNoise(0.3), 2, precision="dd")
+        with mpmath.workdps(50):
+            ref = 2 * mpmath.pi * mpmath.mpf(0.3)
+            assert abs(mpmath.mpf(cov.values[0]) + mpmath.mpf(cov.lo[0]) - ref) < 1e-30 * ref
+        assert not np.any(cov.values[1:]) and not np.any(cov.lo[1:])
+
+    def test_dd_product_constant_at_forty_digits(self):
+        """f_a/(2 pi) times |1 - e^{i lam}/2|^2/(2 pi) carries C = 1/(2 pi)."""
+        model = st.Product(st.PowerAtOrigin(0.25), st.Arma((1.0, -0.5)))
+        cov = st.covariance_sequence(model, 4, precision="dd")
+        with mpmath.workdps(50):
+            ra = _mp_falpha_gamma(0.25, 5)
+            for k in range(5):
+                ref = (1.25 * ra[k] - 0.5 * (ra[k + 1] + ra[abs(k - 1)])) / (2 * mpmath.pi)
+                got = mpmath.mpf(cov.values[k]) + mpmath.mpf(cov.lo[k])
+                assert abs(got - ref) < 1e-30 * abs(ref)
+
+    @pytest.mark.parametrize("alpha, n, tol", [(2.0, 1024, 1e-10), (2.0, 2048, 1e-10),
+                                               (1.9, 2048, 5e-6)])
+    def test_blue_variance_against_closed_form(self, alpha, n, tol):
+        _, variance = st.blue_solve(st.system_for(st.PowerAtOrigin(alpha), n))
+        exact = st.adenstedt_variance_closed_form(n, alpha)
+        assert abs(variance / exact - 1.0) < tol
+
+
 class TestGammaReflection:
     def test_signed_values_against_mpmath(self):
-        """Reflection sign tracking for arguments deep in the left half-line."""
+        """The recurrence against the gamma form, reflection signs included, for
+        arguments deep in the left half-line: an independent oracle."""
         mpmath = pytest.importorskip("mpmath")
         mpmath.mp.dps = 30
         for alpha in (0.3, 0.75, 1.6, 2.2):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,16 @@ class TestWeightFamilies:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(st.ValidationError):
             st.EstimatorWeights(np.array([0.5, 0.4]))
+
+    def test_frozen_with_a_read_only_copy(self):
+        given = np.array([0.25, 0.75])
+        weights = st.EstimatorWeights(given)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            weights.label = "blue"
+        with pytest.raises(ValueError):
+            weights.coefficients[0] = 0.5
+        given[0] = 0.5                                   # the caller's array stays theirs
+        assert weights.coefficients[0] == 0.25
 
 
 class TestClosedFormVariance:

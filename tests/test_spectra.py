@@ -357,6 +357,16 @@ class TestJson:
         with pytest.raises(st.ValidationError):
             st.model_from_json({"variant": "nope"})
 
+    def test_document_depth_is_bounded(self):
+        doc = {"variant": "white_noise"}
+        for _ in range(st.spectra.MAX_DOCUMENT_DEPTH - 1):
+            doc = {"variant": "scaled", "factor": 1.0, "model": doc}
+        assert st.model_from_json(doc).key() == st.measure_from_json(doc).density.key()
+        deeper = {"variant": "scaled", "factor": 1.0, "model": doc}
+        for build in (st.model_from_json, st.measure_from_json):
+            with pytest.raises(st.ValidationError, match="nested deeper"):
+                build(deeper)
+
     def test_angles_accept_pi_suffix(self):
         assert parse_angle("0.5pi") == pytest.approx(math.pi / 2)
         assert parse_angle("-pi") == -math.pi

@@ -139,8 +139,10 @@ class TestLevinsonMemo:
         curve = st.blue_variance_curve(cov)
         refl = reflection_coefficients(cov.values)
         kept = [a.copy() for a in (weights.coefficients, curve, refl)]
-        for a in (weights.coefficients, curve, refl):
+        for a in (curve, refl):
             a[:] = 0.0
+        # weights are a read-only copy, so no caller can write through them
+        assert not weights.coefficients.flags.writeable
         again = (st.blue_solve(st.ToeplitzSystem(cov))[0].coefficients,
                  st.blue_variance_curve(cov), reflection_coefficients(cov.values))
         for old, new in zip(kept, again):
