@@ -2,27 +2,28 @@
 
 A variant with a closed form computes it itself (`SpectralModel.covariances`),
 written once over an arithmetic this module supplies: numpy float64 arrays
-for precision="double", numpy object arrays of 40-digit mpmath numbers for
+for precision="double", the double-double arrays of `ddouble` for
 precision="dd".  The closed forms, the same in both precisions, cover models
 that reduce to a power-at-origin factor times a finite trigonometric
 polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
 scalings), arc-supported indicators and their scalings, and shifts of any of
-these by 0 or pi; a flat-zero density is integrated by 40-digit Gauss-Legendre
+these by 0 or pi; a flat-zero density is integrated by Gauss-Legendre
 quadrature in double-double.  The first group rests on r_alpha from one ratio
-recurrence, carried in double-double and rounded once for double, at 40
-digits for double-double.  Every other density goes through singularity-graded
-double quadrature with a refinement cross-check at absolute tolerance 1e-12
-per coefficient, and has no double-double form.
+recurrence, carried in double-double and rounded once for double; double-double
+starts it from its own binom(2a, a) and sums the trigonometric polynomial's
+terms exactly.  Every other density goes through singularity-graded double
+quadrature with a refinement cross-check at absolute tolerance 1e-12 per
+coefficient, and has no double-double form.
 
-The double-double path produces covariances accurate to ~1e-32, required by
-the exponential-decay studies where Toeplitz variances reach the square of
-double rounding error.  The 40-digit values are stored as two float arrays:
+The double-double path produces covariances accurate to a few units of 1e-32,
+required by the exponential-decay studies where Toeplitz variances reach the
+square of double rounding error.  They are stored as two float arrays:
 `values` holds each rounded to double (the hi part), and `lo` the remainder.
+A computed sequence that is not finite raises `AccuracyError`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
@@ -41,17 +42,54 @@ from .spectra import as_measure
 QUAD_TOL = 1e-12
 
 
-def falpha_covariance_array(alpha: float, kmax: int) -> np.ndarray:
+def _falpha(alpha: float, kmax: int, binomial) -> dd.DD:
     """r_alpha(0..kmax) by the ratio recurrence r(k+1) = r(k) (k-a)/(k+a+1)
-    from r(0) = binom(2a, a), carried in double-double and rounded once.  k-a
-    and k+1+a are exact double-double values, so at an integer a the factor
-    k-a is an exact 0 and every later lag an exact +0.0."""
+    from r(0) = binomial(a) = binom(2a, a), in double-double.  k-a and k+1+a
+    are exact double-double values, so at an integer a the factor k-a is an
+    exact 0 and every later lag an exact +0.0."""
     if not alpha > -0.5:
         raise ValidationError("alpha must satisfy alpha > -1/2")
+    r0 = binomial(alpha)
     k = np.arange(kmax, dtype=float)
     ratios = dd.DD(*dd.two_sum(k, -alpha)) / dd.DD(*dd.two_sum(k + 1.0, alpha))
-    factors = dd.DD(np.append(binom(2.0 * alpha, alpha), ratios.hi), np.append(0.0, ratios.lo))
-    return np.asarray(factors.cumprod())
+    return dd.DD(np.append(r0.hi, ratios.hi), np.append(r0.lo, ratios.lo)).cumprod()
+
+
+def falpha_covariance_array(alpha: float, kmax: int) -> np.ndarray:
+    """r_alpha(0..kmax) from the double binom(2a, a), rounded once at the end."""
+    return np.asarray(_falpha(alpha, kmax, lambda a: dd.DD(binom(2.0 * a, a), 0.0)))
+
+
+def _falpha_sum(alpha: float, kmax: int, gamma) -> np.ndarray:
+    """gamma_0 r_a(k) + sum_{t>=1} gamma_t (r_a(k+t) + r_a(|k-t|)), k = 0..kmax."""
+    ra = falpha_covariance_array(alpha, kmax + len(gamma) - 1)
+    k = np.arange(kmax + 1)
+    out = ra[k] * gamma[0]
+    for t in range(1, len(gamma)):
+        out = out + (ra[k + t] + ra[np.abs(k - t)]) * gamma[t]
+    return out
+
+
+def _dd_falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
+    """The sum of `_falpha_sum` in double-double, to a few units of 1e-32
+    relative even where its terms cancel: with m the least lag in the sum at k,
+    r(k) = r_a(m) S(k), where S(k), the sum of gamma_t r_a(j) / r_a(m), is
+    formed in exact rationals and rounded once."""
+    if not np.all(np.isfinite(gamma)):
+        raise AccuracyError("the trigonometric polynomial's coefficients are not finite")
+    big = len(gamma) - 1
+    ra = _falpha(alpha, kmax + big, dd.central_binomial)
+    if not big:
+        return ra * gamma[0]
+    from fractions import Fraction
+    a = Fraction(alpha)
+    ratios = [(i - a) / (i + 1 + a) for i in range(kmax + big)]
+    least, sums = np.maximum(np.arange(kmax + 1) - big, 0), []
+    for k, m in enumerate(least.tolist()):
+        s = sum(Fraction(g) * math.prod(ratios[m:j]) for t, g in enumerate(gamma)
+                for j in ((k + t, abs(k - t)) if t else (k,)))
+        sums.append(dd.exact(s.numerator, s.denominator))
+    return ra[least] * dd.DD(np.array([v.hi for v in sums]), np.array([v.lo for v in sums]))
 
 
 def covariance_exact_falpha(alpha: float, k: int) -> float:
@@ -98,6 +136,8 @@ class CovarianceSequence:
                 object.__setattr__(self, name, read_only(np.array(value, dtype=float)))
         if self.lo is not None and self.lo.shape != self.values.shape:
             raise ValidationError("low parts must match the values in length")
+        if not all(np.all(np.isfinite(v)) for v in (self.values, self.lo) if v is not None):
+            raise ValidationError("covariances must be finite")
         if self.values[0] <= 0.0:
             raise ValidationError("r(0) must be positive (non-degenerate process)")
         if np.any(np.abs(self.values[1:]) > self.values[0] * (1.0 + 1e-10) + 1e-300):
@@ -198,113 +238,97 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
                 "extended-precision covariances need a closed form, the same set in both "
                 "precisions: white noise, power-at-origin, pure-MA, their fractional "
                 "factors, products and scalings, arc-supported, shifts of these by 0 or pi, "
-                "and flat-zero (by 40-digit quadrature)")
+                "and flat-zero (by double-double quadrature)")
         dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
         _COV_CACHE.put(key, (n, dens, prov))
     k = ar.arange(n + 1)
     for angle, mass in measure.atoms:
-        dens = dens + ar.cos(k * ar.num(angle)) * ar.num(mass)
-    if precision == "double":
-        return CovarianceSequence(dens, prov)
-    hi = dens.astype(float)
-    return CovarianceSequence(hi, prov, precision="dd", lo=(dens - hi).astype(float))
+        dens = dens + ar.cos(k * angle) * mass
+    hi, lo = (dens.hi, dens.lo) if ar.extended else (dens, None)
+    if not all(np.all(np.isfinite(v)) for v in (hi, lo) if v is not None):
+        raise AccuracyError(f"covariances of {model.variant} are not finite in double range")
+    return CovarianceSequence(hi, prov, precision=precision, lo=lo)
 
 
 # -- arithmetics -------------------------------------------------------------
 
-#: what a variant's closed form needs of an arithmetic beyond + - * /: the
-#: array dtype, `num` converting a double parameter, integer lags by `arange`,
-#: pi, elementwise sin and cos, r_alpha(0..kmax) by `falpha`, and `flat_zero`,
-#: r(0..kmax) of exp(-|lam|^-a) by quadrature where the arithmetic has one
-_Arithmetic = namedtuple("_Arithmetic", "dtype num arange pi sin cos falpha flat_zero")
+def _dd_flat_zero(a: float, kmax: int) -> dd.DD:
+    """r(0..kmax) of exp(-|lam|^-a) by composite 24-node Gauss-Legendre in
+    double-double.
 
-_DOUBLE = _Arithmetic(float, float, np.arange, math.pi, np.sin, np.cos,
-                      falpha_covariance_array, None)
-
-
-def _arithmetic(precision: str) -> _Arithmetic:
-    """numpy float64 arrays, or numpy object arrays of 40-digit mpmath numbers."""
-    if precision == "double":
-        return _DOUBLE
-    if precision != "dd":
-        raise ValidationError(f"unknown precision {precision!r}")
-    mp = _mp()
-    return _Arithmetic(object, mp.mpf, lambda *a: np.arange(*a).astype(object), mp.pi,
-                       np.frompyfunc(mp.sin, 1, 1), np.frompyfunc(mp.cos, 1, 1),
-                       _mp_falpha, _mp_flatzero)
-
-
-def _mp():
-    import mpmath
-    mpmath.mp.dps = 40
-    return mpmath
-
-
-def _mp_falpha(alpha, kmax):
-    """The ratio recurrence of `falpha_covariance_array` at 40 digits."""
-    mp = _mp()
-    a = mp.mpf(alpha)
-    k = np.arange(kmax).astype(object)
-    factors = np.concatenate(([mp.binomial(2 * a, a)], (k - a) / (k + 1 + a)))
-    return np.multiply.accumulate(factors)
-
-
-def _mp_flatzero(a, kmax):
-    """Composite Gauss-Legendre for r(k) of exp(-|lam|^-a) at 40 digits.
-
-    The integrand underflows to below 1e-45 for lam < (45*ln 10)^(-1/a), so
-    integration starts there; panels resolve the fastest oscillation.
+    The integrand is below 1e-45 for lam < (45 ln 10)^(-1/a), so integration
+    starts there and ends at pi in double-double; panels of at most
+    min(6/kmax, 0.05) resolve the fastest oscillation.
     """
-    mp = _mp()
-    cut = float((45.0 * math.log(10.0)) ** (-1.0 / a))
+    cut = (45.0 * math.log(10.0)) ** (-1.0 / a)
     h = min(6.0 / max(kmax, 1), 0.05)
-    panels = int(math.ceil((math.pi - cut) / h))
-    edges = np.linspace(cut, math.pi, panels + 1)
-    xs, ws = _mp_gl_nodes(24)
-    lam, wts, fv = [], [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = (mp.mpf(lo) + mp.mpf(hi)) / 2
-        half = (mp.mpf(hi) - mp.mpf(lo)) / 2
-        for x, w in zip(xs, ws):
-            point = mid + half * x
-            lam.append(point)
-            wts.append(half * w)
-            fv.append(mp.exp(-point ** mp.mpf(-a)))
-    out = []
-    cos_prev = [mp.mpf(1)] * len(lam)
-    cos_cur = [mp.cos(p) for p in lam]
-    two_cos = [2 * c for c in cos_cur]
-    out.append(2 * mp.fsum(w * f for w, f in zip(wts, fv)))
-    if kmax >= 1:
-        out.append(2 * mp.fsum(w * f * c for w, f, c in zip(wts, fv, cos_cur)))
-    for _ in range(2, kmax + 1):
-        cos_prev, cos_cur = cos_cur, [t * c - p for t, c, p in zip(two_cos, cos_cur, cos_prev)]
-        out.append(2 * mp.fsum(w * f * c for w, f, c in zip(wts, fv, cos_cur)))
-    return np.array(out, dtype=object)
+    panels = math.ceil((math.pi - cut) / h)
+    edges = dd.DD(np.linspace(cut, math.pi, panels + 1), np.zeros(panels + 1))
+    edges[-1] = dd.PI
+    x, w = quadrature.dd_gl_nodes(24)
+    half = ((edges[1:] - edges[:-1]) * 0.5).reshape(-1, 1)
+    lam = ((edges[1:] + edges[:-1]) * 0.5).reshape(-1, 1) + half * x
+    weights = (half * w * dd.exp(-dd.exp(dd.log(lam) * -a))).reshape(-1)
+    cos = dd.sincos(lam.reshape(-1))[1]
+    block = max(1, _TABLE_SIZE // (kmax + 1))
+    out = 0.0
+    for j in range(0, len(cos), block):
+        out = _cosine_sums(cos[j:j + block], weights[j:j + block], kmax) + out
+    return out * 2.0
 
 
-@functools.lru_cache(maxsize=None)
-def _mp_gl_nodes(m):
-    """Gauss-Legendre nodes at working precision via Newton on P_m."""
-    mp = _mp()
+#: entries of one block of the flat-zero cosine table, which keeps each of
+#: its arrays near 1 MB, and the lag step of its recurrence
+_TABLE_SIZE, _LAG_STEP = 1 << 17, 8
 
-    def legendre(x):
-        """(P_m(x), P_m'(x)) by the three-term recurrence."""
-        p0, p1 = mp.mpf(1), x
-        for j in range(2, m + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        return p1, m * (x * p1 - p0) / (x * x - 1)
 
-    xs, ws = [], []
-    for i in range(1, m + 1):
-        x = mp.mpf(math.cos(math.pi * (i - 0.25) / (m + 0.5)))
-        for _ in range(60):
-            p, dp = legendre(x)
-            dx = p / dp
-            x -= dx
-            if abs(dx) < mp.mpf("1e-45"):
-                break
-        dp = legendre(x)[1]
-        xs.append(x)
-        ws.append(2 / ((1 - x * x) * dp * dp))
-    return xs, ws
+def _cosine_sums(cos: dd.DD, g: dd.DD, kmax: int) -> dd.DD:
+    """sum_j g_j cos(k lam_j), k = 0..kmax, from the cos lam_j.
+
+    cos(k lam) = 2 cos(s lam) cos((k-s) lam) - cos((k-2s) lam) gives the lags
+    with s = 1 below 2B and then s = B = _LAG_STEP, B rows at a time: a
+    three-term recurrence of n steps amplifies errors at most n + 1 times.
+    """
+    step, rows = _LAG_STEP, min(2 * _LAG_STEP, kmax + 1)
+    c = dd.empty((rows, len(cos)))
+    c[0], c[1:2] = 1.0, cos
+    twice = dd.DD(2.0 * cos.hi, 2.0 * cos.lo)
+    for k in range(2, rows):
+        c[k] = twice * c[k - 1] - c[k - 2]
+    v = dd.empty((kmax + 1, len(cos)))
+    v[:rows] = c * g
+    if rows > step:
+        twice = dd.DD(2.0 * c.hi[step], 2.0 * c.lo[step])
+    for k in range(rows, kmax + 1, step):
+        top = min(k + step, kmax + 1)
+        v[k:top] = twice * v[k - step:top - step] - v[k - 2 * step:top - 2 * step]
+    # the rows' sums: hi parts by an error-free pairwise tree, the rest in double
+    hi, lo = v.hi, v.lo.sum(axis=1)
+    while hi.shape[1] > 1:
+        if hi.shape[1] % 2:
+            hi = np.pad(hi, ((0, 0), (0, 1)))
+        hi, err = dd.two_sum(hi[:, 0::2], hi[:, 1::2])
+        lo = lo + err.sum(axis=1)
+    return dd.DD(*dd.two_sum(hi[:, 0], lo))
+
+
+#: what the closed forms and the Levinson kernel need of an arithmetic beyond
+#: + - * /, which both take with a double on either side: whether it is the
+#: extended one, arrays by `empty`, integer lags by `arange`, `dot`, pi,
+#: elementwise sin and cos, the sum of `_falpha_sum` by `falpha`, and `flat_zero`,
+#: r(0..kmax) of exp(-|lam|^-a) by quadrature where the arithmetic has one
+Arithmetic = namedtuple("Arithmetic", "extended empty arange dot pi sin cos falpha flat_zero")
+
+_DOUBLE = Arithmetic(False, np.empty, np.arange, np.dot, math.pi, np.sin, np.cos,
+                     _falpha_sum, None)
+_DD = Arithmetic(True, dd.empty, dd.arange, dd.dot, dd.PI, lambda x: dd.sincos(x)[0],
+                 lambda x: dd.sincos(x)[1], _dd_falpha_sum, _dd_flat_zero)
+
+
+def _arithmetic(precision: str) -> Arithmetic:
+    """numpy float64 arrays, or the double-double arrays of `ddouble`."""
+    if precision not in ("double", "dd"):
+        raise ValidationError(f"unknown precision {precision!r}")
+    return _DD if precision == "dd" else _DOUBLE
+
+

@@ -9,10 +9,17 @@ and `math.fsum` adds the parts once for hi and once more for lo.
 `np.asarray` and `float` round a value to double.  two_sum, split and
 two_prod are Knuth's and Dekker's error-free transformations, for floats and
 arrays alike.
+
+The elementary functions are those the closed forms of `covariance` need, by
+the same paper's methods: `exp` reduces by ln 2 and 2^-10 before a Taylor
+series, `log` is one Newton step on `exp`, and `sin` and `cos` reduce mod 2 pi
+by a three-part 2 pi and then by quadrant.  Series coefficients are exact
+rationals rounded once to double-double.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -91,12 +98,17 @@ class DD:
     def __neg__(self):
         return DD(-self.hi, -self.lo)
 
+    def reshape(self, *shape):
+        return DD(self.hi.reshape(shape), self.lo.reshape(shape))
+
     def __add__(self, other):
         other = _dd(other)
         s, e = two_sum(self.hi, other.hi)
         t, f = two_sum(self.lo, other.lo)
         s, e = quick_two_sum(s, e + t)
         return DD(*quick_two_sum(s, e + f))
+
+    __radd__ = __add__
 
     def __sub__(self, other):
         return self + -other
@@ -109,6 +121,8 @@ class DD:
         other = _dd(other)
         p, e = two_prod(self.hi, other.hi)
         return DD(*quick_two_sum(p, e + (self.hi * other.lo + self.lo * other.hi)))
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = _dd(other)
@@ -134,11 +148,123 @@ class DD:
         return out
 
 
-def empty(n: int) -> DD:
-    return DD(np.empty(n), np.empty(n))
+def empty(shape) -> DD:
+    return DD(np.empty(shape), np.empty(shape))
 
 
 def dot(x: DD, y: DD) -> DD:
     p, e = two_prod(np.concatenate((x.hi, x.hi, x.lo, x.lo)),
                     np.concatenate((y.hi, y.lo, y.hi, y.lo)))
     return _fsum(np.concatenate((p, e)))
+
+
+def arange(*args) -> DD:
+    k = np.arange(*args, dtype=float)
+    return DD(k, np.zeros_like(k))
+
+
+def exact(p: int, q: int = 1) -> DD:
+    """The rational p/q rounded to double-double: int division rounds correctly."""
+    hi = p / q
+    a, b = hi.as_integer_ratio()
+    return DD(hi, (p * b - a * q) / (q * b))
+
+
+def _table(ratios) -> DD:
+    parts = [exact(*r) for r in ratios]
+    return DD(np.array([p.hi for p in parts]), np.array([p.lo for p in parts]))
+
+
+def _poly(x, coeffs: DD) -> DD:
+    """sum_i coeffs[i] x^i by Horner's rule."""
+    out = coeffs[-1]
+    for i in range(len(coeffs) - 2, -1, -1):
+        out = out * x + coeffs[i]
+    return out
+
+
+PI = DD(3.141592653589793, 1.2246467991473532e-16)
+INV_SQRT_PI = DD(0.5641895835477563, 7.66772980658294e-18)
+#: ln 2 and 2 pi, each the sum of three doubles to about 1e-49
+_LN2 = (0.6931471805599453, 2.3190468138462996e-17, 5.707708438416212e-34)
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16, -5.989539619436679e-33)
+#: expm1(r) / r, sin(t) / t and cos(t) as series in r and t^2, to ~1e-33 for
+#: |r| <= ln(2) / 2^11 and |t| <= pi / 4
+_EXPM1 = _table((1, math.factorial(i + 1)) for i in range(9))
+_SIN = _table(((-1) ** i, math.factorial(2 * i + 1)) for i in range(15))
+_COS = _table(((-1) ** i, math.factorial(2 * i)) for i in range(16))
+
+
+def _reduce(x: DD, q, parts) -> DD:
+    """x - q (sum of parts), the two leading products formed exactly."""
+    return x - DD(*two_prod(q, parts[0])) - DD(*two_prod(q, parts[1])) - q * parts[2]
+
+
+def exp(x: DD) -> DD:
+    """e^x: r = (x - m ln 2) / 2^10, expm1 by series and ten squarings, times 2^m."""
+    x = _dd(x)
+    m = np.rint(x.hi / _LN2[0])
+    r = _reduce(x, m, _LN2) * 2.0 ** -10
+    s = r * _poly(r, _EXPM1)
+    for _ in range(10):
+        s = s * (s + 2.0)
+    s = s + 1.0
+    return DD(np.ldexp(s.hi, m.astype(int)), np.ldexp(s.lo, m.astype(int)))
+
+
+def log(x: DD) -> DD:
+    """ln x, x > 0: one Newton step on exp from the double logarithm."""
+    y = DD(np.log(_dd(x).hi), 0.0)
+    return y + x * exp(-y) - 1.0
+
+
+def sincos(x: DD) -> tuple[DD, DD]:
+    """(sin x, cos x).  x is reduced mod 2 pi by exact products with the
+    parts of 2 pi, then by a quadrant to |t| <= pi/4 for the series."""
+    x = _dd(x)
+    r = _reduce(x, np.rint(x.hi / _TWO_PI[0]), _TWO_PI)
+    j = np.rint(r.hi / (0.5 * PI.hi))
+    t = r - PI * (0.5 * j)
+    u = t * t
+    s, c = t * _poly(u, _SIN), _poly(u, _COS)
+    odd = j % 2 == 1
+    sign_s, sign_c = np.where(j % 4 >= 2, -1.0, 1.0), np.where((j + 1) % 4 >= 2, -1.0, 1.0)
+    return (DD(np.where(odd, c.hi, s.hi) * sign_s, np.where(odd, c.lo, s.lo) * sign_s),
+            DD(np.where(odd, s.hi, c.hi) * sign_c, np.where(odd, s.lo, c.lo) * sign_c))
+
+
+@functools.lru_cache(maxsize=1)
+def _gamma_ratio_series() -> DD:
+    """c_m with ln(Gamma(x + 1/2) / Gamma(x + 1)) + ln(x) / 2 = sum_m c_m
+    x^(1-2m), c_m = (2^(1-2m) - 2) B_2m / ((2m-1) 2m): to ~1e-33 for x >= 12.
+    B_2m come from sum_{j=1..m} C(2m+1, 2j) B_2j = m - 1/2, in fractions,
+    whose import is left to the first call."""
+    from fractions import Fraction
+    b, coeffs = [], []
+    for m in range(1, 27):
+        head = sum(math.comb(2 * m + 1, 2 * j + 2) * v for j, v in enumerate(b))
+        b.append((Fraction(2 * m - 1, 2) - head) / (2 * m + 1))
+        c = (Fraction(2) ** (1 - 2 * m) - 2) * b[-1] / ((2 * m - 1) * 2 * m)
+        coeffs.append((c.numerator, c.denominator))
+    return _table(coeffs)
+
+
+def central_binomial(alpha: float) -> DD:
+    """binom(2a, a) = 4^a Gamma(a + 1/2) / (sqrt(pi) Gamma(a + 1)), a > -1/2.
+
+    Exact at integers up to 512.  Otherwise the gamma ratio is taken at
+    x = a + s >= 12 by its Bernoulli series, and brought back by the factors
+    (a + j + 1) / (a + j + 1/2), j < s, whose terms two_sum forms exactly.
+    """
+    if float(alpha).is_integer() and alpha <= 512:
+        return exact(math.comb(int(2 * alpha), int(alpha)))
+    shift = max(0, math.ceil(12.0 - alpha))
+    x = DD(*two_sum(alpha, float(shift)))
+    inv = 1.0 / x
+    # 4^a enters the exponent as 2a ln 2, with ln 2 in three parts
+    lead = exp(_reduce(inv * _poly(inv * inv, _gamma_ratio_series()) - 0.5 * log(x),
+                       -2.0 * alpha, _LN2))
+    j = np.arange(shift, dtype=float)
+    factors = DD(*two_sum(alpha, j + 1.0)) / DD(*two_sum(alpha, j + 0.5))
+    lead = lead * INV_SQRT_PI
+    return DD(np.append(lead.hi, factors.hi), np.append(lead.lo, factors.lo)).cumprod()[-1]

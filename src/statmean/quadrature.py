@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import ddouble as dd
 from .memo import BoundedMemo
 
 NODES_PER_PANEL = 32
@@ -39,6 +40,23 @@ OSC_RADIANS = 14.0
 def _gl_nodes(m: int):
     x, w = np.polynomial.legendre.leggauss(m)
     return x, w
+
+
+@lru_cache(maxsize=2)
+def dd_gl_nodes(m: int):
+    """Gauss-Legendre nodes and weights in double-double: two Newton steps on
+    P_m from the double nodes, then w = 2 / ((1 - x^2) P_m'(x)^2).  The
+    recurrence runs on q_j = j! P_j, q_j = (2j-1) x q_{j-1} - (j-1)^2 q_{j-2},
+    whose factors are exact doubles."""
+    x = dd.DD(_gl_nodes(m)[0].copy(), np.zeros(m))
+    for step in range(3):
+        q0, q1 = 1.0, x
+        for j in range(2, m + 1):
+            q0, q1 = q1, x * q1 * float(2 * j - 1) - q0 * float((j - 1) ** 2)
+        slope = (x * q1 - q0 * float(m)) * float(m)        # m! (x^2 - 1) P_m'(x)
+        if step < 2:
+            x = x - q1 * (x * x - 1.0) / slope
+    return x, dd.exact(math.factorial(m) ** 2) * (1.0 - x * x) * 2.0 / (slope * slope)
 
 
 def depth_for_exponent(exponent, default=SINGULAR_PANELS):

@@ -51,6 +51,8 @@ def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
     measure = as_measure(measure)
     if length < 1 or replicates < 1:
         raise ValidationError("length and replicates must be positive")
+    if seed < 0:
+        raise ValidationError("seed must be a nonnegative integer")
     r = covariance_sequence(measure, 2 * length).values
 
     spectrum, size = _embedding_spectrum(r)

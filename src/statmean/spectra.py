@@ -141,28 +141,23 @@ class SpectralModel:
 
     def falpha_reduction(self, ar):
         """(alpha, C, gamma) with f = C * f_alpha * g, where g = sum_t gamma_|t|
-        e^{i t lam} is a nonnegative trigonometric polynomial and C a number of
-        the arithmetic `ar`; None if f has no such form."""
+        e^{i t lam} is a nonnegative trigonometric polynomial and C a double or
+        a number of the arithmetic `ar`; None if f has no such form."""
         return None
 
     def covariances(self, kmax: int, ar):
         """(r(0..kmax), provenance) in the arithmetic `ar` of `covariance`, or
-        None without a closed form.  Parameters enter through `ar.num`, right
-        of any array: an mpmath number on the left converts it very slowly.
+        None without a closed form.  Parameters enter as doubles, on either
+        side of the arithmetic's numbers.
 
         The default evaluates the reduction: r(k) = C * [gamma_0 r_a(k) +
-        sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))].
+        sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))], the bracket by `ar.falpha`.
         """
         red = self.falpha_reduction(ar)
         if red is None:
             return None
         alpha, c, gamma = red
-        ra = ar.falpha(alpha, kmax + len(gamma) - 1)
-        k = np.arange(kmax + 1)
-        out = ra[k] * ar.num(gamma[0])
-        for t in range(1, len(gamma)):
-            out = out + (ra[k + t] + ra[np.abs(k - t)]) * ar.num(gamma[t])
-        return out * c, "exact"
+        return ar.falpha(alpha, kmax, gamma) * c, "exact"
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **_fields_json(self)}
@@ -196,7 +191,7 @@ class WhiteNoise(SpectralModel, variant="white_noise"):
         return 0.0 if self.level > 0 else None
 
     def falpha_reduction(self, ar):
-        return 0.0, 2 * ar.pi * ar.num(self.level), np.array([1.0])
+        return 0.0, 2 * ar.pi * self.level, np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -250,7 +245,7 @@ class Arma(SpectralModel, variant="arma"):
         if len(self.ar) > 1:
             return None
         theta = np.asarray(self.ma)
-        return 0.0, ar.num(self.scale), np.correlate(theta, theta, mode="full")[len(theta) - 1:]
+        return 0.0, self.scale, np.correlate(theta, theta, mode="full")[len(theta) - 1:]
 
 
 @dataclass(frozen=True)
@@ -283,7 +278,7 @@ class PowerAtOrigin(SpectralModel, variant="power_at_origin"):
         return 2.0 * self.alpha
 
     def falpha_reduction(self, ar):
-        return self.alpha, ar.num(1.0), np.array([1.0])
+        return self.alpha, 1.0, np.array([1.0])
 
 
 @dataclass(frozen=True)
@@ -561,9 +556,9 @@ class ArcSupported(SpectralModel, variant="arc_supported"):
         return True
 
     def covariances(self, kmax, ar):
-        a, lv = ar.num(self.alpha), ar.num(self.level)
+        a, lv = self.alpha, self.level
         k = ar.arange(1, kmax + 1)
-        out = np.empty(kmax + 1, dtype=ar.dtype)
+        out = ar.empty(kmax + 1)
         out[0] = 2 * lv * (ar.pi - a)
         out[1:] = ar.sin(k * a) * (-2 * lv) / k
         return out, "exact"
@@ -628,13 +623,13 @@ class Scaled(SpectralModel, variant="scaled"):
 
     def falpha_reduction(self, ar):
         inner = self.model.falpha_reduction(ar)
-        return None if inner is None else (inner[0], inner[1] * ar.num(self.factor), inner[2])
+        return None if inner is None else (inner[0], inner[1] * self.factor, inner[2])
 
     def covariances(self, kmax, ar):
         # the factor multiplies the model's closed form, whatever gives it; the
         # reduction above folds it into C only inside products and fractions
         inner = self.model.covariances(kmax, ar)
-        return None if inner is None else (inner[0] * ar.num(self.factor), inner[1])
+        return None if inner is None else (inner[0] * self.factor, inner[1])
 
 
 @dataclass(frozen=True)

@@ -23,13 +23,12 @@ O(n) memory.  The double-double pass is not refined.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ddouble as dd
-from .covariance import CovarianceSequence, covariance_sequence
+from .covariance import _DD, _DOUBLE, CovarianceSequence, covariance_sequence
 from .errors import NearSingularError, ValidationError
 from .memo import BoundedMemo, read_only
 from .quadrature import model_grid
@@ -76,16 +75,6 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
 # the Levinson kernel, in double or double-double arithmetic
 # ---------------------------------------------------------------------------
 
-#: what the kernel needs of an arithmetic beyond its operators.  An extended
-#: arithmetic also checks every pivot and variance; `note` ends its errors.
-_Arithmetic = namedtuple("_Arithmetic", "empty dot breakdown extended note")
-_DOUBLE = _Arithmetic(np.empty, np.dot, BREAKDOWN_DOUBLE, False,
-                      "; extended double-double precision may reach further")
-# the double-double pass stops on pivot and variance loss; its reflection
-# bound, compared with the reflection rounded to double, is 1.0 itself
-_DD = _Arithmetic(dd.empty, dd.dot, 1.0, True, " in double-double precision")
-
-
 def _levinson(r, rhs=None, ar=_DOUBLE):
     """One Levinson-Durbin pass solving R x = rhs, R the Toeplitz matrix of r.
 
@@ -95,12 +84,17 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
     that collects the curve 1 / sum(x) at every order; otherwise the curve is
     None.  A breakdown raises `NearSingularError` carrying the reflections
     computed so far, the offending one last, and the curve below its order.
+    The double-double pass also stops on pivot and variance loss; its
+    reflection bound, compared with the reflection rounded to double, is 1.0.
     """
     def breakdown(what, m, reflections=None):
         prefix = None if curve is None else np.array(curve[:m], dtype=float)
-        return NearSingularError(f"{what}{ar.note}", order=m, extended=ar.extended,
+        note = (" in double-double precision" if ar.extended
+                else "; extended double-double precision may reach further")
+        return NearSingularError(f"{what}{note}", order=m, extended=ar.extended,
                                  reflections=reflections, curve=prefix)
 
+    bound = 1.0 if ar.extended else BREAKDOWN_DOUBLE
     n = len(r) - 1
     ones = rhs is None
     if ones:
@@ -120,7 +114,7 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
     for m in range(1, n + 1):
         window = r[m:0:-1]
         k = -ar.dot(a[:m], window) / e
-        if abs(float(k)) >= ar.breakdown:
+        if abs(float(k)) >= bound:
             raise breakdown(f"Toeplitz factorization breakdown at order {m} "
                             f"(reflection {float(k):+.17g})", m, np.append(refl[:m - 1], k))
         refl[m - 1] = k

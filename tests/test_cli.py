@@ -143,6 +143,12 @@ class TestExitCodes:
         assert code == 2
         assert "validation" in err
 
+    def test_negative_seed_is_a_validation_error(self, model_dir):
+        code, out, err = run_cli("simulate", "--model", str(model_dir / "ma1.json"),
+                                 "--estimator", "lse", "--n", "4", "--reps", "8",
+                                 "--seed", "-1")
+        assert code == 2 and "seed" in err and out == ""
+
     def test_accuracy_error_is_three(self, model_dir):
         code, _, err = run_cli("blue", "--model", str(model_dir / "arc.json"),
                                "--n", "64")
@@ -283,6 +289,43 @@ class TestImports:
         done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=env, check=True)
         assert done.stdout.split()[-3:] == ["0", "False", "False"], done.stdout + done.stderr
+
+    #: the command line's double-double runs: a power law's weights and an arc's decay
+    DD_RUNS = ((["blue", "--n", "24", "--precision", "dd"], "f1.json"),
+               (["decay", "--n-grid", "4:24:4", "--precision", "dd"], "arc.json"))
+
+    @staticmethod
+    def _python(script):
+        src = str(resources.files("statmean").joinpath("..").resolve())
+        return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+
+    def test_dd_runs_without_mpmath(self, model_dir):
+        """Every double-double closed form, and the CLI's dd runs, with mpmath
+        unimportable."""
+        runs = [argv + ["--model", str(model_dir / name)] for argv, name in self.DD_RUNS]
+        script = f"""
+import math, sys
+sys.modules["mpmath"] = None
+import statmean as st
+from statmean.cli import main
+models = [st.PowerAtOrigin(1.55), st.ArcSupported(0.6 * math.pi), st.FlatZero(1.5),
+          st.WhiteNoise(0.3), st.Product(st.PowerAtOrigin(0.25), st.Arma((1.0, -0.5))),
+          st.FrequencyShifted(st.PowerAtOrigin(0.3), math.pi),
+          st.SpectralMeasure(st.WhiteNoise(0.1), ((0.7, 0.5),))]
+for model in models:
+    cov = st.covariance_sequence(model, 16, precision="dd")
+    assert cov.precision == "dd" and cov.lo is not None
+print([main(argv) for argv in {runs!r}])
+"""
+        assert self._python(script).split("\n")[-2] == "[0, 0]"
+
+    def test_dd_runs_load_no_mpmath(self, model_dir):
+        for argv, name in self.DD_RUNS:
+            script = ("import sys; from statmean.cli import main; "
+                      f"code = main({argv + ['--model', str(model_dir / name)]!r}); "
+                      "print(code, 'mpmath' in sys.modules)")
+            assert self._python(script).split()[-2:] == ["0", "False"], argv
 
 
 class TestManifest:

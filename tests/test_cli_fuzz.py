@@ -141,3 +141,48 @@ def test_any_flags_exit_cleanly(files, data):
     if sub == "chebyshev":
         argv += ["--arcs", data.draw(ARCS), "--n-grid", data.draw(SMALL_GRIDS)]
     check_run(argv)
+
+
+NUMBERS = hst.sampled_from(["0.3", "-0.25", "1.5", "0", "2", "-0.5", "-1", "0.49", "nan", "inf",
+                            "-inf", "1e308", "abc", ""])
+SMALL_ORDERS = hst.one_of(hst.integers(0, 32).map(str), hst.sampled_from(["-1", "abc", "4.5", ""]))
+ESTIMATORS = hst.sampled_from(["lse", "parabolic", "adenstedt", "blue", "pseudo-best", "nope"])
+
+
+@pytest.mark.parametrize("sub", ["weights", "variance", "efficiency-law", "efficiency-finite",
+                                 "asymptote", "simulate"])
+@FUZZ
+@given(data=hst.data())
+def test_other_subcommands_exit_cleanly(files, sub, data):
+    """Flags of the remaining subcommands, drawn present or absent, valid or
+    not, with n <= 32 and at most 64 Monte Carlo replicates."""
+    def draw(flag, values, always=False):
+        if always or data.draw(hst.integers(0, 5)):
+            argv.extend([flag, data.draw(values)])
+
+    doc = files / "doc.json"
+    doc.write_text(json.dumps(data.draw(MEASURE_DOCUMENTS)))
+    models = hst.sampled_from([files / f"{m}.json" for m in ("model", "arc", "atoms", "bad",
+                                                             "missing", "doc")])
+    argv = [sub.split("-")[0]]
+    if sub == "efficiency-law":
+        draw("--law", hst.sampled_from(["eq7.8", "eq3.3", "beran-kunsch", "samarov-taqqu",
+                                        "nope"]), always=True)
+        draw("--beta", hst.sampled_from(["1", "2", "3", "0", "-1", "x"]))
+    if sub == "efficiency-finite":
+        argv.append("--finite")
+        draw("--n-grid", SMALL_GRIDS)
+    if sub == "asymptote":
+        draw("--law", hst.sampled_from(["general", "short-memory", "underestimation", "nope"]))
+        draw("--g0", NUMBERS)
+    if sub != "asymptote":
+        draw("--n", SMALL_ORDERS)
+    if sub != "efficiency-law":
+        draw("--model", models)
+    if sub not in ("efficiency-law", "asymptote"):
+        draw("--estimator", ESTIMATORS)
+    if sub == "simulate":
+        draw("--reps", hst.integers(-1, 64).map(str), always=True)
+        draw("--seed", hst.sampled_from(["0", "7", "-1", "x"]))
+    draw("--alpha", NUMBERS)
+    check_run(argv)

@@ -163,6 +163,19 @@ class TestCovarianceSequence:
         with pytest.raises(st.ValidationError):
             st.CovarianceSequence(np.array([-1.0, 0.0]), "exact")
 
+    @pytest.mark.parametrize("values, lo", [([math.nan, 0.5], None), ([1.0, math.nan], None),
+                                            ([math.inf, 0.5], None),
+                                            ([1.0, 0.5], [0.0, math.nan])])
+    def test_non_finite_sequence_rejected(self, values, lo):
+        precision = "double" if lo is None else "dd"
+        with pytest.raises(st.ValidationError):
+            st.CovarianceSequence(np.array(values), "exact", precision=precision, lo=lo)
+
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_non_finite_result_is_an_accuracy_error(self, precision):
+        with np.errstate(all="ignore"), pytest.raises(st.AccuracyError):
+            st.covariance_sequence(st.Arma((1e308, 1e308)), 4, precision=precision)
+
 
 class TestExtendedPrecision:
     def test_dd_matches_double_for_arc(self):
@@ -183,6 +196,15 @@ class TestExtendedPrecision:
         ddcov = st.covariance_sequence(st.FlatZero(1.5), 8, precision="dd")
         dcov = st.covariance_sequence(st.FlatZero(1.5), 8)
         assert np.max(np.abs(ddcov.values - dcov.values)) < 1e-11
+
+    def test_dd_flat_zero_against_mpmath_quad(self):
+        cov = st.covariance_sequence(st.FlatZero(1.5), 16, precision="dd")
+        with mpmath.workdps(40):
+            a = mpmath.mpf(1.5)
+            for k in range(17):
+                ref = 2 * mpmath.quad(lambda t: mpmath.exp(-t ** -a) * mpmath.cos(k * t)
+                                      if t > 0 else 0, mpmath.linspace(0, mpmath.pi, 9))
+                assert abs(mpmath.mpf(cov.values[k]) + mpmath.mpf(cov.lo[k]) - ref) < 1e-30
 
     def test_dd_unavailable_for_general_models(self, ar1):
         with pytest.raises(st.ValidationError):

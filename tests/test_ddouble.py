@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from statmean import ddouble as dd
+from statmean import quadrature
 
 DPS = 50
 
@@ -137,3 +141,66 @@ def test_accumulation_beats_double():
     terms[0] = 1.0
     with mpmath.workdps(DPS):
         assert_close(terms.sum(), [mpmath.mpf(1) + mpmath.mpf(1e-25) * 1000])
+
+
+def test_scalars_on_either_side():
+    x = dd.DD(np.array([1.0, 3.0]), np.array([2.0 ** -60, -(2.0 ** -60)]))
+    for left, right in ((2.5 * x, x * 2.5), (0.5 + x, x + 0.5)):
+        assert left.hi.tolist() == right.hi.tolist() and left.lo.tolist() == right.lo.tolist()
+
+
+def exact_dd(values):
+    values = np.asarray(values, dtype=float)
+    return dd.DD(values, np.zeros_like(values))
+
+
+def test_exp_over_the_flat_zero_range():
+    """exp(-lam^-a) and lam^-a = exp(-a ln lam) for lam in [cut, pi], a in [1.2, 2]."""
+    x = np.concatenate((np.linspace(-110.0, 5.0, 401), [0.0, -1e-20, 1e-20]))
+    with mpmath.workdps(DPS):
+        assert_close(dd.exp(exact_dd(x)), [mpmath.exp(mpmath.mpf(v)) for v in x])
+        shifted = dd.exp(dd.DD(*dd.two_sum(x, 2.0 ** -70)))
+        assert_close(shifted, [mpmath.exp(mpmath.mpf(v) + mpmath.mpf(2) ** -70) for v in x])
+
+
+def test_log_over_the_flat_zero_range():
+    lam = np.concatenate((np.geomspace(1e-3, 1.0, 200), np.linspace(1.0, 3.2, 200)))
+    with mpmath.workdps(DPS):
+        assert_close(dd.log(exact_dd(lam)), [mpmath.log(mpmath.mpf(v)) for v in lam])
+        assert_close(dd.log(dd.PI), [mpmath.log(mpmath.pi)])
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.3, 1.0, 0.455 * np.pi, 1.66, 2.0, 3.1, np.pi - 1e-9])
+def test_sin_cos_of_lag_multiples(a):
+    """k a with k <= 4096 is formed exactly, then reduced by a three-part 2 pi."""
+    k = np.arange(4097)
+    sin, cos = dd.sincos(exact_dd(k) * a)
+    with mpmath.workdps(DPS):
+        angles = [j * mpmath.mpf(a) for j in range(4097)]
+        for got, want in ((sin, map(mpmath.sin, angles)), (cos, map(mpmath.cos, angles))):
+            assert max(abs(g - w) for g, w in zip(to_mp(got), want)) < 1e-31
+
+
+@pytest.mark.parametrize("alpha", [-0.4, 0.3, 0.7312, 1.55, 1.9, 2.5])
+def test_central_binomial(alpha):
+    with mpmath.workdps(DPS):
+        want = mpmath.binomial(2 * mpmath.mpf(alpha), mpmath.mpf(alpha))
+        assert abs(to_mp(dd.central_binomial(alpha))[0] / want - 1) < 1e-31
+
+
+def test_central_binomial_is_the_rounded_integer_at_integers():
+    for alpha in (0, 1, 7, 30, 50, 300):
+        want = math.comb(2 * alpha, alpha)
+        got = dd.central_binomial(float(alpha))
+        assert (got.hi, got.lo) == (float(want), float(want - int(float(want))))
+
+
+def test_gauss_legendre_nodes_and_weights():
+    x, w = quadrature.dd_gl_nodes(24)
+    with mpmath.workdps(DPS):
+        ref = sorted(mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(
+            4, mpmath.mp.prec))                      # degree 4: 3 * 2^3 = 24 nodes
+        assert len(ref) == 24
+        order = np.argsort(x.hi)
+        assert_close(x[order], [node for node, _ in ref])
+        assert_close(w[order], [weight for _, weight in ref])

@@ -14,6 +14,10 @@ TWO_PI = 2.0 * math.pi
 
 
 class TestSamplePaths:
+    def test_negative_seed_rejected(self, white_noise):
+        with pytest.raises(st.ValidationError):
+            st.sample_paths(white_noise, 4, 8, seed=-1)
+
     def test_reproducible_given_seed(self, white_noise):
         a = st.sample_paths(white_noise, 16, 8, seed=42)
         b = st.sample_paths(white_noise, 16, 8, seed=42)
