@@ -1,9 +1,10 @@
 """Exponential-decay diagnostics for variances over vanishing spectra.
 
 Two independent estimates of the same constant are produced: the n-th root of
-the minimax deviation of unit-normalized polynomials on the spectrum (a
-Lawson iteration), and the limit of sigma_n^{1/n} fitted from the variance
-curve itself (extended precision engaged automatically as variances shrink).
+the minimax deviation of unit-normalized polynomials on the spectrum (closed
+form on a symmetric gap at even n, Lawson iteration elsewhere), and the limit
+of sigma_n^{1/n} fitted from the variance curve itself up to its rounding
+floor (extended precision engaged automatically as variances shrink).
 Spectra vanishing near the origin on a set of positive measure give a
 constant < 1 (exponential decay); spectra positive near the origin give 1.
 """
@@ -17,6 +18,7 @@ import numpy as np
 
 from .covariance import covariance_sequence
 from .errors import NearSingularError, ValidationError
+from .memo import read_only
 from .spectra import as_measure
 from .toeplitz import blue_variance_curve
 
@@ -29,6 +31,8 @@ EXTENDED_PRECISION_THRESHOLD = 1e-12
 #: extended path does (0.707^96 squared still sits inside double-double range)
 DEFAULT_DOUBLE_GRID = tuple(range(8, 49, 4))
 DEFAULT_EXTENDED_GRID = tuple(range(8, 97, 8))
+#: unit roundoff of each arithmetic; a variance below u * nmax * r(0) is noise
+UNIT_ROUNDOFF = {"double": 2.0 ** -53, "dd": 2.0 ** -104}
 
 
 @dataclass(frozen=True)
@@ -83,9 +87,9 @@ class ArcRegion:
         return np.concatenate(pts)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChebyshevSolution:
-    """Minimax polynomial on a region among polynomials with value 1 at z=1."""
+    """Minimax polynomial with value 1 at z=1; coefficients are a read-only copy."""
 
     order: int
     coefficients: np.ndarray
@@ -94,25 +98,46 @@ class ChebyshevSolution:
     iterations: int
     converged: bool
 
+    def __post_init__(self):
+        object.__setattr__(self, "coefficients", read_only(np.array(self.coefficients)))
+
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
                                                 self.coefficients)
 
 
-def chebyshev_min_max(region: ArcRegion, n: int,
-                      grid_density: int | None = None) -> ChebyshevSolution:
-    """min over {deg <= n, q(1) = 1} of max |q| on the discretized region.
+def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
+    """min over {deg <= n, q(1) = 1} of max |q| on the region.
 
-    Lawson iteratively reweighted least squares: each step solves the
-    weighted-L2 problem with the affine constraint handled by a Lagrange
-    step, then multiplies the weights by the residual magnitudes.  The best
-    deviation seen is reported; it is an upper bound for the true minimax
-    value whether or not the iteration converged.
+    On a symmetric gap {alpha <= |lambda| <= pi} at even n = 2m it is q(z) =
+    z^m T_m(l((z + 1/z)/2)) / T_m(xi), l mapping [-1, cos alpha] affinely onto
+    [-1, 1] and xi = l(1), with deviation 1/T_m(xi) and no iterations; its
+    coefficients carry errors near eps * sum|c_k|, so evaluating q in double
+    can read more than a deviation below that.  Elsewhere, Lawson iteratively
+    reweighted least squares on the discretized region: each step solves the
+    weighted-L2 problem with the affine constraint eliminated, then multiplies
+    the weights by the residual magnitudes.  The best deviation seen is an
+    upper bound for the true minimax value whether or not it converged.
     """
     if n < 1:
         raise ValidationError("polynomial order must be at least 1")
-    count = grid_density if grid_density else max(64 * n, 4096)
-    lam = region.grid(count)
+    alpha = region.arcs[-1][0]
+    if n % 2 or region.arcs != ((-math.pi, -alpha), (alpha, math.pi)):
+        return _lawson(region, n)
+    m = n // 2
+    cos_a = math.cos(alpha)
+    cheb = np.polynomial.Chebyshev
+    # cosine coefficients b_j of T_m(l(x)); T_j(x) = (z^j + z^-j) / 2 on |z| = 1
+    b = cheb.basis(m)(cheb([(1.0 - cos_a) / (1.0 + cos_a), 2.0 / (1.0 + cos_a)])).coef
+    t_xi = math.cosh(m * math.acosh((3.0 - cos_a) / (1.0 + cos_a)))
+    coeffs = np.concatenate((b[:0:-1] / 2.0, b[:1], b[1:] / 2.0)) / t_xi
+    return ChebyshevSolution(order=n, coefficients=coeffs, deviation=1.0 / t_xi,
+                             constant_estimate=(1.0 / t_xi) ** (1.0 / n),
+                             iterations=0, converged=True)
+
+
+def _lawson(region: ArcRegion, n: int) -> ChebyshevSolution:
+    lam = region.grid(max(64 * n, 4096))
     z = np.exp(1j * lam)
     basis = z[:, None] ** np.arange(n + 1)[None, :]
     # eliminate the constraint: q = 1 + sum_{k>=1} y_k (z^k - 1), so the
@@ -161,8 +186,10 @@ def chebyshev_constant_estimate(region: ArcRegion, n_grid) -> tuple[float, list]
     return curve[-1].constant_estimate, curve
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecayReport:
+    """Fitted decay constant; the arrays are read-only copies of those given."""
+
     rho: float
     neutrality: str                    # "ExponentiallyNeutral" | "ExponentiallyDecreasing"
     orders: np.ndarray
@@ -171,6 +198,10 @@ class DecayReport:
     precision: str
     warning: str | None = None
 
+    def __post_init__(self):
+        for name in ("orders", "sigmas"):
+            object.__setattr__(self, name, read_only(np.array(getattr(self, name))))
+
 
 def decay_rate_from_variances(measure, n_grid=None, precision: str = "auto") -> DecayReport:
     """Fit rho = lim sigma_n^{1/n} by the ratio method on a grid of orders.
@@ -178,8 +209,9 @@ def decay_rate_from_variances(measure, n_grid=None, precision: str = "auto") -> 
     rho is the geometric mean of sigma_{n+1}/sigma_n over the top half of the
     reachable grid.  Extended double-double precision engages automatically
     when the predicted next variance (previous point times rho^2) falls below
-    1e-12; once even extended precision breaks down the grid is truncated and
-    a warning recorded.
+    1e-12.  The curve stops before its first variance below u * nmax * r(0)
+    (u the arithmetic's unit roundoff), or where the factorization breaks
+    down; either truncates the grid and is recorded in the warning.
     """
     measure = as_measure(measure)
     if precision not in ("auto", "double", "dd"):
@@ -227,18 +259,25 @@ def decay_rate_from_variances(measure, n_grid=None, precision: str = "auto") -> 
 
 
 def _curve_with_truncation(measure, nmax, precision):
-    """Variance curve reaching as far as the factorization allows: after a
-    breakdown, the orders below it, as the failed pass computed them."""
+    """Variance curve as far as its arithmetic resolves: below a breakdown (as
+    the failed pass computed it) and before the first variance under the floor."""
     cov = covariance_sequence(measure, nmax, precision=precision)
+    kind = "extended" if precision == "dd" else "double"
     try:
-        return blue_variance_curve(cov, precision=precision), None
+        curve, warning = blue_variance_curve(cov, precision=precision), None
     except NearSingularError as err:
         if err.order <= 2:
             raise
-        kind = "extended" if precision == "dd" else "double"
-        return (err.curve[:err.order],
-                f"grid truncated at order {err.order - 1}: factorization breakdown "
-                f"in {kind} precision")
+        curve = err.curve[:err.order]
+        warning = (f"grid truncated at order {err.order - 1}: factorization breakdown "
+                   f"in {kind} precision")
+    floor = UNIT_ROUNDOFF[precision] * nmax * cov.values[0]
+    below = np.flatnonzero(curve < floor)
+    if len(below):
+        curve = curve[:below[0]]
+        warning = (f"grid truncated at order {below[0] - 1}: variance at order {below[0]} "
+                   f"below the {kind} rounding floor {floor:.3g}")
+    return curve, warning
 
 
 def _needs_extended(curve) -> bool:

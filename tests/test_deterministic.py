@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import statmean as st
-from statmean import toeplitz
+from statmean import deterministic, toeplitz
 from statmean.deterministic import ArcRegion
 
 COS_BOUND = math.cos(math.pi / 4)
@@ -50,8 +51,9 @@ class TestChebyshevMinMax:
         assert sol.constant_estimate >= 1.0 - 5e-4
 
     def test_value_one_at_unit_point(self):
-        sol = st.chebyshev_min_max(ArcRegion.complement_arc(1.0), 12)
-        assert sol(1.0) == pytest.approx(1.0, abs=1e-10)
+        for n in (11, 12):                       # Lawson, closed form
+            sol = st.chebyshev_min_max(ArcRegion.complement_arc(1.0), n)
+            assert sol(1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_explicit_candidate_certifies_bound(self):
         """((z+1)/2)^n has modulus cos(lam/2)^n; the solver must do at least as well."""
@@ -72,11 +74,80 @@ class TestChebyshevMinMax:
 
     def test_non_convergence_reports_upper_bound(self):
         region = ArcRegion.complement_arc(math.pi / 2)
-        sol = st.chebyshev_min_max(region, 24)
-        # whether or not the loop converged, the deviation is a real max-modulus
         grid = region.grid(20000)
-        vals = np.abs(np.polynomial.polynomial.polyval(np.exp(1j * grid), sol.coefficients))
-        assert vals.max() <= sol.deviation * (1.0 + 1e-6) + 1e-12
+        for sol in (st.chebyshev_min_max(region, 24), deterministic._lawson(region, 24)):
+            # whether or not the loop converged, the deviation is a real max-modulus
+            vals = np.abs(np.polynomial.polynomial.polyval(np.exp(1j * grid), sol.coefficients))
+            assert vals.max() <= sol.deviation * (1.0 + 1e-6) + 1e-12
+
+
+def _rho(edge):
+    """Green-function constant of the gap {edge <= |lambda| <= pi} at z = 1."""
+    return math.tan((math.pi - edge) / 4.0)
+
+
+class TestSymmetricGapClosedForm:
+    EDGES = (0.25, 0.3, 0.45, 0.5, 0.6, 0.7, 0.8)
+    ORDERS = (2, 4, 8, 16, 24, 32)
+
+    def test_unit_value_and_exact_deviation(self):
+        for frac in self.EDGES:
+            region = ArcRegion.complement_arc(frac * math.pi)
+            rho = _rho(frac * math.pi)
+            for n in self.ORDERS:
+                sol = st.chebyshev_min_max(region, n)
+                assert (sol.iterations, sol.converged) == (0, True)
+                assert abs(sol(1.0) - 1.0) <= 1e-13
+                exact = 2.0 * rho ** n / (1.0 + rho ** (2 * n))
+                assert sol.deviation == pytest.approx(exact, rel=1e-12, abs=0.0)
+                assert sol.constant_estimate == pytest.approx(exact ** (1.0 / n), rel=1e-12)
+
+    def test_grid_maximum_within_evaluation_floor(self):
+        """Past eps * sum|c_k| the double coefficients cannot show the
+        deviation (0.7 pi at n = 32 reads about 1.9e3 times it), so the
+        maximum is bounded by the deviation plus that floor."""
+        eps = np.finfo(float).eps
+        for frac in self.EDGES:
+            region = ArcRegion.complement_arc(frac * math.pi)
+            z = np.exp(1j * region.grid(20000))
+            for n in self.ORDERS:
+                sol = st.chebyshev_min_max(region, n)
+                peak = np.abs(sol(z)).max()
+                assert peak <= sol.deviation + 8.0 * eps * np.abs(sol.coefficients).sum()
+
+    @pytest.mark.parametrize("frac", [0.3, 0.5])
+    def test_not_above_lawson(self, frac):
+        region = ArcRegion.complement_arc(frac * math.pi)
+        for n in (8, 16):
+            lawson = deterministic._lawson(region, n)
+            assert lawson.iterations > 0
+            assert st.chebyshev_min_max(region, n).deviation <= lawson.deviation
+
+    def test_odd_orders_and_other_regions_iterate(self):
+        gap = ArcRegion.complement_arc(math.pi / 2)
+        lopsided = ArcRegion(((-math.pi, -1.0), (1.2, math.pi)))
+        for region, n in ((gap, 5), (gap, 9), (lopsided, 6), (ArcRegion.full_circle(), 4)):
+            assert st.chebyshev_min_max(region, n).iterations > 0
+
+
+class TestValuesAreImmutable:
+    def test_chebyshev_solution(self):
+        coeffs = np.array([0.5, 0.5])
+        sol = deterministic.ChebyshevSolution(1, coeffs, 1.0, 1.0, 0, True)
+        coeffs[0] = 2.0
+        assert sol.coefficients[0] == 0.5
+        with pytest.raises(ValueError):
+            sol.coefficients[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sol.deviation = 0.0
+
+    def test_decay_report(self):
+        rep = st.decay_rate_from_variances(st.PowerAtOrigin(1.0), range(8, 33, 8))
+        for arr in (rep.orders, rep.sigmas):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.rho = 0.0
 
 
 class TestChebyshevConstant:
@@ -109,6 +180,26 @@ class TestDecayRate:
             ArcRegion.complement_arc(math.pi / 2), range(8, 33, 4))
         assert abs(report.rho - tau) <= 0.03
 
+    @pytest.mark.parametrize("frac", [round(f, 3) for f in np.linspace(0.25, 0.70, 10)])
+    def test_arc_fit_stops_at_the_dd_floor(self, frac):
+        """Past u * nmax * r(0) the dd variances are rounding noise; fitted
+        above it the ratio reaches the exact constant."""
+        edge = frac * math.pi
+        report = st.decay_rate_from_variances(st.ArcSupported(edge, 1.0 / (2 * math.pi)),
+                                              range(8, 97, 8))
+        assert abs(report.rho - _rho(edge)) <= 1e-3
+        assert report.neutrality == "ExponentiallyDecreasing"
+        assert report.precision == "dd"
+        assert "below the extended rounding floor" in report.warning
+
+    @pytest.mark.parametrize("frac", [0.25, 0.3, 0.4, 0.5])
+    def test_dd_reflections_reach_the_geronimus_limit(self, frac):
+        edge = frac * math.pi
+        cov = st.covariance_sequence(st.ArcSupported(edge, 1.0 / (2 * math.pi)), 32,
+                                     precision="dd")
+        refl = np.array(toeplitz._levinson_pass(cov.values, cov.lo).refl, dtype=float)
+        assert abs(abs(refl[31]) - math.sin(edge / 2.0)) <= 1e-3
+
     def test_hyperbolic_models_are_neutral(self):
         for alpha in (1.0, 2.0):
             report = st.decay_rate_from_variances(st.PowerAtOrigin(alpha), range(8, 97, 8))
@@ -128,6 +219,8 @@ class TestDecayRate:
         assert report.warning is not None
         assert report.orders[-1] < 40
         assert report.rho == pytest.approx(0.414, abs=0.05)
+        assert report.warning.startswith("grid truncated at order 18: variance at order 19 "
+                                         "below the double rounding floor")
 
 
 class TestTruncationReusesTheFailedPass:
