@@ -138,14 +138,22 @@ class DD:
     def sum(self) -> DD:
         return _fsum(np.concatenate((self.hi, self.lo)))
 
-    def cumprod(self) -> DD:
-        """Running products x0, x0 x1, ...: a prefix product by doubling strides."""
+    def _scan(self, op) -> DD:
+        """Running op-reductions by doubling strides; entry i is the same for any length > i."""
         out = self.copy()
         stride = 1
         while stride < len(out):
-            out[stride:] = out[stride:] * out[:-stride]
+            out[stride:] = op(out[stride:], out[:-stride])
             stride *= 2
         return out
+
+    def cumsum(self) -> DD:
+        """Running sums x0, x0 + x1, ...: a prefix sum by doubling strides."""
+        return self._scan(DD.__add__)
+
+    def cumprod(self) -> DD:
+        """Running products x0, x0 x1, ...: a prefix product by doubling strides."""
+        return self._scan(DD.__mul__)
 
 
 def empty(shape) -> DD:

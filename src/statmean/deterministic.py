@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .covariance import covariance_sequence
-from .errors import NearSingularError, ValidationError
+from .errors import AccuracyError, NearSingularError, ValidationError
 from .memo import read_only
 from .spectra import as_measure
 from .toeplitz import blue_variance_curve
@@ -111,7 +111,8 @@ def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
 
     On a symmetric gap {alpha <= |lambda| <= pi} at even n = 2m it is q(z) =
     z^m T_m(l((z + 1/z)/2)) / T_m(xi), l mapping [-1, cos alpha] affinely onto
-    [-1, 1] and xi = l(1), with deviation 1/T_m(xi) and no iterations; its
+    [-1, 1] and xi = l(1), with deviation 1/T_m(xi) and no iterations, refused
+    (`AccuracyError`) where that is below the normal doubles; its
     coefficients carry errors near eps * sum|c_k|, so evaluating q in double
     can read more than a deviation below that.  Elsewhere, Lawson iteratively
     reweighted least squares on the discretized region: each step solves the
@@ -126,10 +127,15 @@ def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
         return _lawson(region, n)
     m = n // 2
     cos_a = math.cos(alpha)
+    log_t_xi = m * math.acosh((3.0 - cos_a) / (1.0 + cos_a))
+    if log_t_xi > 1023 * math.log(2.0):     # 1/T_m(xi) below the normal doubles, 2^-1022
+        power = (math.log(2.0) - log_t_xi) / math.log(10.0)
+        raise AccuracyError(f"minimax deviation 2 rho^n / (1 + rho^2n) ~ 1e{power:.0f} at "
+                            f"n = {n} is below what double can represent")
     cheb = np.polynomial.Chebyshev
     # cosine coefficients b_j of T_m(l(x)); T_j(x) = (z^j + z^-j) / 2 on |z| = 1
     b = cheb.basis(m)(cheb([(1.0 - cos_a) / (1.0 + cos_a), 2.0 / (1.0 + cos_a)])).coef
-    t_xi = math.cosh(m * math.acosh((3.0 - cos_a) / (1.0 + cos_a)))
+    t_xi = math.cosh(log_t_xi)
     coeffs = np.concatenate((b[:0:-1] / 2.0, b[:1], b[1:] / 2.0)) / t_xi
     return ChebyshevSolution(order=n, coefficients=coeffs, deviation=1.0 / t_xi,
                              constant_estimate=(1.0 / t_xi) ** (1.0 / n),

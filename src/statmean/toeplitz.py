@@ -3,17 +3,21 @@
 The core routine is a Levinson-Durbin recursion generalized to the all-ones
 right-hand side: one O(n^2) pass yields the optimal weights and variance at
 every intermediate order, plus the reflection coefficients used for the
-positive-definiteness check, and the one-step prediction errors.  It is the
-library's only Levinson recursion, written once over an arithmetic: numpy
-float64, or the double-double arrays of `ddouble` for the extended path.  The
-refinement step runs it with a residual as right-hand side, and `opuc` reads
-its reflections and prediction errors as negated Verblunsky coefficients and
-monic norms.  The all-ones pass runs at most once per exact covariance
-sequence, in either arithmetic: it is memoised on the sequence's bytes (and
-its low parts' in double-double) in a bounded memo, so `blue_solve`,
-`blue_variance_curve`, `reflection_coefficients`, the OPUC recursion and their
-callers share it.  Memoised arrays are read-only and callers receive copies; a
-breakdown is raised, never memoised.
+positive-definiteness check, and the one-step prediction errors.  Each order
+takes one dot product, over the lags up to the last nonzero covariance: the
+weights step by P_m(1) / e_m, the monic orthogonal polynomial at 1 over the
+prediction error, and the curve is 1 / sum_{j<=m} P_j(1)^2 / e_j, the
+Christoffel sum at 1 (Simon, OPUC, 2005, ch. 1-2).  It is the library's only
+Levinson recursion, written once over an arithmetic: numpy float64, or the
+double-double arrays of `ddouble` for the extended path.  The refinement step
+runs it with a residual as right-hand side, and `opuc` reads its reflections
+and prediction errors as negated Verblunsky coefficients and monic norms.  The
+all-ones pass runs at most once per exact covariance sequence, in either
+arithmetic: it is memoised on the sequence's bytes (and its low parts' in
+double-double) in a bounded memo, so `blue_solve`, `blue_variance_curve`,
+`reflection_coefficients`, the OPUC recursion and their callers share it.
+Memoised arrays are read-only and callers receive copies; a breakdown is
+raised, never memoised.
 
 In double precision the solution is polished by one step of iterative
 refinement, memoised with the pass.  Its residual 1 - R x is accumulated in
@@ -80,15 +84,16 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
 
     r is a float array, or a `dd.DD` array with `ar` = _DD.  Returns (x,
     reflections, prediction errors e_0..e_n, variance curve) in the same
-    arithmetic.  A missing rhs stands for the all-ones vector, the only case
-    that collects the curve 1 / sum(x) at every order; otherwise the curve is
-    None.  A breakdown raises `NearSingularError` carrying the reflections
-    computed so far, the offending one last, and the curve below its order.
-    The double-double pass also stops on pivot and variance loss; its
-    reflection bound, compared with the reflection rounded to double, is 1.0.
+    arithmetic.  A missing rhs stands for the all-ones vector, whose step at
+    order m is P_m(1) / e_m, P_m(1) = prod_{j<=m} (1 + k_j), and whose curve is
+    1 / sum_{j<=m} P_j(1)^2 / e_j; another rhs takes a second dot per order and
+    has no curve.  A breakdown raises `NearSingularError` with the reflections
+    so far, the offending one last, and the curve below its order.  The
+    double-double pass also stops on pivot and variance loss; its reflection
+    bound, compared with the reflection rounded to double, is 1.0.
     """
     def breakdown(what, m, reflections=None):
-        prefix = None if curve is None else np.array(curve[:m], dtype=float)
+        prefix = np.array(1.0 / terms[:m].cumsum(), dtype=float) if ones else None
         note = (" in double-double precision" if ar.extended
                 else "; extended double-double precision may reach further")
         return NearSingularError(f"{what}{note}", order=m, extended=ar.extended,
@@ -96,24 +101,18 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
 
     bound = 1.0 if ar.extended else BREAKDOWN_DOUBLE
     n = len(r) - 1
+    lags = np.flatnonzero(np.asarray(r))
+    band = int(lags[-1]) if lags.size else 0        # dots skip the exact-zero lags past it
     ones = rhs is None
-    if ones:
-        rhs = np.ones(n + 1)
-    a = ar.empty(n + 1)
-    x = ar.empty(n + 1)
-    a[0] = 1.0
-    x[0] = rhs[0] / r[0]
-    e = r[0]
-    refl = ar.empty(n)
-    errors = ar.empty(n + 1)
-    errors[0] = e
-    curve = None
-    if ones:
-        curve = ar.empty(n + 1)
-        curve[0] = r[0]
+    a, x, refl, errors = ar.empty(n + 1), ar.empty(n + 1), ar.empty(n), ar.empty(n + 1)
+    a[0], x[0] = 1.0, (1.0 if ones else rhs[0]) / r[0]
+    e = errors[0] = r[0]
+    p, terms = 1.0, ar.empty(n + 1)             # P_j(1)^2 / e_j, on the all-ones pass
+    terms[0] = x[0]
     for m in range(1, n + 1):
-        window = r[m:0:-1]
-        k = -ar.dot(a[:m], window) / e
+        w = min(m, band)
+        window = r[w:0:-1]
+        k = -ar.dot(a[m - w:m], window) / e
         if abs(float(k)) >= bound:
             raise breakdown(f"Toeplitz factorization breakdown at order {m} "
                             f"(reflection {float(k):+.17g})", m, np.append(refl[:m - 1], k))
@@ -124,13 +123,20 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
         if ar.extended and float(e) <= 0.0:
             raise breakdown(f"pivot loss at order {m}", m)
         errors[m] = e
-        eta = rhs[m] - ar.dot(x[:m], window)
-        x[m] = 0.0
-        x[:m + 1] += (eta / e) * a[:m + 1][::-1]
         if ones:
-            curve[m] = 1.0 / x[:m + 1].sum()
-            if ar.extended and float(curve[m]) <= 0.0:
-                raise breakdown(f"variance loss at order {m}", m)
+            p *= 1.0 + k
+            step = p / e
+            terms[m] = p * step
+        else:
+            step = (rhs[m] - ar.dot(x[m - w:m], window)) / e
+        x[m] = 0.0
+        x[:m + 1] += step * a[:m + 1][::-1]
+    if not ones:
+        return x, refl, errors, None
+    curve = 1.0 / terms.cumsum()
+    lost = np.flatnonzero(np.asarray(curve) <= 0.0)
+    if ar.extended and lost.size:
+        raise breakdown(f"variance loss at order {lost[0]}", int(lost[0]))
     return x, refl, errors, curve
 
 

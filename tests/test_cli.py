@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
@@ -193,6 +194,18 @@ class TestExitCodes:
         assert "Traceback" not in err
         if expected == 1:
             assert "usage error" in err
+
+    def test_chebyshev_below_the_double_range(self):
+        """The exact deviation, about 1e-421, is refused with exit 3 and a
+        message that says so, not "math range error" after numpy warnings."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("chebyshev", "--arcs", "0.99pi:pi,-pi:-0.99pi",
+                                     "--n-grid", "200")
+        assert code == 3, err
+        assert err == ("numerical-accuracy error: minimax deviation 2 rho^n / (1 + rho^2n) "
+                       "~ 1e-421 at n = 200 is below what double can represent\n")
+        assert out == ""
 
     def test_empty_finite_grid_is_a_validation_error(self, model_dir):
         """As in decay and chebyshev, an empty order grid exits 2."""

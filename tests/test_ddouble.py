@@ -108,6 +108,30 @@ def test_sum_and_dot_are_correctly_rounded(pair):
             assert got.lo == float(exact - got.hi)
 
 
+@given(pair=dd_pair(max_size=64))
+@settings(max_examples=100, deadline=None)
+def test_cumsum_matches_exact_prefix_sums(pair):
+    """Signs are mixed: each prefix sum is within double-double rounding of the
+    exact one, relative to the sum of the magnitudes it adds."""
+    x, _ = pair
+    with mpmath.workdps(400):
+        exact = to_mp(x)
+        for i, got in enumerate(to_mp(x.cumsum())):
+            assert abs(got - mpmath.fsum(exact[:i + 1])) <= (
+                1e-30 * mpmath.fsum(abs(v) for v in exact[:i + 1]))
+
+
+def test_cumsum_of_a_prefix_is_a_bitwise_prefix():
+    """The breakdown curve of the Levinson pass relies on this."""
+    rng = np.random.default_rng(5)
+    x = dd.DD(*dd.two_sum(rng.standard_normal(100), rng.standard_normal(100) * 1e-17))
+    full = x.cumsum()
+    for m in (1, 2, 3, 17, 63, 64, 65, 99):
+        part = x[:m].cumsum()
+        assert part.hi.tobytes() == full.hi[:m].tobytes()
+        assert part.lo.tobytes() == full.lo[:m].tobytes()
+
+
 def test_scalar_operands_broadcast():
     x = dd.DD(np.array([1.0, 3.0]), np.array([2.0 ** -60, -(2.0 ** -60)]))
     third = 1.0 / dd.DD(3.0, 0.0)

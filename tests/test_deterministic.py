@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,29 @@ class TestSymmetricGapClosedForm:
             lawson = deterministic._lawson(region, n)
             assert lawson.iterations > 0
             assert st.chebyshev_min_max(region, n).deviation <= lawson.deviation
+
+    def test_deviation_below_the_double_range_is_refused(self):
+        """At 0.99 pi, n = 200 the deviation is about 1e-421: refused by name,
+        with no overflow warning on the way.  The last even order whose
+        deviation is a normal double still takes the closed form, as does
+        0.9 pi at n = 100 (7.9e-111)."""
+        edge = 0.99 * math.pi
+        region = ArcRegion.complement_arc(edge)
+        xi = (3.0 - math.cos(edge)) / (1.0 + math.cos(edge))
+        last = 2 * int(1023 * math.log(2.0) / math.acosh(xi))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.AccuracyError,
+                               match=r"~ 1e-421 at n = 200 is below what double can represent"):
+                st.chebyshev_min_max(region, 200)
+            with pytest.raises(st.AccuracyError, match="below what double can represent"):
+                st.chebyshev_min_max(region, last + 2)
+            edge_sol = st.chebyshev_min_max(region, last)
+            sol = st.chebyshev_min_max(ArcRegion.complement_arc(0.9 * math.pi), 100)
+        assert 0.0 < edge_sol.deviation < 1e-300 and abs(edge_sol(1.0) - 1.0) <= 1e-13
+        rho = _rho(0.9 * math.pi)
+        assert sol.deviation == pytest.approx(2.0 * rho ** 100 / (1.0 + rho ** 200), rel=1e-12)
+        assert abs(sol(1.0) - 1.0) <= 1e-13
 
     def test_odd_orders_and_other_regions_iterate(self):
         gap = ArcRegion.complement_arc(math.pi / 2)

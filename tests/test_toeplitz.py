@@ -11,9 +11,13 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 
 import statmean as st
+from statmean import ddouble as dd
 from statmean import toeplitz
+from statmean.covariance import _DD
+from statmean.opuc import christoffel_curve
 from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson, _residual,
                                reflection_coefficients)
 from tests.conftest import dense_blue, mp_dense_blue
@@ -255,6 +259,101 @@ class TestVarianceCurve:
         for n in (0, 5, 17, 24):
             _, v = dense_blue(cov.values, n)
             assert curve[n] == pytest.approx(v, rel=1e-12)
+
+
+def _random_sequence(seed, n):
+    """Covariances of a few random cosines over a white-noise floor, so R is
+    positive definite and well conditioned (condition numbers near 30)."""
+    rng = np.random.default_rng(seed)
+    angles, masses = rng.uniform(0.0, math.pi, 6), rng.uniform(0.1, 1.0, 6)
+    r = np.cos(np.outer(np.arange(n + 1), angles)) @ masses
+    r[0] += 0.5
+    return r
+
+
+def _dense_window_pass(r):
+    """The double-double all-ones pass with every dot over all m lags, exact
+    zeros included, as the kernel would run without its band cut."""
+    n = len(r) - 1
+    a, x, refl, terms = dd.empty(n + 1), dd.empty(n + 1), dd.empty(n), dd.empty(n + 1)
+    a[0] = 1.0
+    x[0] = terms[0] = 1.0 / r[0]
+    e, p = r[0], 1.0
+    for m in range(1, n + 1):
+        k = -dd.dot(a[:m], r[m:0:-1]) / e
+        refl[m - 1] = k
+        a[m] = 0.0
+        a[:m + 1] += k * a[:m + 1][::-1].copy()
+        e *= 1.0 - k * k
+        p *= 1.0 + k
+        step = p / e
+        terms[m] = p * step
+        x[m] = 0.0
+        x[:m + 1] += step * a[:m + 1][::-1]
+    return x, refl, 1.0 / terms.cumsum()
+
+
+class TestOnesPass:
+    """The all-ones pass steps by P_m(1) / e_m with P_m(1) = prod_{j<=m} (1 + k_j),
+    where a general right-hand side takes eta_m = 1 - x_{m-1} . r(m..1)."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eta_is_the_predictor_at_one_in_double(self, seed):
+        r = _random_sequence(seed, 24)
+        _, refl, errors, _ = _levinson(r)
+        p = np.cumprod(np.append(1.0, 1.0 + refl))
+        for m in range(1, len(r)):
+            prev = scipy.linalg.solve(scipy.linalg.toeplitz(r[:m]), np.ones(m))
+            assert 1.0 - prev @ r[m:0:-1] == pytest.approx(p[m], rel=1e-11)
+            full = scipy.linalg.solve(scipy.linalg.toeplitz(r[:m + 1]), np.ones(m + 1))
+            assert full[m] == pytest.approx(p[m] / errors[m], rel=1e-11)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_eta_is_the_predictor_at_one_in_dd(self, seed):
+        r = _random_sequence(seed, 12)
+        lo = r * 2.0 ** -60                   # exact values with nonzero low parts
+        _, refl, errors, _ = _levinson(dd.DD(r, lo), None, _DD)
+        p = (1.0 + refl).cumprod()
+        with mpmath.workdps(50):
+            exact = [mpmath.mpf(h) + mpmath.mpf(v) for h, v in zip(r, lo)]
+
+            def solve(m):
+                rows = [[exact[abs(i - j)] for j in range(m + 1)] for i in range(m + 1)]
+                return mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix([1] * (m + 1)))
+
+            for m in range(1, len(r)):
+                prev = solve(m - 1)
+                eta = 1 - mpmath.fsum(prev[j] * exact[m - j] for j in range(m))
+                assert abs(_mp(p[m - 1]) / eta - 1) < 1e-28
+                assert abs(_mp(p[m - 1] / errors[m]) / solve(m)[m] - 1) < 1e-28
+
+    CUT = {"ma2": (st.Arma(ma=(1.0, -0.5, 0.3)), 40),
+           "power_law_1": (st.PowerAtOrigin(1.0), 64),
+           "power_law_2": (st.PowerAtOrigin(2.0), 64),
+           "white_noise": (st.WhiteNoise(0.3), 16)}
+
+    @pytest.mark.parametrize("name", sorted(CUT) + ["interior_zero"])
+    def test_band_cut_is_bitwise_neutral_in_dd(self, name):
+        if name == "interior_zero":      # r(2) = 0 inside the band, r(k > 3) = 0 past it
+            hi = np.zeros(33)
+            hi[:4] = [1.0, 0.3, 0.0, 0.15]
+            r = dd.DD(hi, hi * 2.0 ** -58)
+        else:
+            model, n = self.CUT[name]
+            cov = st.covariance_sequence(model, n, precision="dd")
+            r = dd.DD(cov.values, cov.lo)
+            assert np.flatnonzero(cov.values)[-1] < n       # the cut skips something
+        x, refl, _, curve = _levinson(r, None, _DD)
+        for got, want in zip((x, refl, curve), _dense_window_pass(r)):
+            assert got.hi.tobytes() == want.hi.tobytes()
+            assert got.lo.tobytes() == want.lo.tobytes()
+
+    @pytest.mark.parametrize("measure", [st.PowerAtOrigin(1.37), st.FgnDensity(0.8),
+                                         st.Arma(ma=(1.0,), ar=(1.0, -0.7))])
+    def test_curve_is_the_christoffel_curve_at_one(self, measure):
+        curve = st.blue_variance_curve(st.covariance_sequence(measure, 128))
+        kernel = christoffel_curve(st.szego_recursion(measure, 128, probes=(1.0,)), 1.0)
+        assert np.max(np.abs(kernel / curve - 1.0)) <= 1e-13
 
 
 class TestQuadraticForm:
