@@ -9,17 +9,19 @@ polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
 scalings), arc-supported indicators and their scalings, and shifts of any of
 these by 0 or pi; a flat-zero density is integrated by Gauss-Legendre
 quadrature in double-double.  The first group rests on r_alpha from one ratio
-recurrence, carried in double-double and rounded once for double; double-double
-starts it from its own binom(2a, a) and sums the trigonometric polynomial's
-terms exactly.  Every other density goes through singularity-graded double
-quadrature with a refinement cross-check at absolute tolerance 1e-12 per
-coefficient, and has no double-double form.
+recurrence in double-double, started from binom(2a, a) to double-double
+accuracy; double sums the trigonometric polynomial's terms in double-double
+arithmetic, double-double sums them exactly.  Every other density goes through
+singularity-graded double quadrature with a refinement cross-check at absolute
+tolerance 1e-12 per coefficient, and has no double-double form.
 
 The double-double path produces covariances accurate to a few units of 1e-32,
 required by the exponential-decay studies where Toeplitz variances reach the
 square of double rounding error.  They are stored as two float arrays:
 `values` holds each rounded to double (the hi part), and `lo` the remainder.
-A computed sequence that is not finite raises `AccuracyError`.
+The double closed forms built on r_alpha keep their low parts too, for the
+refinement step of the double Toeplitz solve; every other double sequence has
+none.  A computed sequence that is not finite raises `AccuracyError`.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import binom, gammaln
 
 from . import ddouble as dd
 from . import quadrature
@@ -42,27 +43,29 @@ from .spectra import as_measure
 QUAD_TOL = 1e-12
 
 
-def _falpha(alpha: float, kmax: int, binomial) -> dd.DD:
+def _falpha(alpha: float, kmax: int) -> dd.DD:
     """r_alpha(0..kmax) by the ratio recurrence r(k+1) = r(k) (k-a)/(k+a+1)
-    from r(0) = binomial(a) = binom(2a, a), in double-double.  k-a and k+1+a
-    are exact double-double values, so at an integer a the factor k-a is an
-    exact 0 and every later lag an exact +0.0."""
+    from r(0) = binom(2a, a) by `dd.central_binomial`, in double-double.  k-a
+    and k+1+a are exact double-double values, so at an integer a the factor
+    k-a is an exact 0 and every later lag an exact +0.0."""
     if not alpha > -0.5:
         raise ValidationError("alpha must satisfy alpha > -1/2")
-    r0 = binomial(alpha)
+    r0 = dd.central_binomial(alpha)
     k = np.arange(kmax, dtype=float)
     ratios = dd.DD(*dd.two_sum(k, -alpha)) / dd.DD(*dd.two_sum(k + 1.0, alpha))
     return dd.DD(np.append(r0.hi, ratios.hi), np.append(r0.lo, ratios.lo)).cumprod()
 
 
 def falpha_covariance_array(alpha: float, kmax: int) -> np.ndarray:
-    """r_alpha(0..kmax) from the double binom(2a, a), rounded once at the end."""
-    return np.asarray(_falpha(alpha, kmax, lambda a: dd.DD(binom(2.0 * a, a), 0.0)))
+    """r_alpha(0..kmax) rounded once to double: r(0) is correctly rounded."""
+    return np.asarray(_falpha(alpha, kmax))
 
 
-def _falpha_sum(alpha: float, kmax: int, gamma) -> np.ndarray:
-    """gamma_0 r_a(k) + sum_{t>=1} gamma_t (r_a(k+t) + r_a(|k-t|)), k = 0..kmax."""
-    ra = falpha_covariance_array(alpha, kmax + len(gamma) - 1)
+def _falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
+    """gamma_0 r_a(k) + sum_{t>=1} gamma_t (r_a(k+t) + r_a(|k-t|)), k = 0..kmax,
+    in double-double arithmetic on r_a: the double sequence is its hi part,
+    and its lo part the low parts the refinement step reads."""
+    ra = _falpha(alpha, kmax + len(gamma) - 1)
     k = np.arange(kmax + 1)
     out = ra[k] * gamma[0]
     for t in range(1, len(gamma)):
@@ -78,7 +81,7 @@ def _dd_falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
     if not np.all(np.isfinite(gamma)):
         raise AccuracyError("the trigonometric polynomial's coefficients are not finite")
     big = len(gamma) - 1
-    ra = _falpha(alpha, kmax + big, dd.central_binomial)
+    ra = _falpha(alpha, kmax + big)
     if not big:
         return ra * gamma[0]
     from fractions import Fraction
@@ -115,7 +118,7 @@ def covariance_asymptote_falpha(alpha: float, k: int) -> Asymptote:
     s = math.sin(math.pi * alpha)
     if alpha == 0.0 or (alpha > 0 and abs(alpha - round(alpha)) < 1e-15):
         return Asymptote(0.0, True)
-    c_alpha = math.exp(float(gammaln(2.0 * alpha + 1.0))) * (-s) / math.pi
+    c_alpha = math.gamma(2.0 * alpha + 1.0) * (-s) / math.pi
     return Asymptote(c_alpha * float(k) ** (-2.0 * alpha - 1.0), False)
 
 
@@ -127,13 +130,15 @@ class CovarianceSequence:
     values: np.ndarray
     provenance: str                       # "exact" | "quadrature"
     precision: str = "double"             # "double" | "dd"
-    lo: np.ndarray | None = None          # low parts, r = values + lo, when precision == "dd"
+    lo: np.ndarray | None = None          # low parts, r = values + lo, when known
 
     def __post_init__(self):
         for name in ("values", "lo"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, read_only(np.array(value, dtype=float)))
+        if self.precision == "dd" and self.lo is None:
+            raise ValidationError("double-double covariances need their low parts")
         if self.lo is not None and self.lo.shape != self.values.shape:
             raise ValidationError("low parts must match the values in length")
         if not all(np.all(np.isfinite(v)) for v in (self.values, self.lo) if v is not None):
@@ -244,7 +249,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
     k = ar.arange(n + 1)
     for angle, mass in measure.atoms:
         dens = dens + ar.cos(k * angle) * mass
-    hi, lo = (dens.hi, dens.lo) if ar.extended else (dens, None)
+    hi, lo = (dens.hi, dens.lo) if isinstance(dens, dd.DD) else (dens, None)
     if not all(np.all(np.isfinite(v)) for v in (hi, lo) if v is not None):
         raise AccuracyError(f"covariances of {model.variant} are not finite in double range")
     return CovarianceSequence(hi, prov, precision=precision, lo=lo)

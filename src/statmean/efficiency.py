@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
+from . import ddouble as dd
 from .covariance import covariance_sequence
 from .errors import ValidationError
 from .estimators import EstimatorWeights, variance_under
@@ -56,10 +56,11 @@ def overestimation_efficiency(alpha: float, beta: int) -> float:
         raise ValidationError("beta must be a nonnegative integer")
     beta = int(beta)
     a, b = float(alpha), float(beta)
-    log_val = (gammaln(2 * a + 2) + 2 * gammaln(a + b + 1) + gammaln(2 * a + 4 * b + 2)
-               - gammaln(a + 1) - gammaln(a + 2 * b + 1) - 2 * gammaln(2 * a + 2 * b + 2)
-               - (gammaln(2 * b + 1) - 2 * gammaln(b + 1)))
-    return float(np.exp(log_val))
+    lg = math.lgamma
+    log_val = (lg(2 * a + 2) + 2 * lg(a + b + 1) + lg(2 * a + 4 * b + 2)
+               - lg(a + 1) - lg(a + 2 * b + 1) - 2 * lg(2 * a + 2 * b + 2)
+               - (lg(2 * b + 1) - 2 * lg(b + 1)))
+    return math.exp(log_val)
 
 
 def lse_asymptotic_efficiency(alpha: float) -> float:
@@ -75,8 +76,8 @@ def lse_asymptotic_efficiency(alpha: float) -> float:
         return 0.0
     if alpha == 0.0:
         return 1.0
-    b = math.exp(float(betaln(alpha + 1.0, alpha + 1.0)))
-    return math.pi * alpha * (1.0 - 2.0 * alpha) / (b * math.sin(math.pi * alpha))
+    inverse_beta = float(dd.central_binomial(alpha) * dd.DD(*dd.two_sum(2.0 * alpha, 1.0)))
+    return math.pi * alpha * (1.0 - 2.0 * alpha) * inverse_beta / math.sin(math.pi * alpha)
 
 
 def lse_efficiency_exact_falpha(n: int, alpha: float) -> float:
@@ -123,7 +124,7 @@ def underestimation_limit(alpha: int, g: SpectralModel) -> float:
         raise ValidationError("alpha must be a nonnegative integer")
     a = float(alpha)
     integral_g = covariance_sequence(as_measure(g), 0).values[0]
-    factor = math.exp(float(gammaln(2 * a + 2) - gammaln(a + 1))) ** 2
+    factor = (math.gamma(2 * a + 2) / math.gamma(a + 1)) ** 2
     return factor / math.pi * integral_g
 
 
@@ -144,4 +145,5 @@ def general_class_asymptote(alpha: float, g0: float) -> float:
         raise ValidationError("alpha must satisfy alpha > -1/2")
     if not g0 > 0.0:
         raise ValidationError("g0 must be positive")
-    return math.exp(float(gammaln(2 * alpha + 1.0) - betaln(alpha + 1.0, alpha + 1.0))) * g0
+    # Gamma(2a+1) / B(a+1, a+1) = Gamma(2a+2) binom(2a, a)
+    return math.gamma(2.0 * alpha + 2.0) * float(dd.central_binomial(alpha)) * g0

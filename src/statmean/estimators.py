@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, gammaln
 
+from . import ddouble as dd
 from .covariance import covariance_sequence
 from .errors import AccuracyError, ValidationError
 from .memo import read_only
@@ -65,26 +65,39 @@ def parabolic_weights(n: int) -> EstimatorWeights:
 
 
 def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
-    """c_k = C(n,k) B(a+k+1, a+n-k+1) / B(a+1, a+1), evaluated in log space."""
+    """c_k proportional to C(n,k) B(a+k+1, a+n-k+1), normalised to unit sum.
+
+    The ratio recurrence c_{k+1}/c_k = (n-k)(a+k+1) / ((k+1)(a+n-k)) runs in
+    double-double from c_0 = 1, whose factors a+k+1 and a+n-k two_sum forms
+    exactly; the symmetrisation and the normalisation are double-double too,
+    so each weight is rounded once.
+    """
     if not alpha > -0.5:
         raise ValidationError("alpha must satisfy alpha > -1/2")
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    k = np.arange(n + 1, dtype=float)
-    log_binom = gammaln(n + 1.0) - gammaln(k + 1.0) - gammaln(n - k + 1.0)
-    log_c = (log_binom + betaln(alpha + k + 1.0, alpha + n - k + 1.0)
-             - betaln(alpha + 1.0, alpha + 1.0))
-    c = np.exp(log_c)
-    c = 0.5 * (c + c[::-1])          # enforce the exact symmetry c_k = c_{n-k}
-    c /= c.sum()
-    return EstimatorWeights(c, label="adenstedt", alpha=alpha)
+    k = np.arange(n, dtype=float)
+    ratios = (dd.DD(*dd.two_sum(k + 1.0, alpha)) * (n - k)
+              / (dd.DD(*dd.two_sum(n - k, alpha)) * (k + 1.0)))
+    c = dd.DD(np.append(1.0, ratios.hi), np.append(0.0, ratios.lo)).cumprod()
+    c = c + c[::-1]                  # the exact symmetry c_k = c_{n-k}
+    return EstimatorWeights(np.asarray(c / c.sum()), label="adenstedt", alpha=alpha)
 
 
 def adenstedt_variance_closed_form(n: int, alpha: float) -> float:
-    """B(n+1, 2a+1) / B(a+1, a+1): the optimal variance under f_alpha."""
+    """B(n+1, 2a+1) / B(a+1, a+1) = binom(2a, a) n! / (2a+2)_n: the optimal
+    variance under f_alpha, in double-double."""
     if not alpha > -0.5:
         raise ValidationError("alpha must satisfy alpha > -1/2")
-    return math.exp(float(betaln(n + 1.0, 2.0 * alpha + 1.0) - betaln(alpha + 1.0, alpha + 1.0)))
+    return float(dd.central_binomial(alpha) * _factorial_ratio(n, alpha))
+
+
+def _factorial_ratio(n: int, alpha: float) -> dd.DD:
+    """n! / (2a+2)_n = prod_{j<=n} j / (j+2a+1) in double-double, each j+2a+1
+    formed exactly by two_sum."""
+    j = np.arange(1.0, n + 1.0)
+    factors = dd.DD(j, np.zeros(n)) / dd.DD(*dd.two_sum(j + 1.0, 2.0 * alpha))
+    return dd.DD(np.append(1.0, factors.hi), np.append(0.0, factors.lo)).cumprod()[-1]
 
 
 def gegenbauer_optimal(n: int, alpha: float) -> np.ndarray:
@@ -113,7 +126,7 @@ def gegenbauer_optimal(n: int, alpha: float) -> np.ndarray:
         doubled[1] += cur[0]          # 2 cos t * cos(0 t) contributes twice to m=1
         nxt = ((j + a - 1.0) * doubled - (j + 2.0 * a - 2.0) * prev) / j
         prev, cur = cur, nxt
-    norm = math.exp(float(gammaln(n + 2.0 * a) - gammaln(n + 1.0) - gammaln(2.0 * a)))
+    norm = float(1.0 / _factorial_ratio(n, alpha))          # C_n^{(a)}(1) = (2a)_n / n!
     c = np.empty(n + 1)
     for k in range(n + 1):
         m = abs(n - 2 * k)

@@ -5,7 +5,8 @@ the embedding spectrum is nonnegative, otherwise by spectral synthesis (a
 cosine sum over quadrature nodes with independent Gaussian amplitudes).  The
 normal generator is counter-based (Philox) with ziggurat normals; replicate
 blocks draw from spawned substreams of the seed, so results are reproducible
-and independent of the block size.
+and independent of the block size.  `monte_carlo_variance` reduces each block
+to its weighted sums as it is drawn, so it never holds all the paths.
 """
 
 from __future__ import annotations
@@ -48,6 +49,21 @@ def _embedding_spectrum(r):
 
 def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
     """Zero-mean stationary Gaussian paths with the measure's covariance."""
+    return _gather(*_path_blocks(measure, length, replicates, seed), replicates, length, seed)
+
+
+def _gather(generator, blocks, replicates, length, seed) -> PathBatch:
+    out = np.empty((replicates, length))
+    lo = 0
+    for block in blocks:
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    return PathBatch(paths=out, seed=seed, generator=generator)
+
+
+def _path_blocks(measure, length: int, replicates: int, seed: int):
+    """(generator name, an iterator over the paths in blocks of at most BLOCK
+    replicates), so that callers which reduce each path need not hold them all."""
     measure = as_measure(measure)
     if length < 1 or replicates < 1:
         raise ValidationError("length and replicates must be positive")
@@ -58,14 +74,20 @@ def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
     spectrum, size = _embedding_spectrum(r)
     scale = float(np.max(spectrum))
     if float(np.min(spectrum)) < EMBEDDING_TOLERANCE * scale:
-        return _spectral_synthesis(measure, length, replicates, seed)
+        return "spectral-synthesis", _synthesis_blocks(measure, length, replicates, seed)
+    return "circulant-embedding", _circulant_embedding(spectrum, size, length, replicates, seed)
 
-    amplitude = np.sqrt(np.maximum(spectrum, 0.0) / size)
-    out = np.empty((replicates, length))
-    half = size // 2
+
+def _block_rngs(replicates: int, seed: int):
+    """(size, generator) of each replicate block, from its own substream."""
     for b, lo in enumerate(range(0, replicates, BLOCK)):
-        m = min(BLOCK, replicates - lo)
-        rng = _rng_for_block(seed, b)
+        yield min(BLOCK, replicates - lo), _rng_for_block(seed, b)
+
+
+def _circulant_embedding(spectrum, size, length, replicates, seed):
+    amplitude = np.sqrt(np.maximum(spectrum, 0.0) / size)
+    half = size // 2
+    for m, rng in _block_rngs(replicates, seed):
         # Hermitian noise spectrum => real field of exactly the right covariance
         re = rng.standard_normal((m, half + 1))
         im = rng.standard_normal((m, half + 1))
@@ -73,14 +95,24 @@ def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
         im[:, 0] = 0.0
         re[:, -1] *= math.sqrt(2.0)
         im[:, -1] = 0.0
-        noise = (re + 1j * im) * amplitude
-        field = np.fft.irfft(noise, n=size) * size / math.sqrt(2.0)
-        out[lo:lo + m] = field[:, :length]
-    return PathBatch(paths=out, seed=seed, generator="circulant-embedding")
+        noise = np.empty((m, half + 1), dtype=complex)
+        noise.real, noise.imag = re, im
+        del re, im
+        noise *= amplitude
+        field = np.fft.irfft(noise, n=size)
+        del noise
+        field *= size
+        field /= math.sqrt(2.0)
+        yield field[:, :length]
 
 
-def _spectral_synthesis(measure, length, replicates, seed):
+def _spectral_synthesis(measure, length, replicates, seed) -> PathBatch:
     """Cosine-sum fallback: X(t) = sum_j s_j (A_j cos + B_j sin)(lam_j t)."""
+    blocks = _synthesis_blocks(measure, length, replicates, seed)
+    return _gather("spectral-synthesis", blocks, replicates, length, seed)
+
+
+def _synthesis_blocks(measure, length, replicates, seed):
     model = measure.density
     lam, w = model_grid(model, osc_k=length)
     sd = np.sqrt(2.0 * w * model.values(lam))        # one-sided: 2 f(lam) w
@@ -94,14 +126,10 @@ def _spectral_synthesis(measure, length, replicates, seed):
     t = np.arange(length)
     cos_t = np.cos(np.outer(t, lam))
     sin_t = np.sin(np.outer(t, lam))
-    out = np.empty((replicates, length))
-    for b, lo in enumerate(range(0, replicates, BLOCK)):
-        m = min(BLOCK, replicates - lo)
-        rng = _rng_for_block(seed, b)
+    for m, rng in _block_rngs(replicates, seed):
         a = rng.standard_normal((m, len(lam))) * sd
         bcoef = rng.standard_normal((m, len(lam))) * sd
-        out[lo:lo + m] = a @ cos_t.T + bcoef @ sin_t.T
-    return PathBatch(paths=out, seed=seed, generator="spectral-synthesis")
+        yield a @ cos_t.T + bcoef @ sin_t.T
 
 
 @dataclass
@@ -116,8 +144,8 @@ class MonteCarloVariance:
 def monte_carlo_variance(weights, measure, replicates: int, seed: int) -> MonteCarloVariance:
     """Empirical variance of sum c_k X(k) with a jackknife standard error."""
     c = np.asarray(getattr(weights, "coefficients", weights), dtype=float)
-    batch = sample_paths(measure, len(c), replicates, seed)
-    stats = batch.paths @ c
+    generator, blocks = _path_blocks(measure, len(c), replicates, seed)
+    stats = np.concatenate([block @ c for block in blocks])
     n = len(stats)
     mean = stats.mean()
     dev2 = (stats - mean) ** 2
@@ -129,5 +157,5 @@ def monte_carlo_variance(weights, measure, replicates: int, seed: int) -> MonteC
     loo_var = (s2 - stats ** 2 - (n - 1) * loo_mean ** 2) / (n - 2)
     se = math.sqrt((n - 1) / n * float(np.sum((loo_var - loo_var.mean()) ** 2)))
     return MonteCarloVariance(estimate=float(estimate), standard_error=se,
-                              replicates=replicates, generator=batch.generator,
+                              replicates=replicates, generator=generator,
                               seed=seed)

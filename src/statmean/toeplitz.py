@@ -22,7 +22,11 @@ raised, never memoised.
 In double precision the solution is polished by one step of iterative
 refinement, memoised with the pass.  Its residual 1 - R x is accumulated in
 extended (80-bit) arithmetic by correlating x with the covariance sequence, in
-O(n) memory.  The double-double pass is not refined.
+O(n) memory; where the sequence carries its low parts (the power-law closed
+forms), their correlation with x, taken in double, is subtracted as well, so
+the step corrects towards the exact covariances rather than their rounding.
+The double-double pass is not refined.  The quadratic form of competing
+weights takes the autocorrelation of long weight vectors by numpy's FFT.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ class ToeplitzSystem:
     def __post_init__(self):
         if self.precision not in ("double", "dd"):
             raise ValidationError(f"unknown precision {self.precision!r}")
-        if self.precision == "dd" and self.covariance.lo is None:
+        if self.precision == "dd" and self.covariance.precision != "dd":
             raise ValidationError("extended precision requires a dd covariance sequence")
 
     @property
@@ -142,14 +146,27 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
 
 class _LevinsonPass:
     """Read-only results of one all-ones pass, in the arithmetic it ran in,
-    plus its refined solution once asked."""
+    plus its refined solution once asked, for the low parts last asked with."""
 
-    __slots__ = ("x", "refl", "errors", "curve", "refined")
+    __slots__ = ("x", "refl", "errors", "curve", "_refined")
 
     def __init__(self, x, refl, errors, curve):
         self.x, self.refl, self.errors, self.curve = (
             read_only(v) for v in (x, refl, errors, curve))
-        self.refined = None
+        self._refined = (None, None)
+
+    @property
+    def refined(self):
+        return self._refined[1]
+
+    def refine(self, r, lo):
+        """x after one refinement step against r + lo.  The low parts' bytes
+        and the solution are stored as one tuple, so threads see a matched pair."""
+        key = None if lo is None else lo.tobytes()
+        done = self._refined
+        if done[1] is None or done[0] != key:
+            done = self._refined = (key, read_only(_refine(r, self.x, lo)))
+        return done[1]
 
 
 #: the 8 passes used last; an entry holds five vectors of length n+1, each
@@ -176,24 +193,33 @@ def _levinson_pass(r, lo=None) -> _LevinsonPass:
 def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
     if precision != "dd":
         return _levinson_pass(covariance.values)
-    if covariance.lo is None:
+    if covariance.precision != "dd":
         raise ValidationError("extended precision requires a dd covariance sequence")
     return _levinson_pass(covariance.values, covariance.lo)
 
 
-def _residual(r, x):
-    """1 - R x in extended precision, R the symmetric Toeplitz matrix of r.
+def _correlate(r, x):
+    """(R x)_i = sum_j r(|i-j|) x_j, in the arrays' precision.
 
     Correlating x with the two-sided sequence r(n..1, 0..n) forms every row in
     O(n) memory and sums over j in ascending order, as the dense product
-    1 - r[|i-j|] @ x does, so both give the same bits.
+    r[|i-j|] @ x does, so both give the same bits.
     """
-    rl = np.asarray(r, dtype=np.longdouble)
+    return np.correlate(np.concatenate((r[:0:-1], r)), x, mode="valid")[::-1]
+
+
+def _residual(r, x, lo=None):
+    """1 - (R + L) x in extended precision, R and L the symmetric Toeplitz
+    matrices of r and of its low parts lo; L x is formed in double, as lo is
+    below r's rounding."""
     xl = np.asarray(x, dtype=np.longdouble)
-    return 1 - np.correlate(np.concatenate((rl[:0:-1], rl)), xl, mode="valid")[::-1]
+    res = 1 - _correlate(np.asarray(r, dtype=np.longdouble), xl)
+    if lo is not None and lo.any():
+        res -= _correlate(lo, np.asarray(x, dtype=float))
+    return res
 
 
-def _refine(r, x):
+def _refine(r, x, lo=None):
     """One iterative-refinement step, residual in extended precision.
 
     The correction pass repeats the reflections of the pass that produced x,
@@ -201,7 +227,7 @@ def _refine(r, x):
     """
     if len(r) - 1 > REFINE_MAX_ORDER:
         return x
-    return x + _levinson(r, np.asarray(_residual(r, x), dtype=float))[0]
+    return x + _levinson(r, np.asarray(_residual(r, x, lo), dtype=float))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +242,9 @@ def blue_solve(system: ToeplitzSystem):
     """
     from .estimators import EstimatorWeights
 
-    entry = _pass_for(system.covariance, system.precision)
-    x = entry.x
-    if system.precision == "double":
-        if entry.refined is None:
-            entry.refined = read_only(_refine(system.covariance.values, entry.x))
-        x = entry.refined
+    cov = system.covariance
+    entry = _pass_for(cov, system.precision)
+    x = entry.refine(cov.values, cov.lo) if system.precision == "double" else entry.x
     total = x.sum()
     variance = float(1.0 / total)
     coeffs = np.asarray(x / total, dtype=float)
@@ -262,14 +285,27 @@ def quadratic_form(weights, covariance: CovarianceSequence) -> float:
         for t in range(1, lags):
             acc += 2.0 * np.longdouble(r[t]) * np.dot(cl[:-t], cl[t:])
         return float(acc)
-    # the full autocorrelation, as scipy.signal.fftconvolve(c, c[::-1]) forms it
-    from scipy import fft
-    size = fft.next_fast_len(2 * len(c) - 1, real=True)
-    auto = fft.irfft(fft.rfft(c, size) * fft.rfft(c[::-1], size), size)
+    # the full autocorrelation, as the convolution of c with c reversed
+    size = _fast_length(2 * len(c) - 1)
+    auto = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(c[::-1], size), size)
     mid = len(c) - 1
     acorr = auto[mid:mid + lags]
     acorr[0] = float(np.dot(c, c))
     return float(r[0] * acorr[0] + 2.0 * np.dot(r[1:lags], acorr[1:]))
+
+
+def _fast_length(m: int) -> int:
+    """The least 2^i 3^j 5^k >= m: a length numpy's FFT transforms fast."""
+    best, five = 1 << (m - 1).bit_length(), 1
+    while five < best:
+        odd = five
+        while odd < best:
+            size = odd
+            while size < m:
+                size <<= 1
+            best, odd = min(best, size), odd * 3
+        five *= 5
+    return best
 
 
 def _inverse_integrable(model) -> bool:

@@ -15,7 +15,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from statmean.cli import main
+from statmean.cli import build_parser, main
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -289,6 +289,9 @@ class TestExitCodes:
 
 
 class TestImports:
+    """The runtime needs numpy alone: no command line run loads scipy or
+    mpmath, and every function that once took scipy runs without it."""
+
     def test_variance_loads_neither_scipy_signal_nor_mpmath(self, tmp_path):
         """scipy.signal alone costs about a second of start-up."""
         model = tmp_path / "power.json"          # a long-range r(k): the FFT route
@@ -339,6 +342,63 @@ print([main(argv) for argv in {runs!r}])
                       f"code = main({argv + ['--model', str(model_dir / name)]!r}); "
                       "print(code, 'mpmath' in sys.modules)")
             assert self._python(script).split()[-2:] == ["0", "False"], argv
+
+    #: one run of each subcommand, the power law non-integer so that its
+    #: covariances carry low parts and the Adenstedt variance takes the FFT route
+    RUNS = {"classify": ["--model", "power"],
+            "covariance": ["--model", "power", "--n", "300"],
+            "blue": ["--model", "power", "--n", "300"],
+            "weights": ["--estimator", "adenstedt", "--n", "64", "--alpha", "0.3"],
+            "variance": ["--model", "power", "--estimator", "adenstedt", "--alpha", "1.55",
+                         "--n", "300"],
+            "christoffel": ["--model", "power", "--n", "30"],
+            "efficiency": ["--law", "eq7.8", "--alpha", "0.3", "--beta", "1"],
+            "asymptote": ["--alpha", "0.3"],
+            "chebyshev": ["--arcs", "0.5pi:pi,-pi:-0.5pi", "--n-grid", "8:24:8"],
+            "decay": ["--model", "arc", "--n-grid", "4:24:4"],
+            "simulate": ["--model", "power", "--estimator", "lse", "--n", "31",
+                         "--reps", "2000"]}
+
+    @pytest.fixture
+    def argvs(self, model_dir, tmp_path):
+        power = tmp_path / "power.json"
+        power.write_text(json.dumps({"variant": "power_at_origin", "alpha": 1.55}))
+        paths = {"power": str(power), "arc": str(model_dir / "arc.json")}
+        return {sub: [sub] + [paths.get(a, a) for a in args] for sub, args in self.RUNS.items()}
+
+    def test_every_subcommand_is_covered(self):
+        assert set(self.RUNS) == set(build_parser().subcommands)
+
+    @pytest.mark.parametrize("sub", sorted(RUNS))
+    def test_subcommand_loads_no_scipy(self, argvs, sub):
+        script = ("import sys; from statmean.cli import main; "
+                  f"code = main({argvs[sub]!r}); print(code, 'scipy' in sys.modules)")
+        assert self._python(script).split()[-2:] == ["0", "False"]
+
+    def test_runs_with_scipy_unimportable(self, argvs):
+        script = f"""
+import math, sys
+sys.modules["scipy"] = None
+import statmean as st
+from statmean import covariance, toeplitz
+from statmean.cli import main
+checks = [covariance.falpha_covariance_array(1.55, 8)[0] > 0,
+          st.covariance_exact_falpha(0.3, 5) < 0,
+          st.covariance_asymptote_falpha(0.3, 10).value < 0,
+          st.adenstedt_weights(64, 1.55).order == 64,
+          st.adenstedt_variance_closed_form(64, 1.55) > 0,
+          st.gegenbauer_optimal(16, 0.5).shape == (17,),
+          0 < st.overestimation_efficiency(0.3, 1) < 1,
+          0 < st.lse_asymptotic_efficiency(0.3) < 1,
+          st.general_class_asymptote(0.3, 1.0) > 0,
+          st.underestimation_limit(1, st.WhiteNoise(0.1)) > 0]
+cov = st.covariance_sequence(st.PowerAtOrigin(0.3), 64)
+checks.append(toeplitz.quadratic_form(st.lse_weights(64), cov) > 0)      # the FFT branch
+checks.append(st.blue_solve(st.system_for(st.PowerAtOrigin(1.55), 64))[1] > 0)
+print(all(checks), [main(argv) for argv in {list(argvs.values())!r}])
+"""
+        last = self._python(script).split("\n")[-2]
+        assert last == "True " + str([0] * len(self.RUNS)), last
 
 
 class TestManifest:

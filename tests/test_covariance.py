@@ -171,6 +171,10 @@ class TestCovarianceSequence:
         with pytest.raises(st.ValidationError):
             st.CovarianceSequence(np.array(values), "exact", precision=precision, lo=lo)
 
+    def test_dd_sequence_needs_low_parts(self):
+        with pytest.raises(st.ValidationError):
+            st.CovarianceSequence(np.array([1.0, 0.5]), "exact", precision="dd")
+
     @pytest.mark.parametrize("precision", ["double", "dd"])
     def test_non_finite_result_is_an_accuracy_error(self, precision):
         with np.errstate(all="ignore"), pytest.raises(st.AccuracyError):
@@ -191,6 +195,15 @@ class TestExtendedPrecision:
     def test_dd_falpha(self):
         ddcov = st.covariance_sequence(st.PowerAtOrigin(0.25), 8, precision="dd")
         assert np.allclose(ddcov.values, falpha_covariance_array(0.25, 8))
+
+    def test_double_power_law_carries_the_dd_low_parts(self):
+        """One recurrence serves both precisions: the double sequence keeps the
+        low parts, for the refinement step, while its precision says double."""
+        dcov = st.covariance_sequence(st.PowerAtOrigin(1.55), 64)
+        ddcov = st.covariance_sequence(st.PowerAtOrigin(1.55), 64, precision="dd")
+        assert dcov.precision == "double" and np.any(dcov.lo)
+        assert dcov.values.tobytes() == ddcov.values.tobytes()
+        assert dcov.lo.tobytes() == ddcov.lo.tobytes()
 
     def test_dd_flat_zero_close_to_double_quadrature(self):
         ddcov = st.covariance_sequence(st.FlatZero(1.5), 8, precision="dd")
@@ -284,6 +297,13 @@ class TestRatioRecurrence:
         ulps = np.abs(falpha_covariance_array(alpha, kmax) - ref) / np.spacing(np.abs(ref))
         assert ulps.max() <= 8
 
+    def test_r0_is_correctly_rounded(self):
+        """binom(2a, a) is the 50-digit value rounded to nearest, over (-1/2, 2.5]."""
+        alphas = np.linspace(-0.495, 2.5, 600)
+        with mpmath.workdps(50):
+            want = [float(mpmath.binomial(2 * mpmath.mpf(a), mpmath.mpf(a))) for a in alphas]
+        assert [falpha_covariance_array(float(a), 0)[0] for a in alphas] == want
+
     @pytest.mark.parametrize("alpha", [0, 1, 2, 3, 4])
     def test_integer_alpha_is_exact(self, alpha):
         r = falpha_covariance_array(float(alpha), 64)
@@ -323,7 +343,8 @@ class TestRatioRecurrence:
                 assert abs(got - ref) < 1e-30 * abs(ref)
 
     @pytest.mark.parametrize("alpha, n, tol", [(2.0, 1024, 1e-10), (2.0, 2048, 1e-10),
-                                               (1.9, 2048, 5e-6)])
+                                               (1.9, 2048, 5e-6)] + [
+        (alpha, n, 1e-9) for alpha in (1.3, 1.55, 1.9, 1.9995) for n in (1024, 2048)])
     def test_blue_variance_against_closed_form(self, alpha, n, tol):
         _, variance = st.blue_solve(st.system_for(st.PowerAtOrigin(alpha), n))
         exact = st.adenstedt_variance_closed_form(n, alpha)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -78,6 +79,54 @@ class TestOverestimation:
     def test_non_integer_beta_rejected(self):
         with pytest.raises(st.ValidationError):
             st.overestimation_efficiency(0.0, -1)
+
+
+class TestConstantsAgainstMpmath:
+    """The closed-form constants against 40-digit gamma functions on a grid
+    over (-1/2, 2.5]; each bound is the error measured, rounded up."""
+
+    ALPHAS = np.linspace(-0.49, 2.5, 61)
+
+    @staticmethod
+    def _rel(got, want):
+        return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+    def test_overestimation(self):
+        g = mpmath.gamma
+        with mpmath.workdps(40):
+            for alpha in self.ALPHAS:
+                a = mpmath.mpf(alpha)
+                for b in (0, 1, 2, 5):
+                    want = (g(2 * a + 2) * g(a + b + 1) ** 2 * g(2 * a + 4 * b + 2)
+                            / (mpmath.binomial(2 * b, b) * g(a + 1) * g(a + 2 * b + 1)
+                               * g(2 * a + 2 * b + 2) ** 2))
+                    assert self._rel(st.overestimation_efficiency(alpha, b), want) < 5e-14
+
+    def test_sample_mean_limit(self):
+        with mpmath.workdps(40):
+            for alpha in self.ALPHAS[(self.ALPHAS < 0.5) & (self.ALPHAS != 0.0)]:
+                a = mpmath.mpf(alpha)
+                want = (mpmath.pi * a * (1 - 2 * a)
+                        / (mpmath.beta(a + 1, a + 1) * mpmath.sin(mpmath.pi * a)))
+                assert self._rel(st.lse_asymptotic_efficiency(alpha), want) < 1e-15
+
+    def test_hyperbolic_constants(self):
+        with mpmath.workdps(40):
+            for alpha in self.ALPHAS:
+                a = mpmath.mpf(alpha)
+                want = mpmath.gamma(2 * a + 1) / mpmath.beta(a + 1, a + 1)
+                assert self._rel(st.general_class_asymptote(alpha, 1.0), want) < 2e-15
+                if abs(alpha - round(alpha)) > 1e-9:
+                    want = mpmath.gamma(2 * a + 1) * -mpmath.sin(mpmath.pi * a) / mpmath.pi
+                    got = st.covariance_asymptote_falpha(alpha, 1).value
+                    assert self._rel(got, want) < 2e-13
+
+    def test_underestimation(self):
+        g = st.WhiteNoise(1.0 / TWO_PI)
+        with mpmath.workdps(40):
+            for a in range(6):
+                want = (mpmath.factorial(2 * a + 1) / mpmath.factorial(a)) ** 2 / mpmath.pi
+                assert self._rel(st.underestimation_limit(a, g), want) < 5e-16
 
 
 class TestLseAsymptotic:

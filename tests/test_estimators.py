@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -48,6 +49,18 @@ class TestWeightFamilies:
             assert np.max(np.abs(w.coefficients -
                                  st.adenstedt_weights(n, alpha).coefficients)) < 1e-10
 
+    @pytest.mark.parametrize("alpha", [-0.45, 0.25, 1.853, 2.5])
+    def test_adenstedt_within_an_ulp_of_forty_digits(self, alpha):
+        n = 1024
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            c = [mpmath.binomial(n, k) * mpmath.beta(a + k + 1, a + n - k + 1)
+                 for k in range(n + 1)]
+            total = mpmath.fsum(c)
+            want = np.array([float(v / total) for v in c])
+        got = st.adenstedt_weights(n, alpha).coefficients
+        assert np.all(np.abs(got - want) <= np.spacing(want))
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(st.ValidationError):
             st.EstimatorWeights(np.array([0.5, 0.4]))
@@ -70,6 +83,15 @@ class TestClosedFormVariance:
     def test_alpha_zero(self):
         for n in (1, 10, 100):
             assert st.adenstedt_variance_closed_form(n, 0.0) == pytest.approx(1.0 / (n + 1))
+
+    @pytest.mark.parametrize("n", [256, 1024, 4096])
+    def test_within_an_ulp_of_forty_digits(self, n):
+        for alpha in (-0.45, 0.25, 1.3, 1.9, 2.5):
+            with mpmath.workdps(40):
+                a = mpmath.mpf(alpha)
+                want = mpmath.beta(n + 1, 2 * a + 1) / mpmath.beta(a + 1, a + 1)
+                got = st.adenstedt_variance_closed_form(n, alpha)
+                assert abs(got - want) <= np.spacing(got), alpha
 
     def test_stirling_asymptote(self):
         n = 4096

@@ -383,6 +383,11 @@ class TestQuadraticForm:
             assert st.quadratic_form(weights, system.covariance) == pytest.approx(
                 variance, rel=1e-12)
 
+    def test_fast_length_matches_scipy(self):
+        from scipy.fft import next_fast_len
+        assert all(toeplitz._fast_length(m) == next_fast_len(m, real=True)
+                   for m in range(1, 5000))
+
     def test_long_weights_rejected(self):
         cov = st.covariance_sequence(st.WhiteNoise(1.0), 2)
         with pytest.raises(st.ValidationError):
