@@ -294,7 +294,7 @@ def _run(args, manifest):
     if cmd == "efficiency":
         if args.finite:
             measure = load_measure(args.model)
-            grid = _parse_grid(args.n_grid) if args.n_grid else [args.n]
+            grid = _parse_grid(args.n_grid) if args.n_grid is not None else [args.n]
             if not grid:
                 raise ValidationError("n grid must be nonempty")
             values = {}

@@ -8,7 +8,8 @@ rounding (Ogita, Rump & Oishi 2005): products are split exactly by two_prod,
 and `math.fsum` adds the parts once for hi and once more for lo.
 `np.asarray` and `float` round a value to double.  two_sum, split and
 two_prod are Knuth's and Dekker's error-free transformations, for floats and
-arrays alike.
+arrays alike; `grid_split` cuts whole vectors so that their dot products are
+exact in plain double.
 
 The elementary functions are those the closed forms of `covariance` need, by
 the same paper's methods: `exp` reduces by ln 2 and 2^-10 before a Taylor
@@ -50,6 +51,16 @@ def two_prod(a, b):
     ah, al = split(a)
     bh, bl = split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def grid_split(v, terms: int):
+    """(v1, v2), v = v1 + v2 exactly, v1 on the grid 2^(e-b) with max|v| < 2^e
+    and 2b + log2(terms) <= 53: sums of `terms` products of two v1 parts are
+    exact (Ozaki, Ogita, Oishi & Rump 2012).  |v2| <= min(|v|, 2^-b max|v|)."""
+    bits = (53 - (int(terms) - 1).bit_length()) // 2
+    unit = np.ldexp(1.0, int(np.frexp(np.max(np.abs(v), initial=0.0))[1]) - bits)
+    v1 = np.rint(v / unit) * unit
+    return v1, v - v1
 
 
 def _dd(v):

@@ -39,6 +39,8 @@ class EstimatorWeights:
         object.__setattr__(self, "coefficients", coefficients)
         if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
             raise ValidationError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValidationError("weights must be finite")
         total = self.coefficients.sum()
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValidationError(f"weights must sum to 1 (got {total!r})")
@@ -72,8 +74,8 @@ def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
     exactly; the symmetrisation and the normalisation are double-double too,
     so each weight is rounded once.
     """
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    if not -0.5 < alpha < math.inf:
+        raise ValidationError("alpha must be finite with alpha > -1/2")
     if n < 0:
         raise ValidationError("n must be nonnegative")
     k = np.arange(n, dtype=float)
@@ -87,8 +89,8 @@ def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
 def adenstedt_variance_closed_form(n: int, alpha: float) -> float:
     """B(n+1, 2a+1) / B(a+1, a+1) = binom(2a, a) n! / (2a+2)_n: the optimal
     variance under f_alpha, in double-double."""
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    if not -0.5 < alpha < math.inf:
+        raise ValidationError("alpha must be finite with alpha > -1/2")
     return float(dd.central_binomial(alpha) * _factorial_ratio(n, alpha))
 
 
@@ -107,8 +109,8 @@ def gegenbauer_optimal(n: int, alpha: float) -> np.ndarray:
     recurrence n C_n = 2(n+a-1) x C_{n-1} - (n+2a-2) C_{n-2}, then reads the
     weights off the expansion sum_k c_k cos((n-2k) t).
     """
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    if not -0.5 < alpha < math.inf:
+        raise ValidationError("alpha must be finite with alpha > -1/2")
     a = alpha + 1.0
     # coef[j][m] = coefficient of cos(m t) in C_j^{(a)}(cos t); m has parity of j
     prev = np.zeros(n + 1)

@@ -9,10 +9,9 @@ weights step by P_m(1) / e_m, the monic orthogonal polynomial at 1 over the
 prediction error, and the curve is 1 / sum_{j<=m} P_j(1)^2 / e_j, the
 Christoffel sum at 1 (Simon, OPUC, 2005, ch. 1-2).  It is the library's only
 Levinson recursion, written once over an arithmetic: numpy float64, or the
-double-double arrays of `ddouble` for the extended path.  The refinement step
-runs it with a residual as right-hand side, and `opuc` reads its reflections
-and prediction errors as negated Verblunsky coefficients and monic norms.  The
-all-ones pass runs at most once per exact covariance sequence, in either
+double-double arrays of `ddouble` for the extended path; `opuc` reads its
+reflections and prediction errors as negated Verblunsky coefficients and monic
+norms.  The pass runs at most once per exact covariance sequence, in either
 arithmetic: it is memoised on the sequence's bytes (and its low parts' in
 double-double) in a bounded memo, so `blue_solve`, `blue_variance_curve`,
 `reflection_coefficients`, the OPUC recursion and their callers share it.
@@ -20,13 +19,12 @@ Memoised arrays are read-only and callers receive copies; a breakdown is
 raised, never memoised.
 
 In double precision the solution is polished by one step of iterative
-refinement, memoised with the pass.  Its residual 1 - R x is accumulated in
-extended (80-bit) arithmetic by correlating x with the covariance sequence, in
-O(n) memory; where the sequence carries its low parts (the power-law closed
-forms), their correlation with x, taken in double, is subtracted as well, so
-the step corrects towards the exact covariances rather than their rounding.
-The double-double pass is not refined.  The quadratic form of competing
-weights takes the autocorrelation of long weight vectors by numpy's FFT.
+refinement at every order, memoised with the pass: the residual 1 - (R + L) x,
+L the Toeplitz matrix of the closed forms' low parts, is formed in double from
+`ddouble.grid_split` parts, and R^-1 is applied to it by the Gohberg-Semencul
+formula from the pass's final predictor.  The double-double pass is not
+refined.  The quadratic form takes short-band lag sums from the same split, and
+the autocorrelation of long weight vectors by numpy's FFT.
 """
 
 from __future__ import annotations
@@ -44,10 +42,6 @@ from .spectra import TWO_PI, as_measure
 
 #: reflection magnitude beyond which the double recursion is declared singular
 BREAKDOWN_DOUBLE = 1.0 - 1e-14
-#: largest order that gets a refinement step.  The cap bounds time (the
-#: correction is a second O(n^2) pass) and keeps outputs above it bit-for-bit
-#: as they were; the residual itself takes O(n) memory at any order.
-REFINE_MAX_ORDER = 2048
 
 #: scaling applied to Fourier coefficients of 1/f in the inverse-density
 #: approximation.  Pinned by exactness on constant densities: with entries
@@ -63,12 +57,6 @@ class ToeplitzSystem:
     covariance: CovarianceSequence
     precision: str = "double"
 
-    def __post_init__(self):
-        if self.precision not in ("double", "dd"):
-            raise ValidationError(f"unknown precision {self.precision!r}")
-        if self.precision == "dd" and self.covariance.precision != "dd":
-            raise ValidationError("extended precision requires a dd covariance sequence")
-
     @property
     def order(self) -> int:
         return self.covariance.order
@@ -83,40 +71,38 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
 # the Levinson kernel, in double or double-double arithmetic
 # ---------------------------------------------------------------------------
 
-def _levinson(r, rhs=None, ar=_DOUBLE):
-    """One Levinson-Durbin pass solving R x = rhs, R the Toeplitz matrix of r.
+def _levinson(r, ar=_DOUBLE):
+    """One Levinson-Durbin pass solving R x = 1, R the Toeplitz matrix of r.
 
     r is a float array, or a `dd.DD` array with `ar` = _DD.  Returns (x,
-    reflections, prediction errors e_0..e_n, variance curve) in the same
-    arithmetic.  A missing rhs stands for the all-ones vector, whose step at
-    order m is P_m(1) / e_m, P_m(1) = prod_{j<=m} (1 + k_j), and whose curve is
-    1 / sum_{j<=m} P_j(1)^2 / e_j; another rhs takes a second dot per order and
-    has no curve.  A breakdown raises `NearSingularError` with the reflections
-    so far, the offending one last, and the curve below its order.  The
-    double-double pass also stops on pivot and variance loss; its reflection
-    bound, compared with the reflection rounded to double, is 1.0.
+    reflections, prediction errors e_0..e_n, variance curve, final predictor
+    a) in the same arithmetic, with R a = e_n (1, 0, ..., 0).  The step at
+    order m is P_m(1) / e_m, P_m(1) = prod_{j<=m} (1 + k_j), and the curve is
+    1 / sum_{j<=m} P_j(1)^2 / e_j.  A breakdown raises `NearSingularError`
+    with the reflections so far, the offending one last, and the curve below
+    its order.  The double-double pass also stops on pivot and variance loss;
+    its reflection bound, compared with the reflection rounded to double, is
+    1.0.
     """
     def breakdown(what, m, reflections=None):
-        prefix = np.array(1.0 / terms[:m].cumsum(), dtype=float) if ones else None
         note = (" in double-double precision" if ar.extended
                 else "; extended double-double precision may reach further")
         return NearSingularError(f"{what}{note}", order=m, extended=ar.extended,
-                                 reflections=reflections, curve=prefix)
+                                 reflections=reflections,
+                                 curve=np.array(1.0 / terms[:m].cumsum(), dtype=float))
 
     bound = 1.0 if ar.extended else BREAKDOWN_DOUBLE
     n = len(r) - 1
     lags = np.flatnonzero(np.asarray(r))
     band = int(lags[-1]) if lags.size else 0        # dots skip the exact-zero lags past it
-    ones = rhs is None
     a, x, refl, errors = ar.empty(n + 1), ar.empty(n + 1), ar.empty(n), ar.empty(n + 1)
-    a[0], x[0] = 1.0, (1.0 if ones else rhs[0]) / r[0]
+    a[0], x[0] = 1.0, 1.0 / r[0]
     e = errors[0] = r[0]
-    p, terms = 1.0, ar.empty(n + 1)             # P_j(1)^2 / e_j, on the all-ones pass
+    p, terms = 1.0, ar.empty(n + 1)             # P_j(1)^2 / e_j
     terms[0] = x[0]
     for m in range(1, n + 1):
         w = min(m, band)
-        window = r[w:0:-1]
-        k = -ar.dot(a[m - w:m], window) / e
+        k = -ar.dot(a[m - w:m], r[w:0:-1]) / e
         if abs(float(k)) >= bound:
             raise breakdown(f"Toeplitz factorization breakdown at order {m} "
                             f"(reflection {float(k):+.17g})", m, np.append(refl[:m - 1], k))
@@ -127,32 +113,27 @@ def _levinson(r, rhs=None, ar=_DOUBLE):
         if ar.extended and float(e) <= 0.0:
             raise breakdown(f"pivot loss at order {m}", m)
         errors[m] = e
-        if ones:
-            p *= 1.0 + k
-            step = p / e
-            terms[m] = p * step
-        else:
-            step = (rhs[m] - ar.dot(x[m - w:m], window)) / e
+        p *= 1.0 + k
+        step = p / e
+        terms[m] = p * step
         x[m] = 0.0
         x[:m + 1] += step * a[:m + 1][::-1]
-    if not ones:
-        return x, refl, errors, None
     curve = 1.0 / terms.cumsum()
     lost = np.flatnonzero(np.asarray(curve) <= 0.0)
     if ar.extended and lost.size:
         raise breakdown(f"variance loss at order {lost[0]}", int(lost[0]))
-    return x, refl, errors, curve
+    return x, refl, errors, curve, a
 
 
 class _LevinsonPass:
     """Read-only results of one all-ones pass, in the arithmetic it ran in,
     plus its refined solution once asked, for the low parts last asked with."""
 
-    __slots__ = ("x", "refl", "errors", "curve", "_refined")
+    __slots__ = ("x", "refl", "errors", "curve", "a", "_refined")
 
-    def __init__(self, x, refl, errors, curve):
-        self.x, self.refl, self.errors, self.curve = (
-            read_only(v) for v in (x, refl, errors, curve))
+    def __init__(self, x, refl, errors, curve, a):
+        self.x, self.refl, self.errors, self.curve, self.a = (
+            read_only(v) for v in (x, refl, errors, curve, a))
         self._refined = (None, None)
 
     @property
@@ -160,17 +141,18 @@ class _LevinsonPass:
         return self._refined[1]
 
     def refine(self, r, lo):
-        """x after one refinement step against r + lo.  The low parts' bytes
-        and the solution are stored as one tuple, so threads see a matched pair."""
+        """x + R^-1 (1 - (R + L) x), one refinement step against r + lo.  The low
+        parts' bytes and the solution are one tuple, so threads see a matched pair."""
         key = None if lo is None else lo.tobytes()
         done = self._refined
         if done[1] is None or done[0] != key:
-            done = self._refined = (key, read_only(_refine(r, self.x, lo)))
+            correction = _gohberg_semencul(self.a, self.errors[-1], _residual(r, self.x, lo))
+            done = self._refined = (key, read_only(self.x + correction))
         return done[1]
 
 
-#: the 8 passes used last; an entry holds five vectors of length n+1, each
-#: two arrays in double-double
+#: the 8 passes used last; an entry holds six vectors of length n+1 (the
+#: refined x in double only), each two arrays in double-double
 _LEVINSON_MEMO = BoundedMemo(8)
 
 
@@ -182,7 +164,7 @@ def _levinson_pass(r, lo=None) -> _LevinsonPass:
         key, args = r.tobytes(), (r,)
     else:
         lo = np.asarray(lo, dtype=float)
-        key, args = (r.tobytes(), lo.tobytes()), (dd.DD(r, lo), None, _DD)
+        key, args = (r.tobytes(), lo.tobytes()), (dd.DD(r, lo), _DD)
     entry = _LEVINSON_MEMO.get(key)
     if entry is None:
         entry = _LevinsonPass(*_levinson(*args))
@@ -191,7 +173,9 @@ def _levinson_pass(r, lo=None) -> _LevinsonPass:
 
 
 def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
-    if precision != "dd":
+    if precision not in ("double", "dd"):
+        raise ValidationError(f"unknown precision {precision!r}")
+    if precision == "double":
         return _levinson_pass(covariance.values)
     if covariance.precision != "dd":
         raise ValidationError("extended precision requires a dd covariance sequence")
@@ -199,35 +183,36 @@ def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
 
 
 def _correlate(r, x):
-    """(R x)_i = sum_j r(|i-j|) x_j, in the arrays' precision.
-
-    Correlating x with the two-sided sequence r(n..1, 0..n) forms every row in
-    O(n) memory and sums over j in ascending order, as the dense product
-    r[|i-j|] @ x does, so both give the same bits.
-    """
+    """(R x)_i = sum_j r(|i-j|) x_j, by correlating x with the two-sided
+    sequence r(n..1, 0..n) in O(n) memory."""
     return np.correlate(np.concatenate((r[:0:-1], r)), x, mode="valid")[::-1]
 
 
 def _residual(r, x, lo=None):
-    """1 - (R + L) x in extended precision, R and L the symmetric Toeplitz
-    matrices of r and of its low parts lo; L x is formed in double, as lo is
-    below r's rounding."""
-    xl = np.asarray(x, dtype=np.longdouble)
-    res = 1 - _correlate(np.asarray(r, dtype=np.longdouble), xl)
-    if lo is not None and lo.any():
-        res -= _correlate(lo, np.asarray(x, dtype=float))
-    return res
+    """1 - (R + L) x, R and L the Toeplitz matrices of r and of its low parts,
+    to 2^-64 of sum_j |r(i-j) x_j| in row i.  With r and x split by
+    `dd.grid_split`, R1 x1 is exact; the rest, R x2 + (R2 + L) x1, is some
+    2^-20 of R x and is formed in double, and L x2 is below its rounding."""
+    r1, r2 = dd.grid_split(r, len(r))
+    x1, x2 = dd.grid_split(x, len(r))
+    if lo is not None:
+        r2 = r2 + lo
+    return (1.0 - _correlate(r1, x1)) - _correlate(r, x2) - _correlate(r2, x1)
 
 
-def _refine(r, x, lo=None):
-    """One iterative-refinement step, residual in extended precision.
+def _gohberg_semencul(a, e, b):
+    """R^-1 b from the final predictor a and prediction error e of R's pass.
 
-    The correction pass repeats the reflections of the pass that produced x,
-    so it cannot break down where that pass did not.
-    """
-    if len(r) - 1 > REFINE_MAX_ORDER:
-        return x
-    return x + _levinson(r, np.asarray(_residual(r, x, lo), dtype=float))[0]
+    R^-1 = (L(a) L(a)^T - L(s) L(s)^T) / e, s = (0, a_n, ..., a_1), L(v) the
+    lower-triangular Toeplitz matrix of first column v (Gohberg & Semencul
+    1972).  Products are convolutions by FFT; L(v)^T b is L(v) on b reversed,
+    reversed."""
+    m = len(b)
+    size = _fast_length(2 * m - 1)
+    fa, fs = np.fft.rfft(a, size), np.fft.rfft(np.append(0.0, a[:0:-1]), size)
+    fb = np.fft.rfft(b[::-1], size)
+    u, v = (np.fft.irfft(f * fb, size)[m - 1::-1] for f in (fa, fs))
+    return np.fft.irfft(fa * np.fft.rfft(u, size) - fs * np.fft.rfft(v, size), size)[:m] / e
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +264,15 @@ def quadratic_form(weights, covariance: CovarianceSequence) -> float:
     lags = int(nz[-1]) + 1 if len(nz) else 1
     lags = min(lags, len(c))
     if lags <= 8:
-        # extended accumulation keeps closed-form identities tight at n ~ 4096
-        cl = c.astype(np.longdouble)
-        acc = np.longdouble(r[0]) * np.dot(cl, cl)
-        for t in range(1, lags):
-            acc += 2.0 * np.longdouble(r[t]) * np.dot(cl[:-t], cl[t:])
-        return float(acc)
+        # lag sums of split weights, c1 . c1 exact, combined in double-double:
+        # closed-form identities hold at n ~ 4096
+        m = len(c)
+        c1, c2 = dd.grid_split(c, m)
+        hi, lo = np.array([(np.dot(c1[:m - t], c1[t:]),
+                            np.dot(c[:m - t], c2[t:]) + np.dot(c2[:m - t], c1[t:]))
+                           for t in range(lags)]).T
+        scale = np.where(np.arange(lags) > 0, 2.0, 1.0) * r[:lags]
+        return float(dd.dot(dd.DD(scale, np.zeros(lags)), dd.DD(hi, lo)))
     # the full autocorrelation, as the convolution of c with c reversed
     size = _fast_length(2 * len(c) - 1)
     auto = np.fft.irfft(np.fft.rfft(c, size) * np.fft.rfft(c[::-1], size), size)

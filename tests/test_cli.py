@@ -179,12 +179,15 @@ class TestExitCodes:
         (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "xyz"), 1),
         (("chebyshev", "--arcs", "foo", "--n-grid", "4:8:4"), 1),
         (("chebyshev", "--arcs", "0.1pi:0.2pi", "--n-grid", "4:0:0"), 1),
+        (("efficiency", "--finite", "--model", "{models}/f1.json", "--estimator", "lse",
+          "--n-grid", ""), 1),
         # values argparse accepts and the computation refuses
         (("chebyshev", "--arcs", "0:0", "--n-grid", "4"), 2),
         (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json",
           "--alpha", "nan"), 2),
         (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json",
           "--alpha", "1.5"), 2),
+        (("weights", "--estimator", "adenstedt", "--alpha", "inf", "--n", "3"), 2),
     ])
     def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
         (tmp_path / "malformed.json").write_text('{"variant": ')
@@ -264,6 +267,14 @@ class TestExitCodes:
         code, out, err = run_cli("covariance", "--config", str(path))
         assert code == 2 and "validation error" in err, err
         assert out == "" and "Traceback" not in err
+
+    def test_empty_order_grid_from_config_is_a_usage_error(self, model_dir, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"n-grid": ""}))
+        code, out, err = run_cli("efficiency", "--finite", "--config", str(path), "--model",
+                                 str(model_dir / "f1.json"), "--estimator", "lse")
+        assert code == 1 and "malformed order grid" in err and out == ""
+        assert "Traceback" not in err
 
     def test_config_switch_needs_a_boolean(self, model_dir, tmp_path):
         path = tmp_path / "config.json"

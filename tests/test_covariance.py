@@ -344,7 +344,8 @@ class TestRatioRecurrence:
 
     @pytest.mark.parametrize("alpha, n, tol", [(2.0, 1024, 1e-10), (2.0, 2048, 1e-10),
                                                (1.9, 2048, 5e-6)] + [
-        (alpha, n, 1e-9) for alpha in (1.3, 1.55, 1.9, 1.9995) for n in (1024, 2048)])
+        (alpha, n, 1e-9) for alpha in (1.3, 1.55, 1.9, 1.9995) for n in (1024, 2048)] + [
+        (alpha, 4096, 1e-7 if alpha == 1.9 else 1e-8) for alpha in (1.3, 1.55, 1.9, 2.0)])
     def test_blue_variance_against_closed_form(self, alpha, n, tol):
         _, variance = st.blue_solve(st.system_for(st.PowerAtOrigin(alpha), n))
         exact = st.adenstedt_variance_closed_form(n, alpha)

@@ -65,6 +65,19 @@ class TestWeightFamilies:
         with pytest.raises(st.ValidationError):
             st.EstimatorWeights(np.array([0.5, 0.4]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_weights_must_be_finite(self, bad):
+        """abs(nan - 1) > tol is false, so the unit-sum check alone lets NaN by."""
+        with pytest.raises(st.ValidationError, match="finite"):
+            st.EstimatorWeights(np.array([bad, 0.5, 0.5]))
+
+    @pytest.mark.parametrize("alpha", [math.inf, math.nan])
+    def test_adenstedt_alpha_must_be_finite(self, alpha):
+        with pytest.raises(st.ValidationError):
+            st.adenstedt_weights(3, alpha)
+        with pytest.raises(st.ValidationError):
+            st.adenstedt_variance_closed_form(3, alpha)
+
     def test_frozen_with_a_read_only_copy(self):
         given = np.array([0.25, 0.75])
         weights = st.EstimatorWeights(given)

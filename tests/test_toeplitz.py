@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import copy
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -62,6 +65,14 @@ class TestBlueSolve:
         assert system.precision == before.precision
         assert system.covariance.provenance == before.covariance.provenance
         assert _bits(system.covariance.values) == _bits(before.covariance.values)
+
+    def test_one_precision_check_for_both_entry_points(self, ma1):
+        cov = st.covariance_sequence(ma1, 8)
+        for precision, message in (("quad", "unknown precision"), ("dd", "dd covariance")):
+            with pytest.raises(st.ValidationError, match=message):
+                st.blue_variance_curve(cov, precision=precision)
+            with pytest.raises(st.ValidationError, match=message):
+                st.blue_solve(st.ToeplitzSystem(cov, precision=precision))
 
     def test_near_singular_raises_with_advice(self):
         cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 40)
@@ -211,21 +222,27 @@ class TestRefinementResidual:
               "ar1_0.7": st.Arma(ma=(1.0,), ar=(1.0, -0.7))}
 
     @pytest.mark.parametrize("name", sorted(MODELS))
-    def test_matches_dense_formula_bit_for_bit(self, name):
-        values = st.covariance_sequence(self.MODELS[name], 1024).values
-        for n in (1, 2, 17, 256, 1024):
-            r = values[:n + 1]
+    def test_within_2_to_the_minus_64_of_exact_rationals(self, name):
+        """Per row, against sum_j |r(i-j) x_j|: the platform's long double
+        alone would be 2^-64 at best, and it is plain double on some."""
+        cov = st.covariance_sequence(self.MODELS[name], 256)
+        for n in (1, 2, 17, 256):
+            r = cov.values[:n + 1]
             x = _levinson(r)[0]
-            rl = r.astype(np.longdouble)
-            idx = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
-            dense = 1 - rl[idx] @ x.astype(np.longdouble)
-            structured = _residual(r, x)
-            # equal as extended values: tobytes() would also compare padding bytes
-            assert structured.dtype == np.longdouble
-            assert np.array_equal(structured, dense), n
+            lo = r * 2.0 ** -55 if cov.lo is None else cov.lo[:n + 1]
+            rf, xf = [Fraction(v) for v in r], [Fraction(v) for v in x]
+            for low in (None, lo):
+                lf = [Fraction(0)] * (n + 1) if low is None else [Fraction(v) for v in low]
+                got = _residual(r, x, low)
+                for i in range(n + 1):
+                    exact = 1 - sum((rf[abs(i - j)] + lf[abs(i - j)]) * xf[j]
+                                    for j in range(n + 1))
+                    scale = sum(abs(rf[abs(i - j)] * xf[j]) for j in range(n + 1))
+                    got_i = Fraction(*got[i].as_integer_ratio())
+                    assert abs(got_i - exact) <= scale * Fraction(1, 2 ** 64), (n, i)
 
     def test_blue_solve_peak_memory_is_linear(self):
-        cov = st.covariance_sequence(st.PowerAtOrigin(0.3), toeplitz.REFINE_MAX_ORDER)
+        cov = st.covariance_sequence(st.PowerAtOrigin(0.3), 4096)
         toeplitz._LEVINSON_MEMO.clear()
         tracemalloc.start()
         try:
@@ -234,6 +251,36 @@ class TestRefinementResidual:
         finally:
             tracemalloc.stop()
         assert peak < 2e6
+
+
+class TestPlatformLongDouble:
+    """Results do not depend on the platform's long double: with it aliased to
+    double, as on Windows and Apple-silicon macOS, the bytes are the same."""
+
+    SCRIPT = """
+import sys
+import numpy
+if sys.argv[1] == "double":
+    numpy.longdouble = numpy.float64
+import statmean as st
+out = []
+for n in (1024, 4096):
+    cov = st.covariance_sequence(st.PowerAtOrigin(1.9), n)
+    weights, variance = st.blue_solve(st.ToeplitzSystem(cov))
+    out += [weights.coefficients.tobytes().hex(), numpy.float64(variance).tobytes().hex()]
+    for w in (weights, st.parabolic_weights(n)):
+        for model in (st.PowerAtOrigin(2.0), st.PowerAtOrigin(1.9)):
+            value = st.quadratic_form(w, st.covariance_sequence(model, n))
+            out.append(numpy.float64(value).tobytes().hex())
+print(" ".join(out))
+"""
+
+    def test_same_bytes_with_long_double_as_double(self):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(st.__file__)))
+        runs = [subprocess.run([sys.executable, "-c", self.SCRIPT, mode], capture_output=True,
+                               text=True, env=env, check=True, timeout=300).stdout
+                for mode in ("native", "double")]
+        assert runs[0] and runs[0] == runs[1]
 
 
 class TestVarianceCurve:
@@ -300,7 +347,7 @@ class TestOnesPass:
     @pytest.mark.parametrize("seed", range(4))
     def test_eta_is_the_predictor_at_one_in_double(self, seed):
         r = _random_sequence(seed, 24)
-        _, refl, errors, _ = _levinson(r)
+        _, refl, errors, _, _ = _levinson(r)
         p = np.cumprod(np.append(1.0, 1.0 + refl))
         for m in range(1, len(r)):
             prev = scipy.linalg.solve(scipy.linalg.toeplitz(r[:m]), np.ones(m))
@@ -312,7 +359,7 @@ class TestOnesPass:
     def test_eta_is_the_predictor_at_one_in_dd(self, seed):
         r = _random_sequence(seed, 12)
         lo = r * 2.0 ** -60                   # exact values with nonzero low parts
-        _, refl, errors, _ = _levinson(dd.DD(r, lo), None, _DD)
+        _, refl, errors, _, _ = _levinson(dd.DD(r, lo), _DD)
         p = (1.0 + refl).cumprod()
         with mpmath.workdps(50):
             exact = [mpmath.mpf(h) + mpmath.mpf(v) for h, v in zip(r, lo)]
@@ -326,6 +373,16 @@ class TestOnesPass:
                 eta = 1 - mpmath.fsum(prev[j] * exact[m - j] for j in range(m))
                 assert abs(_mp(p[m - 1]) / eta - 1) < 1e-28
                 assert abs(_mp(p[m - 1] / errors[m]) / solve(m)[m] - 1) < 1e-28
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 12, 300])
+    def test_gohberg_semencul_is_the_inverse(self, seed, n):
+        r = _random_sequence(seed, n)
+        _, _, errors, _, a = _levinson(r)
+        b = np.random.default_rng(seed).normal(size=n + 1)
+        want = scipy.linalg.solve(scipy.linalg.toeplitz(r), b)
+        got = toeplitz._gohberg_semencul(a, errors[-1], b)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     CUT = {"ma2": (st.Arma(ma=(1.0, -0.5, 0.3)), 40),
            "power_law_1": (st.PowerAtOrigin(1.0), 64),
@@ -343,7 +400,7 @@ class TestOnesPass:
             cov = st.covariance_sequence(model, n, precision="dd")
             r = dd.DD(cov.values, cov.lo)
             assert np.flatnonzero(cov.values)[-1] < n       # the cut skips something
-        x, refl, _, curve = _levinson(r, None, _DD)
+        x, refl, _, curve, _ = _levinson(r, _DD)
         for got, want in zip((x, refl, curve), _dense_window_pass(r)):
             assert got.hi.tobytes() == want.hi.tobytes()
             assert got.lo.tobytes() == want.lo.tobytes()
@@ -382,6 +439,21 @@ class TestQuadraticForm:
             weights, variance = st.blue_solve(system)
             assert st.quadratic_form(weights, system.covariance) == pytest.approx(
                 variance, rel=1e-12)
+
+    @pytest.mark.parametrize("measure", [st.PowerAtOrigin(2.0), st.Arma(ma=(1.0, -1.0))],
+                             ids=["power_law_2", "ma1_unit_root"])
+    @pytest.mark.parametrize("estimator", ["parabolic", "blue"])
+    def test_short_band_against_exact_rationals(self, measure, estimator):
+        n = 4096
+        cov = st.covariance_sequence(measure, n)
+        weights = (st.parabolic_weights(n) if estimator == "parabolic"
+                   else st.blue_solve(st.ToeplitzSystem(cov))[0])
+        c = [Fraction(v) for v in weights.coefficients]
+        lags = np.flatnonzero(cov.values)[-1] + 1
+        assert lags <= 8                     # the short-band branch
+        exact = sum((1 if t == 0 else 2) * Fraction(cov.values[t])
+                    * sum(c[k] * c[k + t] for k in range(n + 1 - t)) for t in range(lags))
+        assert abs(Fraction(st.quadratic_form(weights, cov)) / exact - 1) < 1e-9
 
     def test_fast_length_matches_scipy(self):
         from scipy.fft import next_fast_len
