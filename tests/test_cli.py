@@ -179,8 +179,6 @@ class TestExitCodes:
         (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "xyz"), 1),
         (("chebyshev", "--arcs", "foo", "--n-grid", "4:8:4"), 1),
         (("chebyshev", "--arcs", "0.1pi:0.2pi", "--n-grid", "4:0:0"), 1),
-        (("efficiency", "--finite", "--model", "{models}/f1.json", "--estimator", "lse",
-          "--n-grid", ""), 1),
         # values argparse accepts and the computation refuses
         (("chebyshev", "--arcs", "0:0", "--n-grid", "4"), 2),
         (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json",
@@ -268,10 +266,12 @@ class TestExitCodes:
         assert code == 2 and "validation error" in err, err
         assert out == "" and "Traceback" not in err
 
-    def test_empty_order_grid_from_config_is_a_usage_error(self, model_dir, tmp_path):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_order_grid_is_a_usage_error(self, model_dir, tmp_path, source):
         path = tmp_path / "config.json"
         path.write_text(json.dumps({"n-grid": ""}))
-        code, out, err = run_cli("efficiency", "--finite", "--config", str(path), "--model",
+        grid = ("--n-grid", "") if source == "flag" else ("--config", str(path))
+        code, out, err = run_cli("efficiency", "--finite", *grid, "--model",
                                  str(model_dir / "f1.json"), "--estimator", "lse")
         assert code == 1 and "malformed order grid" in err and out == ""
         assert "Traceback" not in err

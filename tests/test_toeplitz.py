@@ -222,6 +222,25 @@ class TestRefinementResidual:
               "ar1_0.7": st.Arma(ma=(1.0,), ar=(1.0, -0.7))}
 
     @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_dense_formula_bit_for_bit(self, name):
+        """The residual's leading term R1 x1, on the split parts, is exact: the
+        structured correlation, the dense product and the rationals agree.  x
+        is skewed, as the solution is symmetric and hides a reversed row order."""
+        values = st.covariance_sequence(self.MODELS[name], 1024).values
+        for n in (1, 2, 17, 256, 1024):
+            r = values[:n + 1]
+            r1, _ = dd.grid_split(r, n + 1)
+            x1, _ = dd.grid_split(_levinson(r)[0] * np.linspace(1.0, 2.0, n + 1), n + 1)
+            idx = np.abs(np.subtract.outer(np.arange(n + 1), np.arange(n + 1)))
+            dense = r1[idx] @ x1
+            structured = toeplitz._correlate(r1, x1)
+            assert structured.tobytes() == dense.tobytes(), n
+            if n <= 17:
+                exact = [sum(Fraction(r1[abs(i - j)]) * Fraction(x1[j]) for j in range(n + 1))
+                         for i in range(n + 1)]
+                assert [Fraction(v) for v in structured] == exact, n
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
     def test_within_2_to_the_minus_64_of_exact_rationals(self, name):
         """Per row, against sum_j |r(i-j) x_j|: the platform's long double
         alone would be 2^-64 at best, and it is plain double on some."""
