@@ -182,8 +182,8 @@ def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
 
 def _correlate(r, x):
     """(R x)_i = sum_j r(|i-j|) x_j, x correlated with r(n..1, 0..n) 1024
-    columns at a time: each dot's two 8 KB operands stay in level-1 cache,
-    where one call over the 4097 columns at n = 4096 ran at half the speed."""
+    columns at a time: each dot's two 8 KB operands stay in a 48 KB L1 cache,
+    where one call over all 4097 columns at n = 4096 ran at half the speed."""
     s, m = np.concatenate((r[:0:-1], r)), len(x)
     return np.add.reduce([np.correlate(s[j:j + m + 1023], x[j:j + 1024], "valid")
                           for j in range(0, m, 1024)])[::-1]
