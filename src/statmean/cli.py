@@ -68,11 +68,9 @@ def build_parser() -> _Parser:
     p.add_argument("--config", help="JSON file with default flag values")
     sub = p.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp, model=True, out=True):
-        if model:
-            sp.add_argument("--model", help="model/measure JSON path")
-        if out:
-            sp.add_argument("--out", help="output path (default: stdout)")
+    def common(sp):
+        sp.add_argument("--model", help="model/measure JSON path")
+        sp.add_argument("--out", help="output path (default: stdout)")
 
     sp = sub.add_parser("classify", help="regularity/memory classification")
     common(sp)

@@ -180,7 +180,7 @@ def _cosine_moments(lam, w, fvals, kmax):
     return out
 
 
-def _quadrature_density_covariances(model, kmax, tol=QUAD_TOL):
+def _quadrature_density_covariances(model, kmax):
     # a power singularity numerically at -1 cannot be graded to tolerance in
     # double precision; detect that analytically instead of trusting two
     # identically-capped grids that would agree on the wrong answer
@@ -189,7 +189,7 @@ def _quadrature_density_covariances(model, kmax, tol=QUAD_TOL):
                 and quadrature.depth_for_exponent(s.exponent) >= quadrature.MAX_SINGULAR_PANELS):
             residual = 2.0 ** (-quadrature.MAX_SINGULAR_PANELS * (1.0 + s.exponent))
             raise AccuracyError(
-                f"covariance quadrature cannot reach {tol:g} for a power "
+                f"covariance quadrature cannot reach {QUAD_TOL:g} for a power "
                 f"singularity with exponent {s.exponent:g}; unresolved relative "
                 f"mass ~{residual:.3g}", achieved=residual)
     grids = [
@@ -204,11 +204,11 @@ def _quadrature_density_covariances(model, kmax, tol=QUAD_TOL):
         cur = _cosine_moments(lam, w, model.values(lam), kmax)
         if prev is not None:
             achieved = float(np.max(np.abs(cur - prev)))
-            if achieved <= tol:
+            if achieved <= QUAD_TOL:
                 return cur
         prev = cur
     raise AccuracyError(
-        f"covariance quadrature did not converge to {tol:g} "
+        f"covariance quadrature did not converge to {QUAD_TOL:g} "
         f"(achieved {achieved:.3g})", achieved=achieved)
 
 

@@ -27,10 +27,6 @@ LAWSON_RTOL = 1e-8
 LAWSON_WEIGHT_FLOOR = 1e-14
 #: switch to double-double once the predicted variance drops below this
 EXTENDED_PRECISION_THRESHOLD = 1e-12
-#: default order grids: double precision runs out of pivots well before the
-#: extended path does (0.707^96 squared still sits inside double-double range)
-DEFAULT_DOUBLE_GRID = tuple(range(8, 49, 4))
-DEFAULT_EXTENDED_GRID = tuple(range(8, 97, 8))
 #: unit roundoff of each arithmetic; a variance below u * nmax * r(0) is noise
 UNIT_ROUNDOFF = {"double": 2.0 ** -53, "dd": 2.0 ** -104}
 
@@ -209,7 +205,7 @@ class DecayReport:
             object.__setattr__(self, name, read_only(np.array(getattr(self, name))))
 
 
-def decay_rate_from_variances(measure, n_grid=None, precision: str = "auto") -> DecayReport:
+def decay_rate_from_variances(measure, n_grid, precision: str = "auto") -> DecayReport:
     """Fit rho = lim sigma_n^{1/n} by the ratio method on a grid of orders.
 
     rho is the geometric mean of sigma_{n+1}/sigma_n over the top half of the
@@ -222,8 +218,6 @@ def decay_rate_from_variances(measure, n_grid=None, precision: str = "auto") -> 
     measure = as_measure(measure)
     if precision not in ("auto", "double", "dd"):
         raise ValidationError(f"unknown precision {precision!r}")
-    if n_grid is None:
-        n_grid = DEFAULT_DOUBLE_GRID if precision == "double" else DEFAULT_EXTENDED_GRID
     n_grid = sorted(int(n) for n in n_grid)
     if not n_grid or n_grid[0] < 1:
         raise ValidationError("order grid must be nonempty with positive entries")

@@ -24,24 +24,18 @@ from .spectra import TWO_PI, SpectralModel, as_measure
 
 @dataclass(frozen=True)
 class EfficiencyReport:
-    n: object                 # int or math.inf
     value: float
-    numerator_variance: float | None
-    denominator_variance: float | None
-    law: str
+    numerator_variance: float
+    denominator_variance: float
 
 
-def efficiency_finite(weights: EstimatorWeights, measure, n: int | None = None) -> EfficiencyReport:
-    """Var(optimal)/Var(weights) under the same measure at finite order."""
+def efficiency_finite(weights: EstimatorWeights, measure) -> EfficiencyReport:
+    """Var(optimal)/Var(weights) under the same measure at the weights' order."""
     from .toeplitz import blue_solve, system_for
     measure = as_measure(measure)
-    if n is None:
-        n = weights.order
-    if n != weights.order:
-        raise ValidationError("order must match the weight length")
-    _, best = blue_solve(system_for(measure, n))
+    _, best = blue_solve(system_for(measure, weights.order))
     var = variance_under(weights, measure)
-    return EfficiencyReport(n, best / var, best, var, law="finite-sample ratio")
+    return EfficiencyReport(best / var, best, var)
 
 
 def overestimation_efficiency(alpha: float, beta: int) -> float:

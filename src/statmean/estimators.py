@@ -2,8 +2,9 @@
 
 Weights are indexed k = 0..n over the sample X(0..n), always summing to one
 (unbiasedness).  `variance_under` evaluates any weights against any spectral
-measure through the covariance quadratic form; for the sample mean it also
-runs the independent Fejer-kernel integral route and insists the two agree.
+measure through the covariance quadratic form; for uniform weights (the
+sample mean) it also runs the independent Fejer-kernel integral route and
+insists the two agree.
 """
 
 from __future__ import annotations
@@ -26,13 +27,9 @@ WEIGHT_SUM_TOL = 1e-12
 
 @dataclass(frozen=True)
 class EstimatorWeights:
-    """Coefficient vector c_0..c_n with a label describing its construction.
-    The coefficients are a read-only copy of those given."""
+    """Coefficient vector c_0..c_n, a read-only copy of the one given."""
 
     coefficients: np.ndarray
-    label: str = "custom"            # lse | parabolic | adenstedt | blue | pseudo_best | custom
-    alpha: float | None = None       # adenstedt family parameter
-    design: str | None = None        # model key for blue / pseudo-best
 
     def __post_init__(self):
         coefficients = read_only(np.array(self.coefficients, dtype=float))
@@ -54,7 +51,7 @@ def lse_weights(n: int) -> EstimatorWeights:
     """The sample mean: uniform weights 1/(n+1)."""
     if n < 0:
         raise ValidationError("n must be nonnegative")
-    return EstimatorWeights(np.full(n + 1, 1.0 / (n + 1)), label="lse")
+    return EstimatorWeights(np.full(n + 1, 1.0 / (n + 1)))
 
 
 def parabolic_weights(n: int) -> EstimatorWeights:
@@ -63,7 +60,7 @@ def parabolic_weights(n: int) -> EstimatorWeights:
         raise ValidationError("parabolic weights need n >= 2")
     k = np.arange(n + 1, dtype=float)
     c = 6.0 * n / (n * n - 1.0) * (k / n) * (1.0 - k / n)
-    return EstimatorWeights(c, label="parabolic")
+    return EstimatorWeights(c)
 
 
 def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
@@ -83,7 +80,7 @@ def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
               / (dd.DD(*dd.two_sum(n - k, alpha)) * (k + 1.0)))
     c = dd.DD(np.append(1.0, ratios.hi), np.append(0.0, ratios.lo)).cumprod()
     c = c + c[::-1]                  # the exact symmetry c_k = c_{n-k}
-    return EstimatorWeights(np.asarray(c / c.sum()), label="adenstedt", alpha=alpha)
+    return EstimatorWeights(np.asarray(c / c.sum()))
 
 
 def adenstedt_variance_closed_form(n: int, alpha: float) -> float:
@@ -120,7 +117,6 @@ def gegenbauer_optimal(n: int, alpha: float) -> np.ndarray:
     cur = np.zeros(n + 1)
     cur[1] = 2.0 * a                  # C_1 = 2 a cos t
     for j in range(2, n + 1):
-        nxt = np.zeros(n + 1)
         # multiply cur by 2 cos t: cos(m t) -> cos((m+1) t) + cos((m-1) t)
         doubled = np.zeros(n + 1)
         doubled[1:] += cur[:-1]
@@ -136,8 +132,7 @@ def gegenbauer_optimal(n: int, alpha: float) -> np.ndarray:
     return c
 
 
-def pseudo_best_weights(design_model: SpectralModel, n: int,
-                        precision: str = "double") -> EstimatorWeights:
+def pseudo_best_weights(design_model: SpectralModel, n: int) -> EstimatorWeights:
     """Optimal weights computed under a surrogate (design) density.
 
     Evaluate them under the true measure with `variance_under`; design ==
@@ -148,9 +143,7 @@ def pseudo_best_weights(design_model: SpectralModel, n: int,
     measure = as_measure(design_model)
     if measure.density.szego_diverges():
         raise ValidationError("design model must be nondeterministic")
-    weights, _ = blue_solve(system_for(measure, n, precision=precision))
-    return EstimatorWeights(weights.coefficients, label="pseudo_best",
-                            design=measure.density.key())
+    return blue_solve(system_for(measure, n))[0]
 
 
 @dataclass(frozen=True)
@@ -197,15 +190,16 @@ def _lse_fejer_variance(measure, n: int) -> float:
 def variance_under(weights: EstimatorWeights, measure) -> float:
     """Variance of sum c_k X(k) under the measure, via the quadratic form.
 
-    For the sample mean the Fejer-kernel integral is computed as well and the
-    two routes must agree to 1e-9; disagreement raises AccuracyError.
+    For uniform weights, the sample mean, the Fejer-kernel integral is
+    computed as well and the two routes must agree to 1e-9; disagreement
+    raises AccuracyError.
     """
     from .toeplitz import quadratic_form
     measure = as_measure(measure)
     n = weights.order
     cov = covariance_sequence(measure, n)
     value = quadratic_form(weights, cov)
-    if weights.label == "lse":
+    if np.all(weights.coefficients == weights.coefficients[0]):
         other = _lse_fejer_variance(measure, n)
         if abs(other - value) > 1e-9 * max(1.0, abs(value)):
             raise AccuracyError(
@@ -214,14 +208,14 @@ def variance_under(weights: EstimatorWeights, measure) -> float:
     return value
 
 
-def random_unbiased_weights(n: int, rng, spread: float = 3.0) -> EstimatorWeights:
+def random_unbiased_weights(n: int, rng) -> EstimatorWeights:
     """Random unit-sum weights: symmetric Dirichlet recentered about uniform.
 
-    The affine recentering u + spread*(d - u) keeps the sum exactly one while
+    The affine recentering u + 3(d - u) keeps the sum exactly one while
     allowing negative coefficients.
     """
     d = rng.dirichlet(np.ones(n + 1))
     u = np.full(n + 1, 1.0 / (n + 1))
-    c = u + spread * (d - u)
+    c = u + 3.0 * (d - u)
     c[0] += 1.0 - c.sum()
-    return EstimatorWeights(c, label="custom")
+    return EstimatorWeights(c)

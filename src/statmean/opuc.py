@@ -178,14 +178,13 @@ class SzegoFunctionEval:
     log_fourier: np.ndarray
 
 
-def szego_function(model: SpectralModel, z: complex, tail_tol: float = 1e-10,
-                   max_terms: int = 4096) -> SzegoFunctionEval:
+def szego_function(model: SpectralModel, z: complex) -> SzegoFunctionEval:
     """D(f, z) = exp(d_0/2 + sum_{k>=1} d_k z^k) inside the disk.
 
     d_k are the Fourier coefficients of ln f (real and even here); the series
-    is truncated adaptively once a geometric bound on the remainder falls
-    below `tail_tol`.  |D|^2 has radial boundary values f, and D(f, 0)^2 is
-    the geometric mean of f.
+    is truncated adaptively, doubling from 64 terms, once a geometric bound on
+    the remainder falls below 1e-10 or at 4096 terms.  |D|^2 has radial
+    boundary values f, and D(f, 0)^2 is the geometric mean of f.
     """
     z = complex(z)
     if abs(z) >= 1.0:
@@ -195,21 +194,15 @@ def szego_function(model: SpectralModel, z: complex, tail_tol: float = 1e-10,
     if not model.is_even():
         raise ValidationError("outer-function evaluation assumes an even density")
 
-    lam, w = model_grid(model, osc_k=64)
-    logf = model.log_values(lam)
+    from .covariance import _cosine_moments
     radius = abs(z)
-
     terms = 64
-    d = None
     while True:
-        if d is None or terms > len(d) - 1:
-            lam, w = model_grid(model, osc_k=terms)
-            logf = model.log_values(lam)
-            from .covariance import _cosine_moments
-            d = _cosine_moments(lam, w, logf, terms) / TWO_PI
+        lam, w = model_grid(model, osc_k=terms)
+        d = _cosine_moments(lam, w, model.log_values(lam), terms) / TWO_PI
         tail = np.max(np.abs(d[terms // 2:terms])) if radius == 0.0 else (
             np.max(np.abs(d[terms // 2:terms])) * radius ** (terms // 2) / (1.0 - radius))
-        if tail < tail_tol or terms >= max_terms:
+        if tail < 1e-10 or terms >= 4096:
             break
         terms *= 2
     k = np.arange(1, terms + 1)

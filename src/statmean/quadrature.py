@@ -107,18 +107,13 @@ def _panel_edges(depth_by_angle, osc_k, base_panels):
     return np.unique(np.asarray(edges))
 
 
-def half_line_grid(singular_angles, osc_k=0, base_panels=8, depth=SINGULAR_PANELS,
-                   nodes=NODES_PER_PANEL):
-    """Nodes/weights on [0, pi].
+def half_line_grid(depth_by_angle, osc_k=0, base_panels=8, nodes=NODES_PER_PANEL):
+    """Nodes/weights on [0, pi] graded toward the {angle: depth} mapping's angles.
 
-    `singular_angles` is a list of angles (uniform depth) or an
-    {angle: depth} mapping.  Returns (lam, w) so that sum(w * g(lam))
-    approximates the integral of g over [0, pi]; integrals of even functions
-    over [-pi, pi] are twice that.
+    Returns (lam, w) so that sum(w * g(lam)) approximates the integral of g
+    over [0, pi]; integrals of even functions over [-pi, pi] are twice that.
     """
-    if not isinstance(singular_angles, dict):
-        singular_angles = {a: depth for a in singular_angles}
-    edges = _panel_edges(singular_angles, osc_k, base_panels)
+    edges = _panel_edges(depth_by_angle, osc_k, base_panels)
     x, w = _gl_nodes(nodes)
     mid = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * np.diff(edges)
@@ -151,13 +146,12 @@ def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES
         return hit
     depths = {s.angle: depth_for_exponent(s.exponent, depth)
               for s in model.singularities()}
-    grid = half_line_grid(depths, osc_k=osc_k, base_panels=base_panels, depth=depth,
-                          nodes=nodes)
+    grid = half_line_grid(depths, osc_k=osc_k, base_panels=base_panels, nodes=nodes)
     _GRID_CACHE.put(key, grid)
     return grid
 
 
-def log_integral_grid(model, depth_override=None):
+def log_integral_grid(model):
     """Grid for integrating ln f: deeper grading for power-law contacts.
 
     A contact ln f ~ -c*|lambda|^(-a) (a < 1, flat-zero class) needs geometric
@@ -169,6 +163,4 @@ def log_integral_grid(model, depth_override=None):
     for s in model.singularities():
         if s.kind == "essential":
             depth = max(depth, int(12.0 / ((1.0 - min(s.rate, 0.95)) * math.log10(2.0))) + 10)
-    if depth_override:
-        depth = max(depth, depth_override)
     return model_grid(model, osc_k=0, depth=depth)

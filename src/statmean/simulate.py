@@ -32,7 +32,6 @@ BLOCK = 4096
 @dataclass
 class PathBatch:
     paths: np.ndarray          # replicates x length
-    seed: int
     generator: str             # "circulant-embedding" | "spectral-synthesis"
 
 
@@ -49,16 +48,16 @@ def _embedding_spectrum(r):
 
 def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
     """Zero-mean stationary Gaussian paths with the measure's covariance."""
-    return _gather(*_path_blocks(measure, length, replicates, seed), replicates, length, seed)
+    return _gather(*_path_blocks(measure, length, replicates, seed), replicates, length)
 
 
-def _gather(generator, blocks, replicates, length, seed) -> PathBatch:
+def _gather(generator, blocks, replicates, length) -> PathBatch:
     out = np.empty((replicates, length))
     lo = 0
     for block in blocks:
         out[lo:lo + len(block)] = block
         lo += len(block)
-    return PathBatch(paths=out, seed=seed, generator=generator)
+    return PathBatch(paths=out, generator=generator)
 
 
 def _path_blocks(measure, length: int, replicates: int, seed: int):
@@ -109,7 +108,7 @@ def _circulant_embedding(spectrum, size, length, replicates, seed):
 def _spectral_synthesis(measure, length, replicates, seed) -> PathBatch:
     """Cosine-sum fallback: X(t) = sum_j s_j (A_j cos + B_j sin)(lam_j t)."""
     blocks = _synthesis_blocks(measure, length, replicates, seed)
-    return _gather("spectral-synthesis", blocks, replicates, length, seed)
+    return _gather("spectral-synthesis", blocks, replicates, length)
 
 
 def _synthesis_blocks(measure, length, replicates, seed):
@@ -136,9 +135,7 @@ def _synthesis_blocks(measure, length, replicates, seed):
 class MonteCarloVariance:
     estimate: float
     standard_error: float
-    replicates: int
     generator: str
-    seed: int
 
 
 def monte_carlo_variance(weights, measure, replicates: int, seed: int) -> MonteCarloVariance:
@@ -157,5 +154,4 @@ def monte_carlo_variance(weights, measure, replicates: int, seed: int) -> MonteC
     loo_var = (s2 - stats ** 2 - (n - 1) * loo_mean ** 2) / (n - 2)
     se = math.sqrt((n - 1) / n * float(np.sum((loo_var - loo_var.mean()) ** 2)))
     return MonteCarloVariance(estimate=float(estimate), standard_error=se,
-                              replicates=replicates, generator=generator,
-                              seed=seed)
+                              generator=generator)

@@ -741,7 +741,7 @@ def evaluate(model: SpectralModel, angle):
     return float(out) if arr.ndim == 0 else out
 
 
-def szego_integral(model: SpectralModel, tol_panels: int | None = None):
+def szego_integral(model: SpectralModel):
     """integral of ln f over [-pi, pi], or MINUS_INFINITY.
 
     Divergence (density vanishing on a set of positive measure, or a
@@ -753,7 +753,7 @@ def szego_integral(model: SpectralModel, tol_panels: int | None = None):
         return MINUS_INFINITY
     from .quadrature import log_integral_grid
 
-    lam, w = log_integral_grid(model, depth_override=tol_panels)
+    lam, w = log_integral_grid(model)
     vals = 0.5 * (model.log_values(lam) + model.log_values(-lam))
     return 2.0 * float(np.dot(w, vals))
 

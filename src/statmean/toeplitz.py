@@ -238,7 +238,7 @@ def blue_solve(system: ToeplitzSystem):
     if variance <= 0.0:
         raise NearSingularError("non-positive variance from factorization",
                                 order=system.order)
-    return EstimatorWeights(coeffs, label="blue"), variance
+    return EstimatorWeights(coeffs), variance
 
 
 def blue_variance_curve(covariance: CovarianceSequence, precision: str = "double"):

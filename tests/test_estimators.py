@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import statmean as st
+from statmean import estimators
 from statmean.estimators import random_unbiased_weights
-from statmean.quadrature import half_line_grid
+from statmean.quadrature import SINGULAR_PANELS, half_line_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -82,7 +83,7 @@ class TestWeightFamilies:
         given = np.array([0.25, 0.75])
         weights = st.EstimatorWeights(given)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            weights.label = "blue"
+            weights.coefficients = np.array([0.5, 0.5])
         with pytest.raises(ValueError):
             weights.coefficients[0] = 0.5
         given[0] = 0.5                                   # the caller's array stays theirs
@@ -160,7 +161,7 @@ class TestFejerKernel:
     def test_nonnegative_and_normalized(self):
         for order in (1, 2, 9, 64):
             kern = st.FejerKernel(order)
-            lam, w = half_line_grid([0.0], osc_k=order + 1)
+            lam, w = half_line_grid({0.0: SINGULAR_PANELS}, osc_k=order + 1)
             vals = kern(lam)
             assert np.all(vals >= 0.0)
             assert 2.0 * float(np.dot(w, vals)) == pytest.approx(1.0, abs=1e-10)
@@ -201,6 +202,22 @@ class TestVarianceUnder:
             v = st.variance_under(st.lse_weights(n), st.PowerAtOrigin(1.0))
             assert n * n * v == pytest.approx(2.0 * n * n / (n + 1.0) ** 2, abs=1e-12)
         assert 4096 ** 2 * v == pytest.approx(2.0, rel=1e-3)
+
+    def test_uniform_weights_get_the_kernel_check(self, monkeypatch):
+        """The cross-check reads the coefficients: any uniform vector is the
+        sample mean, however it was built."""
+        exact = estimators._lse_fejer_variance
+        monkeypatch.setattr(estimators, "_lse_fejer_variance",
+                            lambda measure, n: exact(measure, n) + 1e-6)
+        with pytest.raises(st.AccuracyError):
+            st.variance_under(st.EstimatorWeights(np.full(5, 0.2)), st.PowerAtOrigin(1.0))
+
+    def test_other_weights_skip_the_kernel_route(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimators, "_lse_fejer_variance",
+                            lambda *args: calls.append(args))
+        st.variance_under(st.parabolic_weights(8), st.PowerAtOrigin(1.0))
+        assert calls == []
 
 
 class TestOptimality:
