@@ -212,7 +212,9 @@ def _quadrature_density_covariances(model, kmax):
         f"(achieved {achieved:.3g})", achieved=achieved)
 
 
-#: covariances of the 64 models used last, per precision, at the largest order asked
+#: the 64 covariance sequences used last, per model, precision and order: the
+#: quadrature grid depends on the order, so a prefix of a longer sequence is
+#: not the sequence asked for
 _COV_CACHE = BoundedMemo(64)
 
 
@@ -232,10 +234,10 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
             "covariances of a density shifted off 0/pi are complex-valued; reduce "
             "the shifted-regression problem to the unshifted one first")
     ar = _arithmetic(precision)
-    key = (model.key(), precision)
+    key = (model.key(), precision, n)
     cached = _COV_CACHE.get(key)
-    if cached is not None and cached[0] >= n:
-        dens, prov = cached[1][:n + 1], cached[2]
+    if cached is not None:
+        dens, prov = cached
     else:
         found = (np.zeros(n + 1), "exact") if model.zero_density() else model.covariances(n, ar)
         if found is None and precision == "dd":
@@ -245,7 +247,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
                 "factors, products and scalings, arc-supported, shifts of these by 0 or pi, "
                 "and flat-zero (by double-double quadrature)")
         dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
-        _COV_CACHE.put(key, (n, dens, prov))
+        _COV_CACHE.put(key, (dens, prov))
     k = ar.arange(n + 1)
     for angle, mass in measure.atoms:
         dens = dens + ar.cos(k * angle) * mass

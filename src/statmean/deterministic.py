@@ -108,7 +108,8 @@ def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
     On a symmetric gap {alpha <= |lambda| <= pi} at even n = 2m it is q(z) =
     z^m T_m(l((z + 1/z)/2)) / T_m(xi), l mapping [-1, cos alpha] affinely onto
     [-1, 1] and xi = l(1), with deviation 1/T_m(xi) and no iterations, refused
-    (`AccuracyError`) where that is below the normal doubles; its
+    (`AccuracyError`) where that is below the normal doubles; so is the odd
+    order n = 2m + 1 on that gap, whose deviation is no larger.  The
     coefficients carry errors near eps * sum|c_k|, so evaluating q in double
     can read more than a deviation below that.  Elsewhere, Lawson iteratively
     reweighted least squares on the discretized region: each step solves the
@@ -119,15 +120,18 @@ def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
     if n < 1:
         raise ValidationError("polynomial order must be at least 1")
     alpha = region.arcs[-1][0]
-    if n % 2 or region.arcs != ((-math.pi, -alpha), (alpha, math.pi)):
+    if region.arcs != ((-math.pi, -alpha), (alpha, math.pi)):
         return _lawson(region, n)
     m = n // 2
     cos_a = math.cos(alpha)
     log_t_xi = m * math.acosh((3.0 - cos_a) / (1.0 + cos_a))
     if log_t_xi > 1023 * math.log(2.0):     # 1/T_m(xi) below the normal doubles, 2^-1022
         power = (math.log(2.0) - log_t_xi) / math.log(10.0)
+        at = f"n = {n}" if n % 2 == 0 else f"n = {n - 1}, which bounds it at n = {n},"
         raise AccuracyError(f"minimax deviation 2 rho^n / (1 + rho^2n) ~ 1e{power:.0f} at "
-                            f"n = {n} is below what double can represent")
+                            f"{at} is below what double can represent")
+    if n % 2:                                # E_n <= E_{n-1}, but no closed form
+        return _lawson(region, n)
     cheb = np.polynomial.Chebyshev
     # cosine coefficients b_j of T_m(l(x)); T_j(x) = (z^j + z^-j) / 2 on |z| = 1
     b = cheb.basis(m)(cheb([(1.0 - cos_a) / (1.0 + cos_a), 2.0 / (1.0 + cos_a)])).coef

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
@@ -206,6 +207,17 @@ class TestExitCodes:
         assert code == 3, err
         assert err == ("numerical-accuracy error: minimax deviation 2 rho^n / (1 + rho^2n) "
                        "~ 1e-421 at n = 200 is below what double can represent\n")
+        assert out == ""
+
+    def test_chebyshev_odd_order_below_the_double_range(self):
+        """n = 199 is bounded by n = 198 and refused at once, where Lawson
+        ran for about two minutes to print rounding noise."""
+        started = time.perf_counter()
+        code, out, err = run_cli("chebyshev", "--arcs", "0.99pi:pi,-pi:-0.99pi",
+                                 "--n-grid", "199")
+        assert time.perf_counter() - started < 2.0
+        assert code == 3, err
+        assert "at n = 198, which bounds it at n = 199, is below what double" in err
         assert out == ""
 
     def test_empty_finite_grid_is_a_validation_error(self, model_dir):
@@ -434,6 +446,17 @@ class TestManifest:
         doc = run_json("blue", "--config", str(config),
                        "--model", str(model_dir / "whitenoise.json"), "--n", "4")
         assert doc["result"]["n"] == 4
+
+    def test_abbreviated_flag_is_a_usage_error(self, model_dir, tmp_path):
+        """An abbreviation would not count as explicit and would lose to the
+        config, so only the full spelling is accepted, and it wins."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"n-grid": "8:16:8"}))
+        model = ("--model", str(model_dir / "whitenoise.json"))
+        code, out, err = run_cli("decay", *model, "--n-gr", "8:40:8", "--config", str(config))
+        assert code == 1 and "usage error" in err and out == "", err
+        doc = run_json("decay", *model, "--n-grid", "8:40:8", "--config", str(config))
+        assert doc["result"]["orders"] == [8, 16, 24, 32, 40]
 
     def test_config_values_convert_as_typed(self, model_dir, tmp_path):
         config = tmp_path / "config.json"

@@ -401,6 +401,18 @@ class TestStrongSingularityOracle:
             assert cov.values[k] == pytest.approx(float(oracle), rel=1e-11)
 
 
+class TestNoCallHistory:
+    @pytest.mark.parametrize("model", [st.Arma(ma=(1.0,), ar=(1.0, -0.5)), st.FgnDensity(0.7)],
+                             ids=["ar1", "fgn"])
+    def test_same_bits_fresh_and_after_a_larger_order(self, model):
+        """The quadrature grid depends on the order, so a prefix of a longer
+        sequence is not the sequence asked for: the memo keys on the order."""
+        _COV_CACHE.clear()
+        fresh = st.covariance_sequence(model, 128).values.tobytes()
+        st.covariance_sequence(model, 1024)
+        assert st.covariance_sequence(model, 128).values.tobytes() == fresh
+
+
 class TestCacheBounds:
     def test_covariance_cache_bounded(self):
         for i in range(_COV_CACHE.maxsize + 40):

@@ -147,6 +147,15 @@ class TestSymmetricGapClosedForm:
         assert sol.deviation == pytest.approx(2.0 * rho ** 100 / (1.0 + rho ** 200), rel=1e-12)
         assert abs(sol(1.0) - 1.0) <= 1e-13
 
+    def test_odd_order_past_the_double_range_is_refused(self, monkeypatch):
+        """E_199 <= E_198, about 1e-416, so n = 199 is refused before any
+        Lawson step runs."""
+        region = ArcRegion.complement_arc(0.99 * math.pi)
+        monkeypatch.setattr(deterministic, "_lawson", lambda *args: pytest.fail("Lawson ran"))
+        with pytest.raises(st.AccuracyError, match=r"~ 1e-416 at n = 198, which bounds it "
+                                                   r"at n = 199, is below what double"):
+            st.chebyshev_min_max(region, 199)
+
     def test_odd_orders_and_other_regions_iterate(self):
         gap = ArcRegion.complement_arc(math.pi / 2)
         lopsided = ArcRegion(((-math.pi, -1.0), (1.2, math.pi)))
