@@ -109,7 +109,7 @@ def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
     z^m T_m(l((z + 1/z)/2)) / T_m(xi), l mapping [-1, cos alpha] affinely onto
     [-1, 1] and xi = l(1), with deviation 1/T_m(xi) and no iterations, refused
     (`AccuracyError`) where that is below the normal doubles; so is the odd
-    order n = 2m + 1 on that gap, whose deviation is no larger.  The
+    order n = 2m + 1 on that gap, where q is a candidate too.  The
     coefficients carry errors near eps * sum|c_k|, so evaluating q in double
     can read more than a deviation below that.  Elsewhere, Lawson iteratively
     reweighted least squares on the discretized region: each step solves the
@@ -130,7 +130,7 @@ def chebyshev_min_max(region: ArcRegion, n: int) -> ChebyshevSolution:
         at = f"n = {n}" if n % 2 == 0 else f"n = {n - 1}, which bounds it at n = {n},"
         raise AccuracyError(f"minimax deviation 2 rho^n / (1 + rho^2n) ~ 1e{power:.0f} at "
                             f"{at} is below what double can represent")
-    if n % 2:                                # E_n <= E_{n-1}, but no closed form
+    if n % 2:                                # bounded by E_{n-1}, but no closed form
         return _lawson(region, n)
     cheb = np.polynomial.Chebyshev
     # cosine coefficients b_j of T_m(l(x)); T_j(x) = (z^j + z^-j) / 2 on |z| = 1
