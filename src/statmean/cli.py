@@ -34,10 +34,7 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """Flags are spelled in full: an abbreviation would escape the explicit
-    flags that `_apply_config` keeps from the config."""
-
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, **kwargs):     # an abbreviation would escape _apply_config
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
