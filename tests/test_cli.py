@@ -210,8 +210,7 @@ class TestExitCodes:
         assert out == ""
 
     def test_chebyshev_odd_order_below_the_double_range(self):
-        """n = 199 is bounded by n = 198 and refused at once, where Lawson
-        ran for about two minutes to print rounding noise."""
+        """n = 199 is bounded by n = 198 and refused before Lawson runs."""
         started = time.perf_counter()
         code, out, err = run_cli("chebyshev", "--arcs", "0.99pi:pi,-pi:-0.99pi",
                                  "--n-grid", "199")
