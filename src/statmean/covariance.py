@@ -6,22 +6,28 @@ for precision="double", the double-double arrays of `ddouble` for
 precision="dd".  The closed forms, the same in both precisions, cover models
 that reduce to a power-at-origin factor times a finite trigonometric
 polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
-scalings), arc-supported indicators and their scalings, and shifts of any of
-these by 0 or pi; a flat-zero density is integrated by Gauss-Legendre
-quadrature in double-double.  The first group rests on r_alpha from one ratio
-recurrence in double-double, started from binom(2a, a) to double-double
-accuracy; double sums the trigonometric polynomial's terms in double-double
-arithmetic, double-double sums them exactly.  Every other density goes through
-singularity-graded double quadrature with a refinement cross-check at absolute
-tolerance 1e-12 per coefficient, and has no double-double form.
+scalings), fractional Gaussian noise, ARMA whose AR polynomial has every root
+outside the unit disc, arc-supported indicators, scalings of these, and
+shifts of any of them by 0 or pi; a flat-zero density is integrated by
+Gauss-Legendre quadrature in double-double.  The first group rests on r_alpha
+from one ratio recurrence in double-double, started from binom(2a, a) to
+double-double accuracy; double sums the trigonometric polynomial's terms in
+double-double arithmetic, double-double sums them exactly.  FGN sums its
+second difference of k^2H as a series of one sign in the arithmetic asked
+for; ARMA runs its difference equation in double-double at either precision.
+Every other density (Fisher-Hartwig, ARFIMA or products over an AR part,
+Pollaczek-Szego, an AR polynomial with a root in the unit disc) goes through
+singularity-graded double quadrature with a refinement cross-check at
+absolute tolerance 1e-12 per coefficient, and has no double-double form.
 
 The double-double path produces covariances accurate to a few units of 1e-32,
 required by the exponential-decay studies where Toeplitz variances reach the
 square of double rounding error.  They are stored as two float arrays:
 `values` holds each rounded to double (the hi part), and `lo` the remainder.
-The double closed forms built on r_alpha keep their low parts too, for the
-refinement step of the double Toeplitz solve; every other double sequence has
-none.  A computed sequence that is not finite raises `AccuracyError`.
+The double closed forms built on r_alpha and ARMA's keep their low parts too,
+for the refinement step of the double Toeplitz solve; every other double
+sequence has none.  A computed sequence that is not finite raises
+`AccuracyError`.
 """
 
 from __future__ import annotations
@@ -244,8 +250,9 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
             raise ValidationError(
                 "extended-precision covariances need a closed form, the same set in both "
                 "precisions: white noise, power-at-origin, pure-MA, their fractional "
-                "factors, products and scalings, arc-supported, shifts of these by 0 or pi, "
-                "and flat-zero (by double-double quadrature)")
+                "factors, products and scalings, FGN, ARMA with every AR root outside the "
+                "unit disc, arc-supported, scalings and shifts of these by 0 or pi, and "
+                "flat-zero (by double-double quadrature)")
         dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
         _COV_CACHE.put(key, (dens, prov))
     k = ar.arange(n + 1)
@@ -322,14 +329,19 @@ def _cosine_sums(cos: dd.DD, g: dd.DD, kmax: int) -> dd.DD:
 #: what the closed forms and the Levinson kernel need of an arithmetic beyond
 #: + - * /, which both take with a double on either side: whether it is the
 #: extended one, arrays by `empty`, integer lags by `arange`, `dot`, pi,
-#: elementwise sin and cos, the sum of `_falpha_sum` by `falpha`, and `flat_zero`,
-#: r(0..kmax) of exp(-|lam|^-a) by quadrature where the arithmetic has one
-Arithmetic = namedtuple("Arithmetic", "extended empty arange dot pi sin cos falpha flat_zero")
+#: elementwise sin, cos, exp, expm1 and log, gamma of a double, the sum of
+#: `_falpha_sum` by `falpha`, `flat_zero`, r(0..kmax) of exp(-|lam|^-a) by
+#: quadrature where the arithmetic has one, and `exact`, the double-double
+#: record for the double one (None in itself), in which a recurrence runs at
+#: either precision so that the double sequence is rounded once
+Arithmetic = namedtuple(
+    "Arithmetic", "extended empty arange dot pi sin cos exp expm1 log gamma falpha flat_zero exact")
 
-_DOUBLE = Arithmetic(False, np.empty, np.arange, np.dot, math.pi, np.sin, np.cos,
-                     _falpha_sum, None)
 _DD = Arithmetic(True, dd.empty, dd.arange, dd.dot, dd.PI, lambda x: dd.sincos(x)[0],
-                 lambda x: dd.sincos(x)[1], _dd_falpha_sum, _dd_flat_zero)
+                 lambda x: dd.sincos(x)[1], dd.exp, dd.expm1, dd.log,
+                 dd.gamma, _dd_falpha_sum, _dd_flat_zero, None)
+_DOUBLE = Arithmetic(False, np.empty, np.arange, np.dot, math.pi, np.sin, np.cos, np.exp,
+                     np.expm1, np.log, math.gamma, _falpha_sum, None, _DD)
 
 
 def _arithmetic(precision: str) -> Arithmetic:

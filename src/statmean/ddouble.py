@@ -12,10 +12,11 @@ arrays alike; `grid_split` cuts whole vectors so that their dot products are
 exact in plain double.
 
 The elementary functions are those the closed forms of `covariance` need, by
-the same paper's methods: `exp` reduces by ln 2 and 2^-10 before a Taylor
-series, `log` is one Newton step on `exp`, and `sin` and `cos` reduce mod 2 pi
-by a three-part 2 pi and then by quadrant.  Series coefficients are exact
-rationals rounded once to double-double.
+the same paper's methods: `exp` and `expm1` reduce by ln 2 and 2^-10 before a
+Taylor series, `log` is one Newton step on `exp`, `gamma` takes Stirling's
+series, and `sin` and `cos` reduce mod 2 pi by a three-part 2 pi and then by
+quadrant.  Series coefficients are exact rationals rounded once to
+double-double.
 """
 
 from __future__ import annotations
@@ -219,16 +220,30 @@ def _reduce(x: DD, q, parts) -> DD:
     return x - DD(*two_prod(q, parts[0])) - DD(*two_prod(q, parts[1])) - q * parts[2]
 
 
-def exp(x: DD) -> DD:
-    """e^x: r = (x - m ln 2) / 2^10, expm1 by series and ten squarings, times 2^m."""
+def _exp_parts(x: DD):
+    """(s, m) with e^x = 2^m (1 + s): r = (x - m ln 2) / 2^10, s = expm1(r)
+    by series, then ten squarings of 1 + s formed as s (s + 2)."""
     x = _dd(x)
     m = np.rint(x.hi / _LN2[0])
     r = _reduce(x, m, _LN2) * 2.0 ** -10
     s = r * _poly(r, _EXPM1)
     for _ in range(10):
         s = s * (s + 2.0)
+    return s, m
+
+
+def exp(x: DD) -> DD:
+    """e^x = 2^m (1 + s)."""
+    s, m = _exp_parts(x)
     s = s + 1.0
     return DD(np.ldexp(s.hi, m.astype(int)), np.ldexp(s.lo, m.astype(int)))
+
+
+def expm1(x: DD) -> DD:
+    """e^x - 1, relative to its own size as x -> 0: s itself where m = 0."""
+    s, m = _exp_parts(x)
+    e = exp(x) - 1.0
+    return DD(np.where(m == 0, s.hi, e.hi), np.where(m == 0, s.lo, e.lo))
 
 
 def log(x: DD) -> DD:
@@ -252,20 +267,34 @@ def sincos(x: DD) -> tuple[DD, DD]:
             DD(np.where(odd, s.hi, c.hi) * sign_c, np.where(odd, s.lo, c.lo) * sign_c))
 
 
-@functools.lru_cache(maxsize=1)
-def _gamma_ratio_series() -> DD:
-    """c_m with ln(Gamma(x + 1/2) / Gamma(x + 1)) + ln(x) / 2 = sum_m c_m
-    x^(1-2m), c_m = (2^(1-2m) - 2) B_2m / ((2m-1) 2m): to ~1e-33 for x >= 12.
-    B_2m come from sum_{j=1..m} C(2m+1, 2j) B_2j = m - 1/2, in fractions,
-    whose import is left to the first call."""
+@functools.lru_cache(maxsize=2)
+def _gamma_series(ratio: bool) -> DD:
+    """c_m, m = 1..26, of two series in x^(1-2m), each to ~1e-33 past x = 12:
+    ln(Gamma(x + 1/2) / Gamma(x + 1)) + ln(x) / 2 with c_m = (2^(1-2m) - 2)
+    B_2m / ((2m-1) 2m) if `ratio`, else Stirling's ln Gamma(x) - (x - 1/2) ln x
+    + x - ln(2 pi) / 2 with c_m = B_2m / ((2m-1) 2m).  B_2m come from
+    sum_{j=1..m} C(2m+1, 2j) B_2j = m - 1/2, in fractions, whose import is
+    left to the first call."""
     from fractions import Fraction
     b, coeffs = [], []
     for m in range(1, 27):
         head = sum(math.comb(2 * m + 1, 2 * j + 2) * v for j, v in enumerate(b))
         b.append((Fraction(2 * m - 1, 2) - head) / (2 * m + 1))
-        c = (Fraction(2) ** (1 - 2 * m) - 2) * b[-1] / ((2 * m - 1) * 2 * m)
+        c = ((Fraction(2) ** (1 - 2 * m) - 2) if ratio else 1) * b[-1] / ((2 * m - 1) * 2 * m)
         coeffs.append((c.numerator, c.denominator))
     return _table(coeffs)
+
+
+def gamma(x: float) -> DD:
+    """Gamma(x) of a double x > 0: Stirling's series at y = x + s >= 16, where
+    26 terms reach ~1e-38, and Gamma(x) = Gamma(y) / prod_{j<s} (x + j), each
+    x + j formed exactly by two_sum."""
+    j = np.arange(max(0, math.ceil(16.0 - x)), dtype=float)
+    y = DD(*two_sum(x, float(len(j))))
+    inv = 1.0 / y
+    lead = exp((y - 0.5) * log(y) - y + 0.5 * log(PI * 2.0)
+               + inv * _poly(inv * inv, _gamma_series(False)))
+    return lead / DD(*two_sum(x, j)).cumprod()[-1] if len(j) else lead
 
 
 def central_binomial(alpha: float) -> DD:
@@ -281,7 +310,7 @@ def central_binomial(alpha: float) -> DD:
     x = DD(*two_sum(alpha, float(shift)))
     inv = 1.0 / x
     # 4^a enters the exponent as 2a ln 2, with ln 2 in three parts
-    lead = exp(_reduce(inv * _poly(inv * inv, _gamma_ratio_series()) - 0.5 * log(x),
+    lead = exp(_reduce(inv * _poly(inv * inv, _gamma_series(True)) - 0.5 * log(x),
                        -2.0 * alpha, _LN2))
     j = np.arange(shift, dtype=float)
     factors = DD(*two_sum(alpha, j + 1.0)) / DD(*two_sum(alpha, j + 0.5))

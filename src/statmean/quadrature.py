@@ -122,8 +122,10 @@ def half_line_grid(depth_by_angle, osc_k=0, base_panels=8, nodes=NODES_PER_PANEL
     return lam, wts
 
 
-#: the 64 grids used last, keyed by model and grading
-_GRID_CACHE = BoundedMemo(64)
+#: the 8 grids used last, keyed by model and grading: enough for the reuse
+#: within one call chain (a finite-efficiency sweep over four orders builds 6),
+#: while grids of models no longer asked for would only hold memory
+_GRID_CACHE = BoundedMemo(8)
 
 
 def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES_PER_PANEL):

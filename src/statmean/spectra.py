@@ -33,6 +33,9 @@ TWO_PI = 2.0 * math.pi
 #: Largest `FgnDensity.series_truncation`, the series terms per side.
 MAX_SERIES_TRUNCATION = 10**5
 
+#: lags per step of `Arma.covariances`' difference equation
+_AR_BLOCK = 64
+
 #: An angle in radians.  In a model document it may also be a multiple of pi
 #: written with a "pi" suffix (see `parse_angle`).
 Angle = float
@@ -247,6 +250,57 @@ class Arma(SpectralModel, variant="arma"):
         theta = np.asarray(self.ma)
         return 0.0, self.scale, np.correlate(theta, theta, mode="full")[len(theta) - 1:]
 
+    def covariances(self, kmax, ar):
+        """Pure MA by the reduction.  With an AR part (Brockwell & Davis 1991,
+        section 3.3): the AR polynomial is stepped down to reflection
+        coefficients k_m, Levinson runs back up from the innovation variance
+        scale / ar0^2 to gamma(0..p) of the AR part, the difference equation
+        gamma(k) = -sum_j phi_j gamma(k-j) continues it, and the MA
+        autocorrelation g_t enters as in `_falpha_sum`: g_0 gamma(k) +
+        sum_t g_t (gamma(k+t) + gamma(|k-t|)).  All of it runs in double-double
+        at either precision.  None when some |k_m| >= 1: a root in the unit
+        disc, no causal solution."""
+        if len(self.ar) == 1:
+            return super().covariances(kmax, ar)
+        ar = ar.exact or ar
+        p, q = len(self.ar) - 1, len(self.ma) - 1
+        psi, theta = ar.empty(p + 1), ar.empty(q + 1)
+        psi[:], theta[:] = self.ar, self.ma
+        polys, refl, e = [psi / psi[0]], [], self.scale / (psi[0] * psi[0])
+        for m in range(p, 0, -1):
+            a, k = polys[-1], polys[-1][m]
+            if not abs(float(k)) < 1.0:
+                return None
+            refl.append(k)
+            e = e / (1.0 - k * k)
+            polys.append((a[:m] - a[m:0:-1] * k) / (1.0 - k * k))
+        size = max(kmax + q, p) + 1
+        gam = ar.empty(size + _AR_BLOCK)
+        gam[0] = e
+        for m in range(1, p + 1):
+            k = refl[p - m]
+            gam[m] = -(k * e) - ar.dot(polys[p - m + 1][1:m], gam[m - 1:0:-1])
+            e = e * (1.0 - k * k)
+        # the difference equation _AR_BLOCK lags at a time: row t of `step`
+        # holds the weights of gamma(k0-1-j), j < p, in gamma(k0-p+t)
+        phi, step = polys[0], ar.empty((_AR_BLOCK + p, p))
+        step[:p] = np.eye(p)[::-1]
+        for t in range(p, _AR_BLOCK + p):
+            row = -(step[t - 1] * phi[1])
+            for j in range(2, p + 1):
+                row = row - step[t - j] * phi[j]
+            step[t] = row
+        for k0 in range(p + 1, size, _AR_BLOCK):
+            block = step[p:, 0] * gam[k0 - 1]
+            for j in range(1, p):
+                block = block + step[p:, j] * gam[k0 - 1 - j]
+            gam[k0:k0 + _AR_BLOCK] = block
+        k = np.arange(kmax + 1)
+        out = gam[k] * ar.dot(theta, theta)
+        for t in range(1, q + 1):
+            out = out + (gam[k + t] + gam[np.abs(k - t)]) * ar.dot(theta[:q + 1 - t], theta[t:])
+        return out, "exact"
+
 
 @dataclass(frozen=True)
 class PowerAtOrigin(SpectralModel, variant="power_at_origin"):
@@ -326,9 +380,10 @@ class FgnDensity(SpectralModel, variant="fgn"):
     """Fractional Gaussian noise density with Hurst index in (0, 1).
 
     f(lambda) = scale * |1-e^{-i*lambda}|^2 * sum_k |lambda + 2*pi*k|^{-(2H+1)}.
-    The doubly infinite sum is truncated at `series_truncation` terms per side
-    and closed with a midpoint-rule integral tail so the relative truncation
-    error stays below 1e-10 on all of [-pi, pi].
+    In `values` the doubly infinite sum is truncated at `series_truncation`
+    terms per side and closed with a midpoint-rule integral tail so the
+    relative truncation error stays below 1e-10 on all of [-pi, pi]; the
+    covariances take their closed form and no truncation.
     """
 
     hurst: float
@@ -393,6 +448,29 @@ class FgnDensity(SpectralModel, variant="fgn"):
 
     def origin_exponent(self):
         return 1.0 - 2.0 * self.hurst
+
+    def covariances(self, kmax, ar):
+        """r(k) = r0/2 (|k+1|^2H - 2|k|^2H + |k-1|^2H), r0 = 2 pi scale /
+        (Gamma(2H+1) sin(pi H)) (Beran 1994, section 2.3), with no truncation.
+        r(1) = r0 expm1((2H-1) ln 2).  From k = 2 the second difference is
+        r0 k^2H sum_{j>=1} C(2H, 2j) k^-2j, whose terms share one sign and
+        shrink at least 4-fold, so nothing cancels and 28 terms reach double
+        rounding, 56 double-double's."""
+        h2, terms = 2.0 * self.hurst, 56 if ar.extended else 28
+        r0 = ar.pi * (2.0 * self.scale) / (ar.gamma(h2) * h2 * ar.sin(ar.pi * self.hurst))
+        out = ar.empty(kmax + 1)
+        out[0] = r0
+        j = ar.arange(0, 2 * terms, 2)
+        below = h2 - j - 1.0
+        if kmax:
+            out[1] = ar.expm1(ar.log(2.0) * below[0]) * r0
+        c = ((h2 - j) * below / ((j + 1.0) * (j + 2.0))).cumprod()
+        k = ar.arange(2, kmax + 1)
+        u, s = 1.0 / (k * k), c[terms - 1]
+        for i in range(terms - 2, -1, -1):
+            s = s * u + c[i]
+        out[2:] = ar.exp(ar.log(k) * h2) * u * s * r0
+        return out, "exact"
 
 
 @dataclass(frozen=True)

@@ -98,3 +98,52 @@ def gram_schmidt_verblunsky(r, n):
         coeffs = solve(matrix, rhs)  # coefficients c_0..c_m of z^0..z^m
         out.append(-coeffs[0])
     return np.array(out)
+
+
+def fgn_covariances_mp(hurst, scale, kmax, dps=60):
+    """Oracle: FGN r(0..kmax) at `dps` digits from its second difference,
+    r0/2 (|k+1|^2H - 2|k|^2H + |k-1|^2H), r0 = 2 pi scale / (Gamma(2H+1) sin pi H).
+    The difference cancels up to k^2 / |H (2H - 1)|-fold: 60 digits leave 40
+    at H = 1/2 + 1e-9, k = 4096."""
+    with mpmath.workdps(dps):
+        h2 = 2 * mpmath.mpf(hurst)
+        r0 = 2 * mpmath.pi * scale / (mpmath.gamma(h2 + 1) * mpmath.sin(mpmath.pi * h2 / 2))
+        power = [mpmath.mpf(k) ** h2 for k in range(kmax + 2)]
+        return [r0] + [r0 / 2 * (power[k + 1] - 2 * power[k] + power[k - 1])
+                       for k in range(1, kmax + 1)]
+
+
+def arma_covariances_mp(ar, ma, scale, kmax, dps=40):
+    """Oracle: ARMA r(0..kmax) and their envelopes at `dps` digits, by residues.
+
+    With psi the AR polynomial and w_i the roots of z^p psi(1/z) (inside the
+    unit disc, each simple), the AR part has gamma(k) = scale sum_i c_i w_i^k,
+    c_i = w_i^(p-1) / (psi(w_i) d/dz[z^p psi(1/z)](w_i)), the residues of
+    z^(k-1) / (psi(z) psi(1/z)) inside the circle.  The MA autocorrelation g_t
+    then gives g_0 gamma(k) + sum_t g_t (gamma(k+t) + gamma(|k-t|)).  The
+    envelope takes |c_i w_i^k| and |g_t| in place of each term: it is |r(k)|
+    where no terms of opposite sign meet, and otherwise the scale against
+    which a recurrence's error is measured where a damped cosine crosses 0.
+    """
+    with mpmath.workdps(dps):
+        a = [mpmath.mpf(c) for c in ar]
+        p, q = len(a) - 1, len(ma) - 1
+        roots = mpmath.polyroots(a, maxsteps=200, extraprec=2 * dps)
+        coeffs = [w ** (p - 1) / (mpmath.polyval(a[::-1], w)
+                                  * mpmath.polyval([c * (p - j) for j, c in enumerate(a[:-1])], w))
+                  for w in roots]
+        gamma, env, power = [], [], [mpmath.mpf(1)] * p
+        for _ in range(kmax + q + 1):
+            terms = [c * x for c, x in zip(coeffs, power)]
+            gamma.append(scale * mpmath.re(mpmath.fsum(terms)))
+            env.append(scale * mpmath.fsum(abs(t) for t in terms))
+            power = [x * w for x, w in zip(power, roots)]
+        theta = [mpmath.mpf(c) for c in ma]
+        g = [mpmath.fsum(theta[i] * theta[i + t] for i in range(q + 1 - t)) for t in range(q + 1)]
+
+        def fold(seq, weight):
+            return [weight(g[0]) * seq[k] + mpmath.fsum(
+                weight(g[t]) * (seq[k + t] + seq[abs(k - t)]) for t in range(1, q + 1))
+                for k in range(kmax + 1)]
+
+        return fold(gamma, lambda x: x), fold(env, abs)

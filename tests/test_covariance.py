@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
+import json
 import math
 
 import mpmath
@@ -10,11 +12,12 @@ import numpy as np
 import pytest
 
 import statmean as st
+from statmean import cli, efficiency, estimators, opuc, quadrature, toeplitz
 from statmean.covariance import (_COV_CACHE, _quadrature_density_covariances,
                                  falpha_covariance_array)
 from statmean.memo import BoundedMemo
 from statmean.quadrature import _GRID_CACHE, model_grid
-from tests.conftest import complex_fourier_coefficient
+from tests.conftest import arma_covariances_mp, complex_fourier_coefficient, fgn_covariances_mp
 
 TWO_PI = 2.0 * math.pi
 
@@ -92,10 +95,14 @@ class TestCovarianceSequence:
         assert cov.values == pytest.approx([1.25, -0.5, 0.0, 0.0])
 
     def test_ar1_quadrature_matches_closed_form(self, ar1):
-        cov = st.covariance_sequence(ar1, 32)
+        """The quadrature route still integrates AR(1) to 1e-12; the sequence
+        itself now comes from the closed form."""
         rho = 0.5
         expected = rho ** np.arange(33) / (1 - rho * rho)
-        assert cov.provenance == "quadrature"
+        quad = _quadrature_density_covariances(ar1, 32)
+        assert np.max(np.abs(quad - expected)) < 1e-12
+        cov = st.covariance_sequence(ar1, 32)
+        assert cov.provenance == "exact"
         assert np.max(np.abs(cov.values - expected)) < 1e-12
 
     def test_arma_against_statsmodels(self):
@@ -105,6 +112,14 @@ class TestCovarianceSequence:
         oracle = sm.arma_acovf(ar=np.array([1.0, -0.6, 0.08]),
                                ma=np.array([1.0, 0.4, -0.2]), nobs=21, sigma2=1.0)
         assert np.max(np.abs(cov.values - oracle)) < 1e-10
+
+    def test_arma_against_residue_oracle(self):
+        """The statsmodels model against the 40-digit residue oracle."""
+        model = st.Arma(ma=(1.0, 0.4, -0.2), ar=(1.0, -0.6, 0.08))
+        cov = st.covariance_sequence(model, 20)
+        oracle = np.array([float(v) for v in arma_covariances_mp(model.ar, model.ma, 1.0, 20)[0]])
+        assert cov.provenance == "exact"
+        np.testing.assert_allclose(cov.values, oracle, rtol=1e-12, atol=0.0)
 
     def test_product_exact_convolution(self, ma1):
         model = st.Product(st.PowerAtOrigin(0.25), ma1)
@@ -219,9 +234,11 @@ class TestExtendedPrecision:
                                       if t > 0 else 0, mpmath.linspace(0, mpmath.pi, 9))
                 assert abs(mpmath.mpf(cov.values[k]) + mpmath.mpf(cov.lo[k]) - ref) < 1e-30
 
-    def test_dd_unavailable_for_general_models(self, ar1):
+    def test_dd_unavailable_for_general_models(self):
+        """Fisher-Hartwig zeros off the origin have no closed form."""
+        model = st.FisherHartwig(st.WhiteNoise(), ((1.2, 0.3), (-1.2, 0.3)))
         with pytest.raises(st.ValidationError):
-            st.covariance_sequence(ar1, 4, precision="dd")
+            st.covariance_sequence(model, 4, precision="dd")
 
 
 class TestOneClosedFormSet:
@@ -402,8 +419,9 @@ class TestStrongSingularityOracle:
 
 
 class TestNoCallHistory:
-    @pytest.mark.parametrize("model", [st.Arma(ma=(1.0,), ar=(1.0, -0.5)), st.FgnDensity(0.7)],
-                             ids=["ar1", "fgn"])
+    @pytest.mark.parametrize("model", [st.Arma(ma=(1.0,), ar=(1.0, -0.5)), st.FgnDensity(0.7),
+                                       st.FisherHartwig(st.WhiteNoise(), ((1.2, 0.3), (-1.2, 0.3)))],
+                             ids=["ar1", "fgn", "fisher_hartwig"])
     def test_same_bits_fresh_and_after_a_larger_order(self, model):
         """The quadrature grid depends on the order, so a prefix of a longer
         sequence is not the sequence asked for: the memo keys on the order."""
@@ -424,6 +442,41 @@ class TestCacheBounds:
             model_grid(st.PowerAtOrigin(-0.3 + 0.01 * i), osc_k=16)
         assert len(_GRID_CACHE) == _GRID_CACHE.maxsize
 
+    def test_one_call_chain_builds_each_grid_once(self, monkeypatch, tmp_path, capsys):
+        """The bounded grid memo still holds every grid one call chain reuses:
+        a finite-efficiency sweep over four orders, and one op of solves,
+        recursions and competitor variances on a model that is integrated."""
+        built = collections.Counter()
+        real = quadrature.half_line_grid
+
+        def counting(depths, **kw):
+            built[(tuple(sorted(depths.items())), tuple(sorted(kw.items())))] += 1
+            return real(depths, **kw)
+
+        monkeypatch.setattr(quadrature, "half_line_grid", counting)
+        model = st.FisherHartwig(st.WhiteNoise(), ((1.2, 0.3), (-1.2, 0.3)))
+        path = tmp_path / "fh.json"
+        path.write_text(json.dumps(model.to_json()))
+        _GRID_CACHE.clear()
+        _COV_CACHE.clear()
+        assert cli.main(["efficiency", "--finite", "--estimator", "lse", "--model", str(path),
+                         "--n-grid", "128:512:128"]) == 0
+        capsys.readouterr()
+        assert len(built) >= 4 and max(built.values()) == 1
+
+        built.clear()
+        n, measure = 1024, st.SpectralMeasure(model)
+        cov = st.covariance_sequence(measure, n)
+        toeplitz.blue_solve(toeplitz.ToeplitzSystem(cov))
+        toeplitz.blue_variance_curve(cov)
+        toeplitz.quadratic_form(estimators.parabolic_weights(n).coefficients, cov)
+        opuc.christoffel_curve(opuc.szego_recursion(measure, n, probes=(1.0,)), 1.0)
+        for weights in (estimators.lse_weights(n), estimators.parabolic_weights(n),
+                        estimators.adenstedt_weights(n, 0.3)):
+            estimators.variance_under(weights, measure)
+        efficiency.efficiency_finite(estimators.lse_weights(n), measure)
+        assert len(built) >= 2 and max(built.values()) == 1
+
     def test_least_recently_used_goes_first(self):
         memo = BoundedMemo(2)
         memo.put("a", 1)
@@ -431,3 +484,93 @@ class TestCacheBounds:
         assert memo.get("a") == 1
         memo.put("c", 3)
         assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)
+
+
+class TestFgnClosedForm:
+    """FGN from its second difference, against 40-digit values at every lag."""
+
+    @pytest.mark.parametrize("hurst, scale", [(0.05, 1.0), (0.2, 1.0), (0.45, 1.0), (0.5, 1.0),
+                                              (0.55, 1.0), (0.8, 1.0), (0.85, 1.0), (0.95, 1.0),
+                                              (0.8, 2.7), (0.3, 0.04), (0.5 - 1e-9, 1.0),
+                                              (0.5 + 1e-9, 1.0)])
+    def test_double_within_1e12_of_forty_digits(self, hurst, scale):
+        cov = st.covariance_sequence(st.FgnDensity(hurst, scale), 4096)
+        ref = np.array([float(v) for v in fgn_covariances_mp(hurst, scale, 4096)])
+        assert cov.provenance == "exact"
+        assert np.all(cov.values[ref == 0.0] == 0.0)
+        nonzero = ref != 0.0
+        assert np.max(np.abs(cov.values[nonzero] / ref[nonzero] - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("hurst", [0.2, 0.5, 0.5 + 1e-9, 0.8])
+    def test_dd_within_1e28_of_forty_digits(self, hurst):
+        cov = st.covariance_sequence(st.FgnDensity(hurst, 1.3), 4096, precision="dd")
+        ref = fgn_covariances_mp(hurst, 1.3, 4096)
+        assert cov.provenance == "exact"
+        with mpmath.workdps(40):
+            for h, lo, r in zip(cov.values, cov.lo, ref):
+                assert abs(mpmath.mpf(h) + mpmath.mpf(lo) - r) <= 1e-28 * abs(r)
+
+    @pytest.mark.parametrize("hurst", [0.3, 0.8])
+    def test_normalisation_is_the_density_integral(self, hurst):
+        """r0 = 2 pi scale / (Gamma(2H+1) sin pi H) is the integral of `values`."""
+        model = st.FgnDensity(hurst, 1.5)
+        quad = _quadrature_density_covariances(model, 16)
+        np.testing.assert_allclose(st.covariance_sequence(model, 16).values, quad,
+                                   rtol=0.0, atol=1e-12)
+
+
+class TestArmaClosedForm:
+    """ARMA by the step-down, Levinson and the difference equation, in
+    double-double at either precision, against the 40-digit residue oracle."""
+
+    MODELS = {"ar1": st.Arma(ar=(1.0, -0.8)), "ar1_negative": st.Arma(ar=(1.0, 0.8)),
+              "ar2_complex": st.Arma(ar=(1.0, -1.5, 0.9)),
+              "arma22": st.Arma(ma=(1.0, 0.4, -0.2), ar=(1.0, -0.6, 0.08)),
+              "arma22_complex": st.Arma(ma=(1.0, 0.7, 0.3), ar=(2.0, -1.2, 0.6), scale=1.7)}
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_double_within_1e12_at_every_normal_lag(self, name):
+        model = self.MODELS[name]
+        cov = st.covariance_sequence(model, 4096)
+        ref = np.array([float(v) for v in arma_covariances_mp(model.ar, model.ma, model.scale,
+                                                              4096)[0]])
+        normal = np.abs(ref) >= np.finfo(float).tiny
+        assert cov.provenance == "exact" and normal[:100].all()
+        assert np.max(np.abs(cov.values[normal] / ref[normal] - 1.0)) < 1e-12
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_dd_within_1e28_of_the_envelope(self, name):
+        """Relative to the envelope, which is |r(k)| for the AR(1) models: a
+        damped cosine passes near 0, where no recurrence keeps relative digits
+        (r(k) there moves by k ulps of its envelope with the coefficients)."""
+        model = self.MODELS[name]
+        cov = st.covariance_sequence(model, 4096, precision="dd")
+        ref, env = arma_covariances_mp(model.ar, model.ma, model.scale, 4096)
+        assert cov.provenance == "exact"
+        with mpmath.workdps(40):
+            for h, lo, r, e in zip(cov.values, cov.lo, ref, env):
+                if e > 2.0 ** -916:             # low parts normal
+                    assert abs(mpmath.mpf(h) + mpmath.mpf(lo) - r) <= 1e-28 * e
+
+    def test_double_is_the_dd_sequence(self):
+        model = self.MODELS["arma22_complex"]
+        dcov, ddcov = (st.covariance_sequence(model, 256, precision=p) for p in ("double", "dd"))
+        assert dcov.precision == "double" and np.any(dcov.lo)
+        assert dcov.values.tobytes() == ddcov.values.tobytes()
+        assert dcov.lo.tobytes() == ddcov.lo.tobytes()
+
+
+class TestClosedFormFallbacks:
+    """A variant without a closed form is integrated exactly as before."""
+
+    @pytest.mark.parametrize("model", [st.Arma(ar=(1.0, -2.0)),
+                                       st.Arma(ma=(1.0, 0.3), ar=(1.0, 0.5, -2.0)),
+                                       st.ArfimaFactor(0.2, st.Arma(ar=(1.0, -0.5)))],
+                             ids=["noncausal_ar1", "noncausal_arma", "arfima_over_ar"])
+    def test_quadrature_as_the_route_itself(self, model):
+        _COV_CACHE.clear()
+        cov = st.covariance_sequence(model, 64)
+        assert cov.provenance == "quadrature" and cov.lo is None
+        assert cov.values.tobytes() == _quadrature_density_covariances(model, 64).tobytes()
+        with pytest.raises(st.ValidationError):
+            st.covariance_sequence(model, 8, precision="dd")

@@ -194,6 +194,14 @@ def test_log_over_the_flat_zero_range():
         assert_close(dd.log(dd.PI), [mpmath.log(mpmath.pi)])
 
 
+def test_expm1_keeps_its_relative_accuracy_near_zero():
+    x = np.array([1e-30, -1e-12, 1e-5, 0.3, -0.34, 0.35, 2.0, -40.0])
+    with mpmath.workdps(DPS):
+        want = [mpmath.expm1(mpmath.mpf(v)) for v in x]
+        for got, w in zip(to_mp(dd.expm1(exact_dd(x))), want):
+            assert abs(got / w - 1) < 1e-31
+
+
 @pytest.mark.parametrize("a", [1e-3, 0.3, 1.0, 0.455 * np.pi, 1.66, 2.0, 3.1, np.pi - 1e-9])
 def test_sin_cos_of_lag_multiples(a):
     """k a with k <= 4096 is formed exactly, then reduced by a three-part 2 pi."""
@@ -210,6 +218,12 @@ def test_central_binomial(alpha):
     with mpmath.workdps(DPS):
         want = mpmath.binomial(2 * mpmath.mpf(alpha), mpmath.mpf(alpha))
         assert abs(to_mp(dd.central_binomial(alpha))[0] / want - 1) < 1e-31
+
+
+@pytest.mark.parametrize("x", [0.1, 0.4, 1.0, 1.1, 1.6, 1.9, 2.0, 15.9, 16.0, 17.3, 40.0])
+def test_gamma(x):
+    with mpmath.workdps(DPS):
+        assert abs(to_mp(dd.gamma(x))[0] / mpmath.gamma(mpmath.mpf(x)) - 1) < 1e-29
 
 
 def test_central_binomial_is_the_rounded_integer_at_integers():
