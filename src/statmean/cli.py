@@ -16,11 +16,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
-
-import numpy as np
 
 from . import __version__
 from .errors import AccuracyError, NearSingularError, StatmeanError, ValidationError
@@ -373,6 +370,7 @@ def _render(payload, rows, manifest) -> str:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
+    args = None
     try:
         args = parser.parse_args(argv)
         if args.config:
@@ -402,6 +400,13 @@ def main(argv=None) -> int:
         return 1
     except ValidationError as err:
         sys.stderr.write(f"validation error: {err}\n")
+        return 2
+    except MemoryError:
+        # the order sizes every allocation that can exhaust memory
+        order = " ".join(f"{flag} {getattr(args, dest)}" for dest, flag in
+                         (("n", "--n"), ("n_grid", "--n-grid")) if getattr(args, dest, None))
+        sys.stderr.write(f"validation error: {order or 'the order'} needs more memory "
+                         "than is available\n")
         return 2
     except (AccuracyError, NearSingularError, OverflowError) as err:
         sys.stderr.write(f"numerical-accuracy error: {err}\n")

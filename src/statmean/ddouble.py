@@ -16,7 +16,8 @@ the same paper's methods: `exp` and `expm1` reduce by ln 2 and 2^-10 before a
 Taylor series, `log` is one Newton step on `exp`, `gamma` takes Stirling's
 series, and `sin` and `cos` reduce mod 2 pi by a three-part 2 pi and then by
 quadrant.  Series coefficients are exact rationals rounded once to
-double-double.
+double-double; the Bernoulli numbers among them, `bernoulli`, also serve
+`spectra`'s Hurwitz zeta.
 """
 
 from __future__ import annotations
@@ -267,20 +268,27 @@ def sincos(x: DD) -> tuple[DD, DD]:
             DD(np.where(odd, s.hi, c.hi) * sign_c, np.where(odd, s.lo, c.lo) * sign_c))
 
 
+@functools.lru_cache(maxsize=1)
+def bernoulli() -> tuple:
+    """B_2m, m = 1..26, as exact fractions, from sum_{j=1..m} C(2m+1, 2j) B_2j
+    = m - 1/2; the import of fractions is left to the first call."""
+    from fractions import Fraction
+    b = []
+    for m in range(1, 27):
+        head = sum(math.comb(2 * m + 1, 2 * j + 2) * v for j, v in enumerate(b))
+        b.append((Fraction(2 * m - 1, 2) - head) / (2 * m + 1))
+    return tuple(b)
+
+
 @functools.lru_cache(maxsize=2)
 def _gamma_series(ratio: bool) -> DD:
     """c_m, m = 1..26, of two series in x^(1-2m), each to ~1e-33 past x = 12:
     ln(Gamma(x + 1/2) / Gamma(x + 1)) + ln(x) / 2 with c_m = (2^(1-2m) - 2)
     B_2m / ((2m-1) 2m) if `ratio`, else Stirling's ln Gamma(x) - (x - 1/2) ln x
-    + x - ln(2 pi) / 2 with c_m = B_2m / ((2m-1) 2m).  B_2m come from
-    sum_{j=1..m} C(2m+1, 2j) B_2j = m - 1/2, in fractions, whose import is
-    left to the first call."""
-    from fractions import Fraction
-    b, coeffs = [], []
-    for m in range(1, 27):
-        head = sum(math.comb(2 * m + 1, 2 * j + 2) * v for j, v in enumerate(b))
-        b.append((Fraction(2 * m - 1, 2) - head) / (2 * m + 1))
-        c = ((Fraction(2) ** (1 - 2 * m) - 2) if ratio else 1) * b[-1] / ((2 * m - 1) * 2 * m)
+    + x - ln(2 pi) / 2 with c_m = B_2m / ((2m-1) 2m)."""
+    coeffs = []
+    for m, b in enumerate(bernoulli(), 1):
+        c = (b / 2 ** (2 * m - 1) - 2 * b if ratio else b) / ((2 * m - 1) * 2 * m)
         coeffs.append((c.numerator, c.denominator))
     return _table(coeffs)
 

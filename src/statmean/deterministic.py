@@ -12,7 +12,7 @@ constant < 1 (exponential decay); spectra positive near the origin give 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -28,7 +28,7 @@ independent checks are dense-matrix oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

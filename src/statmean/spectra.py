@@ -26,12 +26,10 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
+from . import ddouble as dd
 from .errors import ValidationError
 
 TWO_PI = 2.0 * math.pi
-
-#: Largest `FgnDensity.series_truncation`, the series terms per side.
-MAX_SERIES_TRUNCATION = 10**5
 
 #: lags per step of `Arma.covariances`' difference equation
 _AR_BLOCK = 64
@@ -375,71 +373,61 @@ class ArfimaFactor(SpectralModel, variant="arfima"):
         return base[0] - self.d, base[1], base[2]
 
 
+#: terms of `_hurwitz_zeta` summed one by one, and Bernoulli terms in its tail
+_ZETA_TERMS, _ZETA_BERNOULLI = 12, 8
+
+
+def _hurwitz_zeta(s: float, a):
+    """zeta(s, a) = sum_{k>=0} (a + k)^-s for s > 1 and a >= 1/2, to double
+    rounding: 12 terms, then the Euler-Maclaurin tail at w = a + 12,
+    w^(1-s) / (s-1) + w^-s / 2 + sum_{j=1..8} B_2j / (2j)! s (s+1) ... (s+2j-2)
+    w^(1-s-2j), whose j-th term is about (2j)! / (2 pi w)^2j of the sum
+    (Johansson, Numer. Algorithms 2015)."""
+    coeffs, rising = [], s
+    for j, b in enumerate(dd.bernoulli()[:_ZETA_BERNOULLI], 1):
+        coeffs.append(float(b / math.factorial(2 * j)) * rising)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    w = a + _ZETA_TERMS
+    u, poly = 1.0 / (w * w), 0.0
+    for c in reversed(coeffs):
+        poly = poly * u + c
+    out = w ** -s * (w / (s - 1.0) + 0.5 + poly / w)
+    # smallest terms first
+    for k in range(_ZETA_TERMS - 1, -1, -1):
+        out = out + (a + k) ** -s
+    return out
+
+
 @dataclass(frozen=True)
 class FgnDensity(SpectralModel, variant="fgn"):
     """Fractional Gaussian noise density with Hurst index in (0, 1).
 
-    f(lambda) = scale * |1-e^{-i*lambda}|^2 * sum_k |lambda + 2*pi*k|^{-(2H+1)}.
-    In `values` the doubly infinite sum is truncated at `series_truncation`
-    terms per side and closed with a midpoint-rule integral tail so the
-    relative truncation error stays below 1e-10 on all of [-pi, pi]; the
-    covariances take their closed form and no truncation.
+    f(lambda) = scale * |1-e^{-i*lambda}|^2 * sum_k |lambda + 2*pi*k|^{-(2H+1)}
+    (Beran 1994, section 2.3).  In `values` the k = 0 term is
+    |lambda|^{1-2H} sinc^2(lambda / 2 pi), and the others are
+    (2 pi)^-s (zeta(s, 1 + x) + zeta(s, 1 - x)) with s = 2H + 1 and
+    x = lambda / 2 pi, each Hurwitz zeta to double rounding; the covariances
+    take their closed form.
     """
 
     hurst: float
     scale: float = 1.0
-    series_truncation: int = 200
 
     def __post_init__(self):
         if not (0.0 < self.hurst < 1.0):
             raise ValidationError("Hurst index must lie in (0, 1)")
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("scale must be a positive real")
-        if not 1 <= self.series_truncation <= MAX_SERIES_TRUNCATION:
-            raise ValidationError(
-                f"series truncation must be an integer in [1, {MAX_SERIES_TRUNCATION}]")
-
-    def _offcenter_series(self, lam):
-        """sum over k != 0 of |lam + 2 pi k|^-(2H+1) plus the integral tail."""
-        h = self.hurst
-        k = np.concatenate((np.arange(-self.series_truncation, 0),
-                            np.arange(1, self.series_truncation + 1)))
-        lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        out = np.empty_like(lam)
-        # chunk to keep the (points x terms) table at most 2^22 entries
-        step = min(4096, 2**22 // k.size)
-        for lo in range(0, lam.size, step):
-            block = lam[lo:lo + step, None]
-            out[lo:lo + step] = np.sum(np.abs(block + TWO_PI * k) ** (-(2 * h + 1)), axis=1)
-        # tail beyond the midpoint K+1/2: integral plus the first
-        # Euler-Maclaurin (midpoint-rule) correction g'(K+1/2)/24
-        edge = TWO_PI * (self.series_truncation + 0.5)
-        for side in (lam, -lam):
-            out += (edge + side) ** (-2 * h) / (2 * h * TWO_PI)
-            out -= (2 * h + 1) * TWO_PI * (edge + side) ** (-(2 * h + 2)) / 24.0
-        return out
 
     def values(self, lam):
         lam = np.asarray(lam, dtype=float)
-        scalar = lam.ndim == 0
-        lam1 = np.atleast_1d(lam)
-        sin2 = (2.0 * np.sin(lam1 / 2.0)) ** 2
-        # the k = 0 term is folded with sin^2 analytically so the product
-        # never forms 0 * inf however close to the origin the node sits
+        s, x = 2.0 * self.hurst + 1.0, lam / TWO_PI
+        # the k = 0 term is folded with sin^2 analytically, so no node forms
+        # 0 * inf; at 0 it is 0^(1-2H), which is inf, 0 or 1
         with np.errstate(divide="ignore"):
-            kernel = np.where(lam1 == 0.0, 1.0, (np.sinc(lam1 / TWO_PI)) ** 2)
-            central = np.abs(lam1) ** (1.0 - 2.0 * self.hurst) * kernel
-        out = self.scale * (central + sin2 * self._offcenter_series(lam1))
-        at_zero = lam1 == 0.0
-        if np.any(at_zero):
-            if self.hurst > 0.5:
-                limit = np.inf
-            elif self.hurst < 0.5:
-                limit = 0.0
-            else:
-                limit = self.scale
-            out = np.where(at_zero, limit, out)
-        return out[0] if scalar else out
+            central = np.abs(lam) ** (1.0 - 2.0 * self.hurst) * np.sinc(x) ** 2
+        offcenter = _hurwitz_zeta(s, 1.0 + x) + _hurwitz_zeta(s, 1.0 - x)
+        return self.scale * (central + (2.0 * np.sin(lam / 2.0)) ** 2 * TWO_PI ** -s * offcenter)
 
     def singularities(self):
         if self.hurst == 0.5:
@@ -910,13 +898,6 @@ def _real(value) -> float:
     return float(value)
 
 
-def _integer(value) -> int:
-    number = _real(value)
-    if not number.is_integer():
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(number)
-
-
 def _items(value, length=None) -> list:
     """A JSON list, of `length` items when given."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
@@ -997,7 +978,6 @@ def measure_from_json(doc) -> SpectralMeasure:
 #: decoders of document values by the annotation of the field they fill
 _DECODERS = {
     "float": _real,
-    "int": _integer,
     "Angle": parse_angle,
     "tuple[float, ...]": lambda v: tuple(map(_real, _items(v))),
     "tuple[tuple[Angle, float], ...]": lambda v: tuple(

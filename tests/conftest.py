@@ -113,6 +113,22 @@ def fgn_covariances_mp(hurst, scale, kmax, dps=60):
                        for k in range(1, kmax + 1)]
 
 
+def fgn_density_mp(hurst, scale, lam, dps=40):
+    """Oracle: the FGN density at each angle at `dps` digits, from Hurwitz zeta:
+    scale [|lam|^(1-2H) (sin(lam/2) / (lam/2))^2 + 4 sin^2(lam/2) (2 pi)^-s
+    (zeta(s, 1 + x) + zeta(s, 1 - x))], s = 2H + 1, x = lam / 2 pi; lam != 0."""
+    with mpmath.workdps(dps):
+        s = 2 * mpmath.mpf(hurst) + 1
+        out = []
+        for angle in lam:
+            a = mpmath.mpf(float(angle))
+            x, half = a / (2 * mpmath.pi), a / 2
+            offcenter = mpmath.zeta(s, 1 + x) + mpmath.zeta(s, 1 - x)
+            out.append(scale * (abs(a) ** (2 - s) * (mpmath.sin(half) / half) ** 2
+                                + 4 * mpmath.sin(half) ** 2 * (2 * mpmath.pi) ** -s * offcenter))
+        return out
+
+
 def arma_covariances_mp(ar, ma, scale, kmax, dps=40):
     """Oracle: ARMA r(0..kmax) and their envelopes at `dps` digits, by residues.
 

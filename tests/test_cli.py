@@ -151,6 +151,16 @@ class TestExitCodes:
                                  "--seed", "-1")
         assert code == 2 and "seed" in err and out == ""
 
+    def test_memory_error_is_two(self, model_dir, monkeypatch):
+        """An order too large for memory is refused like any invalid input."""
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr("statmean.toeplitz.system_for", exhausted)
+        code, out, err = run_cli("blue", "--model", str(model_dir / "whitenoise.json"),
+                                 "--n", "100000000")
+        assert code == 2 and out == ""
+        assert err == "validation error: --n 100000000 needs more memory than is available\n"
+
     def test_accuracy_error_is_three(self, model_dir):
         code, _, err = run_cli("blue", "--model", str(model_dir / "arc.json"),
                                "--n", "64")
@@ -238,7 +248,7 @@ class TestExitCodes:
         {"density": {"variant": "white_noise"}, "atoms": [["nan", 0.5]]},
         {"variant": "fisher_hartwig", "base": {"variant": "white_noise"},
          "points": [["nan", 0.3]]},
-        {"variant": "fgn", "hurst": 0.7, "series_truncation": 1e9},
+        {"variant": "fgn", "hurst": 1.5},
     ])
     @pytest.mark.parametrize("subcommand", ["classify", "covariance"])
     def test_malformed_model_document_exits_two(self, tmp_path, doc, subcommand):

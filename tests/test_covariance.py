@@ -13,7 +13,7 @@ import pytest
 
 import statmean as st
 from statmean import cli, efficiency, estimators, opuc, quadrature, toeplitz
-from statmean.covariance import (_COV_CACHE, _quadrature_density_covariances,
+from statmean.covariance import (_COV_CACHE, QUAD_TOL, _quadrature_density_covariances,
                                  falpha_covariance_array)
 from statmean.memo import BoundedMemo
 from statmean.quadrature import _GRID_CACHE, model_grid
@@ -517,6 +517,15 @@ class TestFgnClosedForm:
         quad = _quadrature_density_covariances(model, 16)
         np.testing.assert_allclose(st.covariance_sequence(model, 16).values, quad,
                                    rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("hurst", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_quadrature_over_an_fgn_base_meets_the_closed_form(self, hurst):
+        """An ARFIMA factor with d = 0 over FGN has no closed form, so it is
+        integrated: the gate holds only if `values` is right to double rounding."""
+        quad = st.covariance_sequence(st.ArfimaFactor(0.0, st.FgnDensity(hurst)), 256)
+        exact = st.covariance_sequence(st.FgnDensity(hurst), 256)
+        assert (quad.provenance, exact.provenance) == ("quadrature", "exact")
+        assert np.max(np.abs(quad.values - exact.values)) <= QUAD_TOL
 
 
 class TestArmaClosedForm:

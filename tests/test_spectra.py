@@ -13,6 +13,7 @@ from hypothesis import strategies as hst
 
 import statmean as st
 from statmean.spectra import MINUS_INFINITY, parse_angle
+from tests.conftest import fgn_density_mp
 
 TWO_PI = 2.0 * math.pi
 
@@ -61,14 +62,13 @@ class TestEvaluate:
 
 
 class TestFgnSeries:
-    def test_truncation_error_below_1e10(self):
-        """Doubling the truncation changes values by < 1e-10 relatively."""
-        lam = np.linspace(-math.pi, math.pi, 201)
-        lam[np.abs(lam) < 1e-9] = 1e-3
-        for hurst in (0.25, 0.6, 0.75, 0.9):
-            coarse = st.FgnDensity(hurst, series_truncation=200).values(lam)
-            fine = st.FgnDensity(hurst, series_truncation=20000).values(lam)
-            assert np.max(np.abs(coarse / fine - 1.0)) < 1e-10
+    @pytest.mark.parametrize("hurst", [0.05, 0.2, 0.5, 0.8, 0.95])
+    def test_within_2e15_of_forty_digit_hurwitz_zeta(self, hurst):
+        """200 angles, log-spaced in +/-[1e-3, pi]."""
+        magnitude = np.geomspace(1e-3, math.pi, 100)
+        lam = np.concatenate((-magnitude[::-1], magnitude))
+        ref = np.array([float(v) for v in fgn_density_mp(hurst, 1.0, lam)])
+        assert np.max(np.abs(st.FgnDensity(hurst).values(lam) / ref - 1.0)) < 2e-15
 
     def test_origin_power(self):
         # f ~ |lambda|^{1-2H} near 0
@@ -250,9 +250,9 @@ KEYED_CATALOGUE = [
     (st.ArfimaFactor(0.2, st.Arma((1.0, 0.3))),
      '{"base": {"ar": [1.0], "ma": [1.0, 0.3], "scale": 1.0, "variant": "arma"}, "d": 0.2, "variant": "arfima"}'),
     (st.FgnDensity(0.7),
-     '{"hurst": 0.7, "scale": 1.0, "series_truncation": 200, "variant": "fgn"}'),
-    (st.FgnDensity(0.3, 2.0, 300),
-     '{"hurst": 0.3, "scale": 2.0, "series_truncation": 300, "variant": "fgn"}'),
+     '{"hurst": 0.7, "scale": 1.0, "variant": "fgn"}'),
+    (st.FgnDensity(0.3, 2.0),
+     '{"hurst": 0.3, "scale": 2.0, "variant": "fgn"}'),
     (st.FisherHartwig(st.WhiteNoise(1.0), ((0.5, 0.2), (-0.5, 0.2))),
      '{"base": {"level": 1.0, "variant": "white_noise"}, "points": [[0.5, 0.2], [-0.5, 0.2]], "variant": "fisher_hartwig"}'),
     (st.FisherHartwig(st.PowerAtOrigin(0.1), ((0.0, 0.3), (math.pi, 0.25))),
@@ -300,7 +300,7 @@ class TestJson:
         ({"variant": "arc_supported", "alpha": "zpi"}, "arc_supported.alpha"),
         ({"variant": "arma", "ma": 5}, "arma.ma"),
         ({"variant": "arma", "ma": [1.0, None]}, "arma.ma"),
-        ({"variant": "fgn", "hurst": 0.7, "series_truncation": 2.5}, "fgn.series_truncation"),
+        ({"variant": "fgn", "hurst": [0.7]}, "fgn.hurst"),
         ({"variant": "product", "left": {"variant": "white_noise"}},
          "product: missing field 'right'"),
         ({"variant": "scaled", "model": {"variant": "flat_zero"}, "factor": 2.0},
@@ -322,6 +322,8 @@ class TestJson:
         assert st.model_from_json({"variant": "white_noise"}) == st.WhiteNoise()
         assert st.model_from_json({"variant": "fgn", "hurst": 0.6, "extra": "ignored"}) == \
             st.FgnDensity(0.6)
+        assert st.model_from_json({"variant": "fgn", "hurst": 0.7, "series_truncation": 200}) == \
+            st.FgnDensity(0.7)
         assert st.model_from_json({"variant": "arc_supported", "alpha": "0.5pi"}) == \
             st.ArcSupported(0.5 * math.pi)
         assert st.ArcSupported(1.0).level == 1.0
@@ -336,14 +338,6 @@ class TestJson:
     def test_non_finite_angles_are_refused(self, doc):
         with pytest.raises(st.ValidationError, match="angle"):
             st.measure_from_json(doc)
-
-    @pytest.mark.parametrize("truncation", [0, st.spectra.MAX_SERIES_TRUNCATION + 1, 10**9])
-    def test_fgn_series_truncation_is_bounded(self, truncation):
-        with pytest.raises(st.ValidationError, match="series truncation"):
-            st.FgnDensity(0.7, series_truncation=truncation)
-        with pytest.raises(st.ValidationError, match="series truncation"):
-            st.model_from_json({"variant": "fgn", "hurst": 0.7,
-                                "series_truncation": float(truncation)})
 
     def test_non_finite_arma_coefficients_are_refused(self):
         with pytest.raises(st.ValidationError, match="finite"):
