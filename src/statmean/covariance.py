@@ -28,6 +28,10 @@ The double closed forms built on r_alpha and ARMA's keep their low parts too,
 for the refinement step of the double Toeplitz solve; every other double
 sequence has none.  A computed sequence that is not finite raises
 `AccuracyError`.
+
+The density's sequence is cached, read-only, for the 64 (model, precision,
+order) triples asked last.  Models are frozen dataclasses and compare by
+value, so an equal model built anew, say from its document, hits.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -42,7 +47,6 @@ import numpy as np
 from . import ddouble as dd
 from . import quadrature
 from .errors import AccuracyError, NearSingularError, ValidationError
-from .memo import BoundedMemo, read_only
 from .spectra import as_measure
 
 #: absolute tolerance per quadrature coefficient
@@ -142,7 +146,7 @@ class CovarianceSequence:
         for name in ("values", "lo"):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, read_only(np.array(value, dtype=float)))
+                object.__setattr__(self, name, dd.read_only(np.array(value, dtype=float)))
         if self.precision == "dd" and self.lo is None:
             raise ValidationError("double-double covariances need their low parts")
         if self.lo is not None and self.lo.shape != self.values.shape:
@@ -218,10 +222,24 @@ def _quadrature_density_covariances(model, kmax):
         f"(achieved {achieved:.3g})", achieved=achieved)
 
 
-#: the 64 covariance sequences used last, per model, precision and order: the
-#: quadrature grid depends on the order, so a prefix of a longer sequence is
-#: not the sequence asked for
-_COV_CACHE = BoundedMemo(64)
+@lru_cache(maxsize=64)
+def _density_covariances(model, precision: str, n: int):
+    """(r(0..n) of the density, provenance), read-only, for the 64 models,
+    precisions and orders asked last: models compare by value, and the
+    quadrature grid depends on the order, so a prefix of a longer sequence is
+    not the sequence asked for."""
+    if model.zero_density():
+        return dd.read_only(np.zeros(n + 1)), "exact"
+    found = model.covariances(n, _arithmetic(precision))
+    if found is None and precision == "dd":
+        raise ValidationError(
+            "extended-precision covariances need a closed form, the same set in both "
+            "precisions: white noise, power-at-origin, pure-MA, their fractional "
+            "factors, products and scalings, FGN, ARMA with every AR root outside the "
+            "unit disc, arc-supported, scalings and shifts of these by 0 or pi, and "
+            "flat-zero (by double-double quadrature)")
+    dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
+    return dd.read_only(dens), prov
 
 
 def covariance_sequence(measure, n: int, precision: str = "double") -> CovarianceSequence:
@@ -240,21 +258,7 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
             "covariances of a density shifted off 0/pi are complex-valued; reduce "
             "the shifted-regression problem to the unshifted one first")
     ar = _arithmetic(precision)
-    key = (model.key(), precision, n)
-    cached = _COV_CACHE.get(key)
-    if cached is not None:
-        dens, prov = cached
-    else:
-        found = (np.zeros(n + 1), "exact") if model.zero_density() else model.covariances(n, ar)
-        if found is None and precision == "dd":
-            raise ValidationError(
-                "extended-precision covariances need a closed form, the same set in both "
-                "precisions: white noise, power-at-origin, pure-MA, their fractional "
-                "factors, products and scalings, FGN, ARMA with every AR root outside the "
-                "unit disc, arc-supported, scalings and shifts of these by 0 or pi, and "
-                "flat-zero (by double-double quadrature)")
-        dens, prov = found or (_quadrature_density_covariances(model, n), "quadrature")
-        _COV_CACHE.put(key, (dens, prov))
+    dens, prov = _density_covariances(model, precision, n)
     k = ar.arange(n + 1)
     for angle, mass in measure.atoms:
         dens = dens + ar.cos(k * angle) * mass

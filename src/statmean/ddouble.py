@@ -268,6 +268,12 @@ def sincos(x: DD) -> tuple[DD, DD]:
             DD(np.where(odd, s.hi, c.hi) * sign_c, np.where(odd, s.lo, c.lo) * sign_c))
 
 
+def read_only(v):
+    """v, an array or a double-double pair, with its write flag cleared."""
+    v.setflags(write=False)
+    return v
+
+
 @functools.lru_cache(maxsize=1)
 def bernoulli() -> tuple:
     """B_2m, m = 1..26, as exact fractions, from sum_{j=1..m} C(2m+1, 2j) B_2j
@@ -290,7 +296,7 @@ def _gamma_series(ratio: bool) -> DD:
     for m, b in enumerate(bernoulli(), 1):
         c = (b / 2 ** (2 * m - 1) - 2 * b if ratio else b) / ((2 * m - 1) * 2 * m)
         coeffs.append((c.numerator, c.denominator))
-    return _table(coeffs)
+    return read_only(_table(coeffs))
 
 
 def gamma(x: float) -> DD:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .covariance import covariance_sequence
+from .ddouble import read_only
 from .errors import AccuracyError, NearSingularError, ValidationError
-from .memo import read_only
 from .spectra import as_measure
 from .toeplitz import blue_variance_curve
 

@@ -137,7 +137,7 @@ def general_class_asymptote(alpha: float, g0: float) -> float:
     """Constant of the hyperbolic law n^{2a+1} Var -> Gamma(2a+1) g(0) / B(a+1,a+1)."""
     if not alpha > -0.5:
         raise ValidationError("alpha must satisfy alpha > -1/2")
-    if not g0 > 0.0:
-        raise ValidationError("g0 must be positive")
+    if not (g0 > 0.0 and math.isfinite(g0)):
+        raise ValidationError("g0 must be a positive real")
     # Gamma(2a+1) / B(a+1, a+1) = Gamma(2a+2) binom(2a, a)
     return math.gamma(2.0 * alpha + 2.0) * float(dd.central_binomial(alpha)) * g0

@@ -17,7 +17,6 @@ import numpy as np
 from . import ddouble as dd
 from .covariance import covariance_sequence
 from .errors import AccuracyError, ValidationError
-from .memo import read_only
 from .quadrature import model_grid
 from .spectra import TWO_PI, SpectralModel, as_measure
 
@@ -32,7 +31,7 @@ class EstimatorWeights:
     coefficients: np.ndarray
 
     def __post_init__(self):
-        coefficients = read_only(np.array(self.coefficients, dtype=float))
+        coefficients = dd.read_only(np.array(self.coefficients, dtype=float))
         object.__setattr__(self, "coefficients", coefficients)
         if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
             raise ValidationError("weights must be a nonempty vector")

@@ -27,6 +27,7 @@ independent checks are dense-matrix oracles.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -60,6 +61,9 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
     if n < 1:
         raise ValidationError("order must be at least 1")
     measure.require_order(n)
+    probes = tuple(complex(p) for p in probes)
+    if not all(cmath.isfinite(p) for p in probes):
+        raise ValidationError("probes must be finite complex numbers")
     r = covariance_sequence(measure, n).values
     try:
         entry = _levinson_pass(r)
@@ -78,7 +82,7 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
     roots = np.sqrt(norms)
 
     phi = {}
-    for p in (complex(p) for p in probes):
+    for p in probes:
         vals = np.empty(n + 1, dtype=complex)
         vals[0] = 1.0 / roots[0]
         pk = pk_star = 1.0 + 0.0j          # monic P_0 = P*_0 = 1

@@ -23,7 +23,6 @@ from functools import lru_cache
 import numpy as np
 
 from . import ddouble as dd
-from .memo import BoundedMemo
 
 NODES_PER_PANEL = 32
 SINGULAR_PANELS = 40
@@ -38,8 +37,7 @@ OSC_RADIANS = 14.0
 
 @lru_cache(maxsize=8)
 def _gl_nodes(m: int):
-    x, w = np.polynomial.legendre.leggauss(m)
-    return x, w
+    return tuple(map(dd.read_only, np.polynomial.legendre.leggauss(m)))
 
 
 @lru_cache(maxsize=2)
@@ -56,7 +54,8 @@ def dd_gl_nodes(m: int):
         slope = (x * q1 - q0 * float(m)) * float(m)        # m! (x^2 - 1) P_m'(x)
         if step < 2:
             x = x - q1 * (x * x - 1.0) / slope
-    return x, dd.exact(math.factorial(m) ** 2) * (1.0 - x * x) * 2.0 / (slope * slope)
+    w = dd.exact(math.factorial(m) ** 2) * (1.0 - x * x) * 2.0 / (slope * slope)
+    return dd.read_only(x), dd.read_only(w)
 
 
 def depth_for_exponent(exponent, default=SINGULAR_PANELS):
@@ -122,35 +121,34 @@ def half_line_grid(depth_by_angle, osc_k=0, base_panels=8, nodes=NODES_PER_PANEL
     return lam, wts
 
 
-#: the 8 grids used last, keyed by model and grading: enough for the reuse
-#: within one call chain (a finite-efficiency sweep over four orders builds 6),
-#: while grids of models no longer asked for would only hold memory
-_GRID_CACHE = BoundedMemo(8)
+@lru_cache(maxsize=8)
+def _graded_grid(depths, osc_k, base_panels, nodes):
+    """`half_line_grid` of the sorted (angle, depth) pairs `depths`, read-only,
+    for the 8 gradings asked last: enough for the reuse within one call chain
+    (a finite-efficiency sweep over four orders builds 6), while grids no
+    longer asked for would only hold memory."""
+    grid = half_line_grid(dict(depths), osc_k=osc_k, base_panels=base_panels, nodes=nodes)
+    return tuple(map(dd.read_only, grid))
 
 
 def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES_PER_PANEL):
-    """Grid on [0, pi] graded toward `model`'s singular angles.
+    """Read-only grid on [0, pi] graded toward `model`'s singular angles.
 
     The grading depth per angle grows with the strength of any negative
     algebraic exponent there; flat-zero style essential singularities need no
     extra depth because the density underflows to an exact 0 well before the
     angle, so the innermost panels contribute exact zeros.
 
-    Grids are cached per model with the oscillation requirement rounded up to
-    the next power of two, so sweeps over many orders share a handful of
-    grids (a finer grid is always valid for smaller k).
+    Grids are cached per grading, so models with the same singular angles and
+    depths share one, with the oscillation requirement rounded up to the next
+    power of two, so sweeps over many orders share a handful of grids (a
+    finer grid is always valid for smaller k).
     """
     if osc_k > 0:
         osc_k = 1 << max(3, (osc_k - 1).bit_length())
-    key = (model.key(), osc_k, base_panels, depth, nodes)
-    hit = _GRID_CACHE.get(key)
-    if hit is not None:
-        return hit
     depths = {s.angle: depth_for_exponent(s.exponent, depth)
               for s in model.singularities()}
-    grid = half_line_grid(depths, osc_k=osc_k, base_panels=base_panels, nodes=nodes)
-    _GRID_CACHE.put(key, grid)
-    return grid
+    return _graded_grid(tuple(sorted(depths.items())), osc_k, base_panels, nodes)
 
 
 def log_integral_grid(model):

@@ -139,7 +139,10 @@ class MonteCarloVariance:
 
 
 def monte_carlo_variance(weights, measure, replicates: int, seed: int) -> MonteCarloVariance:
-    """Empirical variance of sum c_k X(k) with a jackknife standard error."""
+    """Empirical variance of sum c_k X(k) with a jackknife standard error,
+    which leaves one replicate out of a variance and so needs at least 3."""
+    if replicates < 3:
+        raise ValidationError("the jackknife needs at least 3 replicates")
     c = np.asarray(getattr(weights, "coefficients", weights), dtype=float)
     generator, blocks = _path_blocks(measure, len(c), replicates, seed)
     stats = np.concatenate([block @ c for block in blocks])

@@ -163,10 +163,6 @@ class SpectralModel:
     def to_json(self) -> dict:
         return {"variant": self.variant, **_fields_json(self)}
 
-    def key(self) -> str:
-        """Canonical string used as a cache key."""
-        return json.dumps(self.to_json(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class WhiteNoise(SpectralModel, variant="white_noise"):

@@ -12,14 +12,15 @@ Levinson recursion, written once over an arithmetic: numpy float64, or the
 double-double arrays of `ddouble` for the extended path; `opuc` reads its
 reflections and prediction errors as negated Verblunsky coefficients and monic
 norms.  The pass runs at most once per exact covariance sequence, in either
-arithmetic: it is memoised on the sequence's bytes (and its low parts' in
-double-double) in a bounded memo, so `blue_solve`, `blue_variance_curve`,
-`reflection_coefficients`, the OPUC recursion and their callers share it.
-Memoised arrays are read-only and callers receive copies; a breakdown is
-raised, never memoised.
+arithmetic: an `lru_cache` keyed on the sequence's bytes (and its low parts'
+in double-double) holds the 8 used last, so `blue_solve`,
+`blue_variance_curve`, `reflection_coefficients`, the OPUC recursion and their
+callers share it.  Cached arrays are read-only and callers receive copies; a
+breakdown is raised, never cached.
 
 In double precision the solution is polished by one step of iterative
-refinement at every order, memoised with the pass: the residual 1 - (R + L) x,
+refinement at every order, cached beside the pass on the bytes of the values
+and of their low parts: the residual 1 - (R + L) x,
 L the Toeplitz matrix of the closed forms' low parts, is formed in double from
 `ddouble.grid_split` parts, and R^-1 is applied to it by the Gohberg-Semencul
 formula from the pass's final predictor.  The double-double pass is not
@@ -30,13 +31,14 @@ the autocorrelation of long weight vectors by numpy's FFT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
 from . import ddouble as dd
 from .covariance import _DD, _DOUBLE, CovarianceSequence, covariance_sequence
 from .errors import NearSingularError, ValidationError
-from .memo import BoundedMemo, read_only
 from .quadrature import model_grid
 from .spectra import TWO_PI, as_measure
 
@@ -123,51 +125,49 @@ def _levinson(r, ar=_DOUBLE):
     return x, refl, errors, curve, a
 
 
-class _LevinsonPass:
-    """Read-only results of one all-ones pass, in the arithmetic it ran in,
-    plus its refined solution once asked, for the low parts last asked with."""
+class _LevinsonPass(NamedTuple):
+    """Read-only results of one all-ones pass, in the arithmetic it ran in:
+    float arrays, or `dd.DD` pairs of them."""
 
-    __slots__ = ("x", "refl", "errors", "curve", "a", "_refined")
-
-    def __init__(self, x, refl, errors, curve, a):
-        self.x, self.refl, self.errors, self.curve, self.a = (
-            read_only(v) for v in (x, refl, errors, curve, a))
-        self._refined = (None, None)
-
-    @property
-    def refined(self):
-        return self._refined[1]
-
-    def refine(self, r, lo):
-        """x + R^-1 (1 - (R + L) x), one refinement step against r + lo.  The low
-        parts' bytes and the solution are one tuple, so threads see a matched pair."""
-        key = None if lo is None else lo.tobytes()
-        done = self._refined
-        if done[1] is None or done[0] != key:
-            correction = _gohberg_semencul(self.a, self.errors[-1], _residual(r, self.x, lo))
-            done = self._refined = (key, read_only(self.x + correction))
-        return done[1]
+    x: np.ndarray
+    refl: np.ndarray
+    errors: np.ndarray
+    curve: np.ndarray
+    a: np.ndarray
 
 
-#: the 8 passes used last; an entry holds six vectors of length n+1 (the
-#: refined x in double only), each two arrays in double-double
-_LEVINSON_MEMO = BoundedMemo(8)
+def _floats(b):
+    return None if b is None else np.frombuffer(b)
+
+
+@lru_cache(maxsize=8)
+def _pass(r_bytes, lo_bytes):
+    """The pass over the exact values r, in double-double when their low parts
+    lo are given, for the 8 sequences asked last; an entry holds five vectors
+    of length n+1, each two arrays in double-double.  A breakdown raises
+    every time."""
+    r, lo = _floats(r_bytes), _floats(lo_bytes)
+    found = _levinson(r) if lo is None else _levinson(dd.DD(r, lo), _DD)
+    return _LevinsonPass(*map(dd.read_only, found))
+
+
+@lru_cache(maxsize=8)
+def _refined(r_bytes, lo_bytes):
+    """x + R^-1 (1 - (R + L) x), one refinement step of the double pass's x
+    against r + lo, for the 8 sequences asked last."""
+    p, r = _pass(r_bytes, None), _floats(r_bytes)
+    correction = _gohberg_semencul(p.a, p.errors[-1], _residual(r, p.x, _floats(lo_bytes)))
+    return dd.read_only(p.x + correction)
+
+
+def _bytes(v):
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
 
 
 def _levinson_pass(r, lo=None) -> _LevinsonPass:
     """The memoised pass over the exact values r, in double-double when their
-    low parts lo are given; a breakdown raises every time."""
-    r = np.asarray(r, dtype=float)
-    if lo is None:
-        key, args = r.tobytes(), (r,)
-    else:
-        lo = np.asarray(lo, dtype=float)
-        key, args = (r.tobytes(), lo.tobytes()), (dd.DD(r, lo), _DD)
-    entry = _LEVINSON_MEMO.get(key)
-    if entry is None:
-        entry = _LevinsonPass(*_levinson(*args))
-        _LEVINSON_MEMO.put(key, entry)
-    return entry
+    low parts lo are given."""
+    return _pass(_bytes(r), _bytes(lo))
 
 
 def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
@@ -229,8 +229,10 @@ def blue_solve(system: ToeplitzSystem):
     from .estimators import EstimatorWeights
 
     cov = system.covariance
-    entry = _pass_for(cov, system.precision)
-    x = entry.refine(cov.values, cov.lo) if system.precision == "double" else entry.x
+    if system.precision == "double":
+        x = _refined(_bytes(cov.values), _bytes(cov.lo))
+    else:
+        x = _pass_for(cov, system.precision).x
     total = x.sum()
     variance = float(1.0 / total)
     coeffs = np.asarray(x / total, dtype=float)

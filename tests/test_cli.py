@@ -151,6 +151,17 @@ class TestExitCodes:
                                  "--seed", "-1")
         assert code == 2 and "seed" in err and out == ""
 
+    @pytest.mark.parametrize("reps", ["1", "2"])
+    def test_too_few_replicates_is_a_validation_error(self, model_dir, reps):
+        """The jackknife leaves one replicate out of a variance, so it needs 3."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("simulate", "--model", str(model_dir / "ma1.json"),
+                                     "--estimator", "lse", "--n", "4", "--reps", reps,
+                                     "--seed", "1")
+        assert code == 2 and out == ""
+        assert err == "validation error: the jackknife needs at least 3 replicates\n"
+
     def test_memory_error_is_two(self, model_dir, monkeypatch):
         """An order too large for memory is refused like any invalid input."""
         def exhausted(*args, **kwargs):
@@ -197,6 +208,11 @@ class TestExitCodes:
         (("asymptote", "--law", "underestimation", "--model", "{models}/f1.json",
           "--alpha", "1.5"), 2),
         (("weights", "--estimator", "adenstedt", "--alpha", "inf", "--n", "3"), 2),
+        (("asymptote", "--law", "general", "--alpha", "0.3", "--g0", "inf"), 2),
+        (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "nanj"), 2),
+        # a finite probe whose powers overflow is a numerical failure
+        (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "1e308+1e308j"),
+         3),
     ])
     def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
         (tmp_path / "malformed.json").write_text('{"variant": ')

@@ -13,10 +13,9 @@ import pytest
 
 import statmean as st
 from statmean import cli, efficiency, estimators, opuc, quadrature, toeplitz
-from statmean.covariance import (_COV_CACHE, QUAD_TOL, _quadrature_density_covariances,
-                                 falpha_covariance_array)
-from statmean.memo import BoundedMemo
-from statmean.quadrature import _GRID_CACHE, model_grid
+from statmean.covariance import (QUAD_TOL, _density_covariances,
+                                 _quadrature_density_covariances, falpha_covariance_array)
+from statmean.quadrature import _graded_grid, model_grid
 from tests.conftest import arma_covariances_mp, complex_fourier_coefficient, fgn_covariances_mp
 
 TWO_PI = 2.0 * math.pi
@@ -424,8 +423,8 @@ class TestNoCallHistory:
                              ids=["ar1", "fgn", "fisher_hartwig"])
     def test_same_bits_fresh_and_after_a_larger_order(self, model):
         """The quadrature grid depends on the order, so a prefix of a longer
-        sequence is not the sequence asked for: the memo keys on the order."""
-        _COV_CACHE.clear()
+        sequence is not the sequence asked for: the cache keys on the order."""
+        _density_covariances.cache_clear()
         fresh = st.covariance_sequence(model, 128).values.tobytes()
         st.covariance_sequence(model, 1024)
         assert st.covariance_sequence(model, 128).values.tobytes() == fresh
@@ -433,17 +432,19 @@ class TestNoCallHistory:
 
 class TestCacheBounds:
     def test_covariance_cache_bounded(self):
-        for i in range(_COV_CACHE.maxsize + 40):
+        maxsize = _density_covariances.cache_info().maxsize
+        for i in range(maxsize + 40):
             st.covariance_sequence(st.PowerAtOrigin(-0.3 + 0.01 * i), 4)
-        assert len(_COV_CACHE) == _COV_CACHE.maxsize
+        assert _density_covariances.cache_info().currsize == maxsize
 
     def test_grid_cache_bounded(self):
-        for i in range(_GRID_CACHE.maxsize + 40):
+        maxsize = _graded_grid.cache_info().maxsize
+        for i in range(maxsize + 40):
             model_grid(st.PowerAtOrigin(-0.3 + 0.01 * i), osc_k=16)
-        assert len(_GRID_CACHE) == _GRID_CACHE.maxsize
+        assert _graded_grid.cache_info().currsize == maxsize
 
     def test_one_call_chain_builds_each_grid_once(self, monkeypatch, tmp_path, capsys):
-        """The bounded grid memo still holds every grid one call chain reuses:
+        """The bounded grid cache still holds every grid one call chain reuses:
         a finite-efficiency sweep over four orders, and one op of solves,
         recursions and competitor variances on a model that is integrated."""
         built = collections.Counter()
@@ -457,8 +458,8 @@ class TestCacheBounds:
         model = st.FisherHartwig(st.WhiteNoise(), ((1.2, 0.3), (-1.2, 0.3)))
         path = tmp_path / "fh.json"
         path.write_text(json.dumps(model.to_json()))
-        _GRID_CACHE.clear()
-        _COV_CACHE.clear()
+        _graded_grid.cache_clear()
+        _density_covariances.cache_clear()
         assert cli.main(["efficiency", "--finite", "--estimator", "lse", "--model", str(path),
                          "--n-grid", "128:512:128"]) == 0
         capsys.readouterr()
@@ -478,12 +479,74 @@ class TestCacheBounds:
         assert len(built) >= 2 and max(built.values()) == 1
 
     def test_least_recently_used_goes_first(self):
-        memo = BoundedMemo(2)
-        memo.put("a", 1)
-        memo.put("b", 2)
-        assert memo.get("a") == 1
-        memo.put("c", 3)
-        assert (memo.get("a"), memo.get("b"), memo.get("c")) == (1, None, 3)
+        """Asking for the oldest entry again keeps it when one more is stored;
+        the entry next in age goes instead."""
+        maxsize = _density_covariances.cache_info().maxsize
+        models = [st.PowerAtOrigin(0.01 * i) for i in range(maxsize + 1)]
+
+        def hits(model):
+            before = _density_covariances.cache_info().hits
+            st.covariance_sequence(model, 4)
+            return _density_covariances.cache_info().hits - before
+
+        _density_covariances.cache_clear()
+        assert [hits(m) for m in models[:maxsize]] == [0] * maxsize
+        assert hits(models[0]) == 1
+        assert hits(models[maxsize]) == 0
+        assert (hits(models[0]), hits(models[1])) == (1, 0)
+
+
+#: a model with closed forms in both precisions, to be rebuilt from its document
+DOCUMENTED = st.Product(st.PowerAtOrigin(0.3), st.Arma(ma=(1.0, 0.4)))
+
+
+class TestCacheKeys:
+    """The caches key on values: models that compare equal share one entry."""
+
+    PAIRS = {"signed_zero_alpha": (st.PowerAtOrigin(0.0), st.PowerAtOrigin(-0.0)),
+             "signed_zero_ma": (st.Arma(ma=(1.0, 0.0, 0.3)), st.Arma(ma=(1.0, -0.0, 0.3))),
+             "int_factor": (st.Scaled(st.FgnDensity(0.7), 1.0), st.Scaled(st.FgnDensity(0.7), 1)),
+             "from_document": (DOCUMENTED, st.model_from_json(
+                 json.loads(json.dumps(DOCUMENTED.to_json()))))}
+
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    @pytest.mark.parametrize("name", sorted(PAIRS))
+    def test_equal_models_share_one_entry(self, name, precision):
+        """One miss, then one hit, and the same bits whichever is asked first."""
+        first, second = self.PAIRS[name]
+        assert first == second
+        bits = []
+        for order in ((first, second), (second, first)):
+            _density_covariances.cache_clear()
+            seqs = [st.covariance_sequence(m, 256, precision=precision) for m in order]
+            info = _density_covariances.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+            bits.append([(s.values.tobytes(), None if s.lo is None else s.lo.tobytes())
+                         for s in seqs])
+        assert bits[0][0] == bits[0][1] == bits[1][0]
+
+    def test_models_with_one_grading_share_a_grid(self):
+        """Two Fisher-Hartwig zeros at the same angles, of different orders,
+        grade the same way, so the second model's grid is the first one's."""
+        a = st.FisherHartwig(st.WhiteNoise(), ((1.2, 0.3), (-1.2, 0.3)))
+        b = st.FisherHartwig(st.WhiteNoise(2.0), ((1.2, 0.7), (-1.2, 0.7)))
+        _graded_grid.cache_clear()
+        grid = model_grid(a, osc_k=64)
+        assert model_grid(b, osc_k=64) is grid
+        info = _graded_grid.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("precision", ["double", "dd"])
+    def test_cached_values_are_read_only(self, precision):
+        """A caller that writes into a shared value is refused, not obeyed."""
+        model = st.FgnDensity(0.7)
+        dens, _ = _density_covariances(model, precision, 16)
+        for a in (dens.hi, dens.lo) if precision == "dd" else (dens,):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
+        for a in model_grid(model, osc_k=64):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
 
 class TestFgnClosedForm:
@@ -577,7 +640,7 @@ class TestClosedFormFallbacks:
                                        st.ArfimaFactor(0.2, st.Arma(ar=(1.0, -0.5)))],
                              ids=["noncausal_ar1", "noncausal_arma", "arfima_over_ar"])
     def test_quadrature_as_the_route_itself(self, model):
-        _COV_CACHE.clear()
+        _density_covariances.cache_clear()
         cov = st.covariance_sequence(model, 64)
         assert cov.provenance == "quadrature" and cov.lo is None
         assert cov.values.tobytes() == _quadrature_density_covariances(model, 64).tobytes()

@@ -224,6 +224,11 @@ class TestGeneralClassAsymptote:
         exact = np.array([st.adenstedt_variance_closed_form(int(k), 1.0) for k in n])
         assert fit_asymptote_constant(n, exact, 3.0) == pytest.approx(12.0, rel=0.01)
 
+    @pytest.mark.parametrize("g0", [0.0, -1.0, math.inf, math.nan])
+    def test_g0_must_be_a_positive_real(self, g0):
+        with pytest.raises(st.ValidationError, match="g0"):
+            st.general_class_asymptote(0.3, g0)
+
     def test_product_with_short_memory_factor(self, ma1):
         # truth f_alpha * g with g = |1 - 0.5 e^{i lam}|^2, so g(0) = 0.25
         alpha = 0.25

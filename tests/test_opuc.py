@@ -72,6 +72,11 @@ class TestChristoffel:
         assert np.allclose(curve, TWO_PI / (m + 1) + 0.7, rtol=1e-12)
         assert curve[256] > 0.7                       # decreasing toward the point mass
 
+    @pytest.mark.parametrize("probe", [complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_probe_rejected(self, probe):
+        with pytest.raises(st.ValidationError, match="finite"):
+            st.szego_recursion(LEBESGUE, 4, probes=(1.0, probe))
+
     def test_unregistered_probe_rejected(self):
         state = st.szego_recursion(LEBESGUE, 4, probes=(1.0,))
         with pytest.raises(st.ValidationError):
@@ -254,7 +259,7 @@ class TestViewOfLevinsonPass:
         calls = []
         kernel = toeplitz._levinson
         monkeypatch.setattr(toeplitz, "_levinson", lambda *a: calls.append(a) or kernel(*a))
-        toeplitz._LEVINSON_MEMO.clear()
+        toeplitz._pass.cache_clear()
         measure = st.FgnDensity(0.7)
         st.blue_variance_curve(st.covariance_sequence(measure, 300))
         state = st.szego_recursion(measure, 300, probes=(1.0,))

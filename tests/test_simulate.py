@@ -96,6 +96,13 @@ class TestMonteCarloVariance:
         assert v == pytest.approx(0.2, rel=1e-12)
         assert abs(mc.estimate - v) < 4 * mc.standard_error
 
+    @pytest.mark.parametrize("replicates", [1, 2])
+    def test_jackknife_needs_three_replicates(self, white_noise, replicates):
+        with pytest.raises(st.ValidationError, match="at least 3"):
+            st.monte_carlo_variance(st.lse_weights(4), white_noise, replicates, seed=1)
+        mc = st.monte_carlo_variance(st.lse_weights(4), white_noise, 3, seed=1)
+        assert math.isfinite(mc.estimate) and math.isfinite(mc.standard_error)
+
     def test_long_memory_matches_quadratic_form(self):
         model = st.FgnDensity(0.75)
         w = st.lse_weights(255)

@@ -131,19 +131,25 @@ def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
 
+def _clear():
+    """Empty the caches of the pass and of its refined solution."""
+    toeplitz._pass.cache_clear()
+    toeplitz._refined.cache_clear()
+
+
 class TestLevinsonMemo:
     @pytest.fixture
     def cov(self):
         return st.covariance_sequence(st.FgnDensity(0.8), 300)
 
     def test_hit_is_bit_identical_to_cold_call(self, cov):
-        toeplitz._LEVINSON_MEMO.clear()
+        _clear()
         w_cold, v_cold = st.blue_solve(st.ToeplitzSystem(cov))
-        toeplitz._LEVINSON_MEMO.clear()
+        _clear()
         curve_cold = st.blue_variance_curve(cov)
         # keyed on the values, not on the object: an equal copy hits
         same = st.CovarianceSequence(cov.values.copy(), cov.provenance)
-        for _ in range(2):           # first refines on the memoised pass, then all hit
+        for _ in range(2):           # first refines on the cached pass, then all hit
             w_hit, v_hit = st.blue_solve(st.ToeplitzSystem(same))
             assert _bits(w_hit.coefficients) == _bits(w_cold.coefficients)
             assert _bits(v_hit) == _bits(v_cold)
@@ -163,14 +169,15 @@ class TestLevinsonMemo:
         for old, new in zip(kept, again):
             assert _bits(new) == _bits(old)
         entry = toeplitz._levinson_pass(cov.values)
-        for a in (entry.x, entry.refl, entry.curve, entry.refined):
+        refined = toeplitz._refined(cov.values.tobytes(), None)
+        for a in (entry.x, entry.refl, entry.curve, refined):
             assert not a.flags.writeable
 
     def test_dd_pass_is_memoised_apart_from_the_double_one(self, monkeypatch):
         calls = []
         kernel = toeplitz._levinson
         monkeypatch.setattr(toeplitz, "_levinson", lambda *a: calls.append(a) or kernel(*a))
-        toeplitz._LEVINSON_MEMO.clear()
+        _clear()
         cov = st.covariance_sequence(st.PowerAtOrigin(1.0), 64, precision="dd")
         curve = st.blue_variance_curve(cov, precision="dd")
         st.blue_solve(st.ToeplitzSystem(cov, precision="dd"))
@@ -180,27 +187,28 @@ class TestLevinsonMemo:
         assert len(calls) == 2
 
     def test_memo_stays_at_its_bound(self):
-        memo = toeplitz._LEVINSON_MEMO
         for i in range(50):
             reflection_coefficients(np.array([1.0, 0.5 * i / 50, 0.1]))
-        assert len(memo) == memo.maxsize
+        info = toeplitz._pass.cache_info()
+        assert info.currsize == info.maxsize
 
     def test_breakdown_raised_on_every_call(self):
         cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 40)
-        for _ in range(3):
+        for call in [lambda: st.blue_solve(st.ToeplitzSystem(cov)),
+                     lambda: st.blue_variance_curve(cov)] * 3:
+            misses = toeplitz._pass.cache_info().misses
             with pytest.raises(st.NearSingularError):
-                st.blue_solve(st.ToeplitzSystem(cov))
-            with pytest.raises(st.NearSingularError):
-                st.blue_variance_curve(cov)
-        assert toeplitz._LEVINSON_MEMO.get(cov.values.tobytes()) is None
+                call()
+            assert toeplitz._pass.cache_info().misses == misses + 1
 
     def test_threads_agree_while_evicting(self):
         # more sequences than the memo holds and more threads than cores, with
         # frequent switches, so lookups, refinements and evictions interleave
+        maxsize = toeplitz._pass.cache_info().maxsize
         covs = [st.covariance_sequence(st.PowerAtOrigin(-0.3 + 0.1 * i), 120)
-                for i in range(toeplitz._LEVINSON_MEMO.maxsize + 4)]
+                for i in range(maxsize + 4)]
         expected = [_bits(st.blue_solve(st.ToeplitzSystem(c))[0].coefficients) for c in covs]
-        toeplitz._LEVINSON_MEMO.clear()
+        _clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -212,7 +220,7 @@ class TestLevinsonMemo:
         finally:
             sys.setswitchinterval(interval)
         assert got == [expected[i % len(covs)] for i in range(4 * len(covs))]
-        assert len(toeplitz._LEVINSON_MEMO) == toeplitz._LEVINSON_MEMO.maxsize
+        assert toeplitz._pass.cache_info().currsize == maxsize
 
 
 class TestRefinementResidual:
@@ -262,7 +270,7 @@ class TestRefinementResidual:
 
     def test_blue_solve_peak_memory_is_linear(self):
         cov = st.covariance_sequence(st.PowerAtOrigin(0.3), 4096)
-        toeplitz._LEVINSON_MEMO.clear()
+        _clear()
         tracemalloc.start()
         try:
             st.blue_solve(st.ToeplitzSystem(cov))

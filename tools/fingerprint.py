@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/fingerprint.py --seed 1
 
-Three digests are printed, one line each:
+Four digests are printed, one line each:
 
 * ``double``: over the first double-sweep round, the `blue_solve` weights and
   variance, `blue_variance_curve`, `reflection_coefficients`,
@@ -13,7 +13,10 @@ Three digests are printed, one line each:
   for arc and flat-zero ops the decay report;
 * ``cli``: over the first cli-oneshot round, run in-process through
   `statmean.cli.main`, each op's exit code and its result payload (JSON) or
-  rows (CSV) without the manifest, or the last line of its error message.
+  rows (CSV) without the manifest, or the last line of its error message;
+* ``density``: over the same double-sweep and extended-decay ops, the
+  density's `values` at `ANGLES`, so that a change in a density which no
+  covariance integrates still shows.
 
 Two commits that print the same digests for a seed give bitwise the same
 outputs on those ops.  An op that raises contributes its exception's class
@@ -43,6 +46,10 @@ import numpy as np  # noqa: E402
 from perfbench import workloads  # noqa: E402
 from statmean import (cli, covariance, deterministic, efficiency,  # noqa: E402
                       estimators, spectra, toeplitz)
+
+
+#: 257 angles evenly spaced on [-pi, pi], 0 and +/-pi among them
+ANGLES = np.pi * np.linspace(-1.0, 1.0, 257)
 
 
 class Digest:
@@ -113,6 +120,11 @@ def _decay(spec):
             ("labels", f"{rep.neutrality}|{rep.precision}|{rep.warning}")]
 
 
+def _density_values(model):
+    with np.errstate(all="ignore"):      # poles and zeros at 0 or pi are outputs too
+        return [("values", model.values(ANGLES))]
+
+
 def _cli_outputs(spec, model_dir):
     argv = list(spec["argv"])
     if "model" in spec:
@@ -134,20 +146,23 @@ def _cli_outputs(spec, model_dir):
 
 
 def fingerprint(seed: int) -> dict:
-    double, dd, cli_digest = Digest(), Digest(), Digest()
+    double, dd, cli_digest, density = Digest(), Digest(), Digest(), Digest()
     for spec in workloads.first_rounds("double-sweep", seed, 1)[0]:
         label = f"op{spec['op']}"
         double.run(label, lambda: _double_outputs(spec))
         double.run(label + ".pseudo_best", lambda: _pseudo_best(spec))
+        density.run("double." + label, lambda: _density_values(
+            spectra.measure_from_json(spec["measure"]).density))
     for spec in workloads.first_rounds("extended-decay", seed, 1)[0]:
         label = f"op{spec['op']}"
         dd.run(label, lambda: _dd_outputs(spec))
         if "decay_grid" in spec:
             dd.run(label + ".decay", lambda: _decay(spec))
+        density.run("dd." + label, lambda: _density_values(_extended_model(spec)))
     with tempfile.TemporaryDirectory() as model_dir:
         for spec in workloads.first_rounds("cli-oneshot", seed, 1)[0]:
             cli_digest.run(f"op{spec['op']}", lambda: _cli_outputs(spec, model_dir))
-    return {"double": double, "dd": dd, "cli": cli_digest}
+    return {"double": double, "dd": dd, "cli": cli_digest, "density": density}
 
 
 def main(argv=None):
