@@ -19,7 +19,10 @@ import json
 import sys
 import time
 
-from . import __version__
+from . import (__version__, deterministic, efficiency, estimators, opuc, simulate,
+               toeplitz)
+from .covariance import covariance_sequence
+from .deterministic import ArcRegion
 from .errors import AccuracyError, NearSingularError, StatmeanError, ValidationError
 from .spectra import classify, load_measure, parse_angle
 
@@ -52,7 +55,6 @@ def _parse_grid(text):
 
 
 def _parse_arcs(text):
-    from .deterministic import ArcRegion
     arcs = []
     try:
         for part in text.split(","):
@@ -221,7 +223,6 @@ def _check_required(args):
 
 
 def _estimator_weights(name, n, alpha, measure):
-    from . import estimators, toeplitz
     if name == "lse":
         return estimators.lse_weights(n)
     if name == "parabolic":
@@ -230,16 +231,16 @@ def _estimator_weights(name, n, alpha, measure):
         if alpha is None:
             raise ValidationError("adenstedt weights need --alpha")
         return estimators.adenstedt_weights(n, alpha)
-    if name in ("blue", "pseudo-best"):
-        if measure is None:
-            raise ValidationError(f"{name} weights need --model")
-        w, _ = toeplitz.blue_solve(toeplitz.system_for(measure, n))
-        return w
+    if name in ("blue", "pseudo-best") and measure is None:
+        raise ValidationError(f"{name} weights need --model")
+    if name == "blue":
+        return toeplitz.blue_solve(toeplitz.system_for(measure, n))[0]
+    if name == "pseudo-best":
+        return estimators.pseudo_best_weights(measure, n)
     raise ValidationError(f"unknown estimator {name!r}")
 
 
 def _run(args, manifest):
-    from . import deterministic, efficiency, estimators, opuc, simulate, toeplitz
     cmd = args.subcommand
 
     if cmd == "classify":
@@ -250,7 +251,6 @@ def _run(args, manifest):
                 "nondeterministic": rec.nondeterministic}, None
 
     if cmd == "covariance":
-        from .covariance import covariance_sequence
         measure = load_measure(args.model)
         cov = covariance_sequence(measure, args.n)
         if args.format == "json":

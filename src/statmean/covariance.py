@@ -46,8 +46,8 @@ import numpy as np
 
 from . import ddouble as dd
 from . import quadrature
-from .errors import AccuracyError, NearSingularError, ValidationError
-from .spectra import as_measure
+from .errors import AccuracyError, ValidationError
+from .spectra import as_measure, check_alpha
 
 #: absolute tolerance per quadrature coefficient
 QUAD_TOL = 1e-12
@@ -58,8 +58,7 @@ def _falpha(alpha: float, kmax: int) -> dd.DD:
     from r(0) = binom(2a, a) by `dd.central_binomial`, in double-double.  k-a
     and k+1+a are exact double-double values, so at an integer a the factor
     k-a is an exact 0 and every later lag an exact +0.0."""
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    check_alpha(alpha)
     r0 = dd.central_binomial(alpha)
     k = np.arange(kmax, dtype=float)
     ratios = dd.DD(*dd.two_sum(k, -alpha)) / dd.DD(*dd.two_sum(k + 1.0, alpha))
@@ -121,8 +120,7 @@ def covariance_asymptote_falpha(alpha: float, k: int) -> Asymptote:
     At alpha = 0 or a positive integer sin(pi*alpha) = 0 and the asymptote
     degenerates; the value is then an exact 0 and the flag is set.
     """
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    check_alpha(alpha)
     if k < 1:
         raise ValidationError("asymptote needs k >= 1")
     s = math.sin(math.pi * alpha)
@@ -162,33 +160,8 @@ class CovarianceSequence:
     def order(self) -> int:
         return len(self.values) - 1
 
-    def check_positive_definite(self) -> bool:
-        """Whether a Levinson factorization of the Toeplitz matrix succeeds."""
-        from .toeplitz import reflection_coefficients
-        try:
-            return bool(np.all(np.abs(reflection_coefficients(self.values)) < 1.0))
-        except NearSingularError:
-            return False
-
 
 # -- quadrature path ---------------------------------------------------------
-
-def _cosine_moments(lam, w, fvals, kmax):
-    """m[k] = 2 * sum w * cos(k*lam) * f via the Chebyshev recurrence in k."""
-    fw = w * fvals
-    out = np.empty(kmax + 1)
-    out[0] = 2.0 * fw.sum()
-    if kmax == 0:
-        return out
-    ckm1 = np.ones_like(lam)
-    ck = np.cos(lam)
-    two_cos = 2.0 * ck
-    out[1] = 2.0 * np.dot(ck, fw)
-    for k in range(2, kmax + 1):
-        ckm1, ck = ck, two_cos * ck - ckm1
-        out[k] = 2.0 * np.dot(ck, fw)
-    return out
-
 
 def _quadrature_density_covariances(model, kmax):
     # a power singularity numerically at -1 cannot be graded to tolerance in
@@ -211,7 +184,7 @@ def _quadrature_density_covariances(model, kmax):
     achieved = math.inf
     for g in grids:
         lam, w = quadrature.model_grid(model, osc_k=kmax, **g)
-        cur = _cosine_moments(lam, w, model.values(lam), kmax)
+        cur = quadrature.cosine_moments(lam, w, model.values(lam), kmax)
         if prev is not None:
             achieved = float(np.max(np.abs(cur - prev)))
             if achieved <= QUAD_TOL:
@@ -330,7 +303,7 @@ def _cosine_sums(cos: dd.DD, g: dd.DD, kmax: int) -> dd.DD:
     return dd.DD(*dd.two_sum(hi[:, 0], lo))
 
 
-#: what the closed forms and the Levinson kernel need of an arithmetic beyond
+#: what the closed forms need of an arithmetic beyond
 #: + - * /, which both take with a double on either side: whether it is the
 #: extended one, arrays by `empty`, integer lags by `arange`, `dot`, pi,
 #: elementwise sin, cos, exp, expm1 and log, gamma of a double, the sum of

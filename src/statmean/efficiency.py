@@ -18,8 +18,9 @@ import numpy as np
 from . import ddouble as dd
 from .covariance import covariance_sequence
 from .errors import ValidationError
-from .estimators import EstimatorWeights, variance_under
-from .spectra import TWO_PI, SpectralModel, as_measure
+from .estimators import variance_under
+from .spectra import TWO_PI, SpectralModel, as_measure, check_alpha
+from .toeplitz import EstimatorWeights, blue_solve, system_for
 
 
 @dataclass(frozen=True)
@@ -31,7 +32,6 @@ class EfficiencyReport:
 
 def efficiency_finite(weights: EstimatorWeights, measure) -> EfficiencyReport:
     """Var(optimal)/Var(weights) under the same measure at the weights' order."""
-    from .toeplitz import blue_solve, system_for
     measure = as_measure(measure)
     _, best = blue_solve(system_for(measure, weights.order))
     var = variance_under(weights, measure)
@@ -44,8 +44,7 @@ def overestimation_efficiency(alpha: float, beta: int) -> float:
     Gamma-product closed form, evaluated in log space:
     G(2a+2) G(a+b+1)^2 G(2a+4b+2) / [C(2b,b) G(a+1) G(a+2b+1) G(2a+2b+2)^2].
     """
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    check_alpha(alpha)
     if beta != int(beta) or beta < 0:
         raise ValidationError("beta must be a nonnegative integer")
     beta = int(beta)
@@ -64,8 +63,7 @@ def lse_asymptotic_efficiency(alpha: float) -> float:
     singularity at 0 filled by continuity (value 1); identically 0 for
     a >= 1/2 where the sample mean converges at a slower rate.
     """
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    check_alpha(alpha)
     if alpha >= 0.5:
         return 0.0
     if alpha == 0.0:
@@ -81,8 +79,7 @@ def lse_efficiency_exact_falpha(n: int, alpha: float) -> float:
     inner index runs over the number of observations N = n + 1, which makes
     the value match the direct Toeplitz/kernel ratio at order n exactly.
     """
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    check_alpha(alpha)
     if n < 1:
         raise ValidationError("order must be at least 1")
     if alpha == 0.0:
@@ -135,8 +132,7 @@ def short_memory_variance_limit(model: SpectralModel) -> float:
 
 def general_class_asymptote(alpha: float, g0: float) -> float:
     """Constant of the hyperbolic law n^{2a+1} Var -> Gamma(2a+1) g(0) / B(a+1,a+1)."""
-    if not alpha > -0.5:
-        raise ValidationError("alpha must satisfy alpha > -1/2")
+    check_alpha(alpha)
     if not (g0 > 0.0 and math.isfinite(g0)):
         raise ValidationError("g0 must be a positive real")
     # Gamma(2a+1) / B(a+1, a+1) = Gamma(2a+2) binom(2a, a)

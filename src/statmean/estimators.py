@@ -18,32 +18,8 @@ from . import ddouble as dd
 from .covariance import covariance_sequence
 from .errors import AccuracyError, ValidationError
 from .quadrature import model_grid
-from .spectra import TWO_PI, SpectralModel, as_measure
-
-#: unit-sum tolerance enforced on construction
-WEIGHT_SUM_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EstimatorWeights:
-    """Coefficient vector c_0..c_n, a read-only copy of the one given."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coefficients = dd.read_only(np.array(self.coefficients, dtype=float))
-        object.__setattr__(self, "coefficients", coefficients)
-        if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
-            raise ValidationError("weights must be a nonempty vector")
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ValidationError("weights must be finite")
-        total = self.coefficients.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValidationError(f"weights must sum to 1 (got {total!r})")
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
+from .spectra import TWO_PI, SpectralModel, as_measure, check_alpha
+from .toeplitz import EstimatorWeights, blue_solve, quadratic_form, system_for
 
 
 def lse_weights(n: int) -> EstimatorWeights:
@@ -70,8 +46,7 @@ def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
     exactly; the symmetrisation and the normalisation are double-double too,
     so each weight is rounded once.
     """
-    if not -0.5 < alpha < math.inf:
-        raise ValidationError("alpha must be finite with alpha > -1/2")
+    check_alpha(alpha)
     if n < 0:
         raise ValidationError("n must be nonnegative")
     k = np.arange(n, dtype=float)
@@ -85,8 +60,7 @@ def adenstedt_weights(n: int, alpha: float) -> EstimatorWeights:
 def adenstedt_variance_closed_form(n: int, alpha: float) -> float:
     """B(n+1, 2a+1) / B(a+1, a+1) = binom(2a, a) n! / (2a+2)_n: the optimal
     variance under f_alpha, in double-double."""
-    if not -0.5 < alpha < math.inf:
-        raise ValidationError("alpha must be finite with alpha > -1/2")
+    check_alpha(alpha)
     return float(dd.central_binomial(alpha) * _factorial_ratio(n, alpha))
 
 
@@ -105,8 +79,7 @@ def gegenbauer_optimal(n: int, alpha: float) -> np.ndarray:
     recurrence n C_n = 2(n+a-1) x C_{n-1} - (n+2a-2) C_{n-2}, then reads the
     weights off the expansion sum_k c_k cos((n-2k) t).
     """
-    if not -0.5 < alpha < math.inf:
-        raise ValidationError("alpha must be finite with alpha > -1/2")
+    check_alpha(alpha)
     a = alpha + 1.0
     # coef[j][m] = coefficient of cos(m t) in C_j^{(a)}(cos t); m has parity of j
     prev = np.zeros(n + 1)
@@ -138,7 +111,6 @@ def pseudo_best_weights(design_model: SpectralModel, n: int) -> EstimatorWeights
     truth reproduces the optimal estimator, a constant design reproduces the
     sample mean.
     """
-    from .toeplitz import blue_solve, system_for
     measure = as_measure(design_model)
     if measure.density.szego_diverges():
         raise ValidationError("design model must be nondeterministic")
@@ -193,7 +165,6 @@ def variance_under(weights: EstimatorWeights, measure) -> float:
     computed as well and the two routes must agree to 1e-9; disagreement
     raises AccuracyError.
     """
-    from .toeplitz import quadratic_form
     measure = as_measure(measure)
     n = weights.order
     cov = covariance_sequence(measure, n)

@@ -35,9 +35,9 @@ import numpy as np
 
 from .covariance import covariance_sequence
 from .errors import NearSingularError, NearTrivialMeasureError, ValidationError
-from .quadrature import model_grid
+from .quadrature import cosine_moments, model_grid
 from .spectra import MINUS_INFINITY, TWO_PI, SpectralModel, as_measure, szego_integral
-from .toeplitz import _levinson_pass
+from .toeplitz import levinson_pass
 
 
 @dataclass
@@ -66,7 +66,7 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
         raise ValidationError("probes must be finite complex numbers")
     r = covariance_sequence(measure, n).values
     try:
-        entry = _levinson_pass(r)
+        entry = levinson_pass(r)
         alphas = -entry.refl
     except NearSingularError as err:
         # the reflections up to the breakdown: the last one is past the bound
@@ -115,7 +115,8 @@ def christoffel_curve(state: OpucState, probe) -> np.ndarray:
     probe = complex(probe)
     if probe not in state.phi_at_probes:
         raise ValidationError(f"probe {probe} was not registered in the recursion")
-    return 1.0 / np.cumsum(np.abs(state.phi_at_probes[probe]) ** 2)
+    with np.errstate(over="ignore"):          # an overflow is left to the caller's check
+        return 1.0 / np.cumsum(np.abs(state.phi_at_probes[probe]) ** 2)
 
 
 def prediction_error(state: OpucState, m: int) -> float:
@@ -133,7 +134,7 @@ def optimal_polynomial(state: OpucState, m: int) -> np.ndarray:
     """
     if not 0 <= m <= state.order:
         raise ValidationError("m must lie within the recursion order")
-    x = _levinson_pass(state.moments[:m + 1]).x
+    x = levinson_pass(state.moments[:m + 1]).x
     return x / x.sum()
 
 
@@ -198,12 +199,11 @@ def szego_function(model: SpectralModel, z: complex) -> SzegoFunctionEval:
     if not model.is_even():
         raise ValidationError("outer-function evaluation assumes an even density")
 
-    from .covariance import _cosine_moments
     radius = abs(z)
     terms = 64
     while True:
         lam, w = model_grid(model, osc_k=terms)
-        d = _cosine_moments(lam, w, model.log_values(lam), terms) / TWO_PI
+        d = cosine_moments(lam, w, model.log_values(lam), terms) / TWO_PI
         tail = np.max(np.abs(d[terms // 2:terms])) if radius == 0.0 else (
             np.max(np.abs(d[terms // 2:terms])) * radius ** (terms // 2) / (1.0 - radius))
         if tail < 1e-10 or terms >= 4096:

@@ -151,6 +151,24 @@ def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES
     return _graded_grid(tuple(sorted(depths.items())), osc_k, base_panels, nodes)
 
 
+def cosine_moments(lam, w, fvals, kmax):
+    """m[k] = 2 * sum w * cos(k*lam) * f, k = 0..kmax, over a half-line grid
+    (lam, w), via the Chebyshev recurrence in k."""
+    fw = w * fvals
+    out = np.empty(kmax + 1)
+    out[0] = 2.0 * fw.sum()
+    if kmax == 0:
+        return out
+    ckm1 = np.ones_like(lam)
+    ck = np.cos(lam)
+    two_cos = 2.0 * ck
+    out[1] = 2.0 * np.dot(ck, fw)
+    for k in range(2, kmax + 1):
+        ckm1, ck = ck, two_cos * ck - ckm1
+        out[k] = 2.0 * np.dot(ck, fw)
+    return out
+
+
 def log_integral_grid(model):
     """Grid for integrating ln f: deeper grading for power-law contacts.
 

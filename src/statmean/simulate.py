@@ -48,10 +48,7 @@ def _embedding_spectrum(r):
 
 def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
     """Zero-mean stationary Gaussian paths with the measure's covariance."""
-    return _gather(*_path_blocks(measure, length, replicates, seed), replicates, length)
-
-
-def _gather(generator, blocks, replicates, length) -> PathBatch:
+    generator, blocks = _path_blocks(measure, length, replicates, seed)
     out = np.empty((replicates, length))
     lo = 0
     for block in blocks:
@@ -105,13 +102,8 @@ def _circulant_embedding(spectrum, size, length, replicates, seed):
         yield field[:, :length]
 
 
-def _spectral_synthesis(measure, length, replicates, seed) -> PathBatch:
-    """Cosine-sum fallback: X(t) = sum_j s_j (A_j cos + B_j sin)(lam_j t)."""
-    blocks = _synthesis_blocks(measure, length, replicates, seed)
-    return _gather("spectral-synthesis", blocks, replicates, length)
-
-
 def _synthesis_blocks(measure, length, replicates, seed):
+    """Cosine-sum fallback: X(t) = sum_j s_j (A_j cos + B_j sin)(lam_j t)."""
     model = measure.density
     lam, w = model_grid(model, osc_k=length)
     sd = np.sqrt(2.0 * w * model.values(lam))        # one-sided: 2 f(lam) w

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import ddouble as dd
 from .errors import ValidationError
+from .quadrature import log_integral_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -85,6 +86,13 @@ def _check_angle_range(angle):
     a = np.asarray(angle, dtype=float)
     if not np.all((a >= -np.pi - 1e-12) & (a <= np.pi + 1e-12)):
         raise ValidationError("angle must lie in [-pi, pi]")
+
+
+def check_alpha(alpha: float):
+    """Refuse a power-law exponent alpha unless it is finite with alpha > -1/2,
+    where |1 - e^{i lam}|^{2 alpha} is integrable."""
+    if not -0.5 < alpha < math.inf:
+        raise ValidationError("alpha must be finite with alpha > -1/2")
 
 
 #: model classes by their `variant`, the discriminator of a model document
@@ -227,16 +235,19 @@ class Arma(SpectralModel, variant="arma"):
         return self.scale / TWO_PI * num / den
 
     def singularities(self):
-        # MA roots on the circle are zeros of f of even algebraic order.
-        sing = []
-        if len(self.ma) > 1:
-            for root in np.roots(self.ma[::-1]):
-                if abs(abs(root) - 1.0) < 1e-10:
-                    sing.append(Singularity(float(np.angle(root)), "algebraic", 2.0))
-        return tuple(sing)
+        # each MA root on the circle is a zero of f of order 2, and a repeated
+        # root one zero of the summed order
+        roots = np.roots(self.ma[::-1]) if len(self.ma) > 1 else ()
+        return _merge_singularities(tuple(Singularity(float(np.angle(root)), "algebraic", 2.0)
+                                          for root in roots if abs(abs(root) - 1.0) < 1e-10))
 
     def origin_exponent(self):
-        return 0.0 if abs(sum(self.ma)) > 1e-12 else None
+        """0 where f(0) > 0; else the order of the zero at 0 among the merged
+        MA roots, None if they miss it (np.roots spreads a root of
+        multiplicity 3 or more off the circle)."""
+        if abs(sum(self.ma)) > 1e-12:
+            return 0.0
+        return next((s.exponent for s in self.singularities() if abs(s.angle) < 1e-12), None)
 
     def falpha_reduction(self, ar):
         if len(self.ar) > 1:
@@ -303,8 +314,7 @@ class PowerAtOrigin(SpectralModel, variant="power_at_origin"):
     alpha: float
 
     def __post_init__(self):
-        if not (self.alpha > -0.5 and math.isfinite(self.alpha)):
-            raise ValidationError("power-at-origin exponent must satisfy alpha > -1/2")
+        check_alpha(self.alpha)
 
     def values(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -813,8 +823,6 @@ def szego_integral(model: SpectralModel):
     """
     if model.szego_diverges():
         return MINUS_INFINITY
-    from .quadrature import log_integral_grid
-
     lam, w = log_integral_grid(model)
     vals = 0.5 * (model.log_values(lam) + model.log_values(-lam))
     return 2.0 * float(np.dot(w, vals))

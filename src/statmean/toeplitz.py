@@ -8,14 +8,14 @@ takes one dot product, over the lags up to the last nonzero covariance: the
 weights step by P_m(1) / e_m, the monic orthogonal polynomial at 1 over the
 prediction error, and the curve is 1 / sum_{j<=m} P_j(1)^2 / e_j, the
 Christoffel sum at 1 (Simon, OPUC, 2005, ch. 1-2).  It is the library's only
-Levinson recursion, written once over an arithmetic: numpy float64, or the
-double-double arrays of `ddouble` for the extended path; `opuc` reads its
-reflections and prediction errors as negated Verblunsky coefficients and monic
-norms.  The pass runs at most once per exact covariance sequence, in either
-arithmetic: an `lru_cache` keyed on the sequence's bytes (and its low parts'
-in double-double) holds the 8 used last, so `blue_solve`,
-`blue_variance_curve`, `reflection_coefficients`, the OPUC recursion and their
-callers share it.  Cached arrays are read-only and callers receive copies; a
+Levinson recursion, written once over the arithmetic of its input: numpy
+float64, or the double-double arrays of `ddouble` for the extended path;
+`opuc` reads its reflections and prediction errors as negated Verblunsky
+coefficients and monic norms.  The pass runs at most once per exact
+covariance sequence, in either arithmetic: an `lru_cache` keyed on the
+sequence's bytes (and its low parts' in double-double) holds the 8 used last,
+so `blue_solve`, `blue_variance_curve`, `reflection_coefficients`, the OPUC
+recursion and their callers share it.  Cached arrays are read-only and callers receive copies; a
 breakdown is raised, never cached.
 
 In double precision the solution is polished by one step of iterative
@@ -37,9 +37,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import ddouble as dd
-from .covariance import _DD, _DOUBLE, CovarianceSequence, covariance_sequence
+from .covariance import CovarianceSequence, covariance_sequence
 from .errors import NearSingularError, ValidationError
-from .quadrature import model_grid
+from .quadrature import cosine_moments, model_grid
 from .spectra import TWO_PI, as_measure
 
 #: reflection magnitude beyond which the double recursion is declared singular
@@ -50,6 +50,9 @@ BREAKDOWN_DOUBLE = 1.0 - 1e-14
 #: a(t) = CALIBRATION * integral e^{i t lam} / f(lam) dlam the quadratic form
 #: of all-ones reproduces 1/variance exactly for f == const.
 INVERSE_DENSITY_CALIBRATION = 1.0 / (TWO_PI * TWO_PI)
+
+#: unit-sum tolerance enforced on constructing `EstimatorWeights`
+WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,49 +72,75 @@ def system_for(measure, n: int, precision: str = "double") -> ToeplitzSystem:
     return ToeplitzSystem(cov, precision=precision)
 
 
+@dataclass(frozen=True)
+class EstimatorWeights:
+    """Coefficient vector c_0..c_n of an unbiased estimator, a read-only copy
+    of the one given."""
+
+    coefficients: np.ndarray
+
+    def __post_init__(self):
+        coefficients = dd.read_only(np.array(self.coefficients, dtype=float))
+        object.__setattr__(self, "coefficients", coefficients)
+        if self.coefficients.ndim != 1 or len(self.coefficients) < 1:
+            raise ValidationError("weights must be a nonempty vector")
+        if not np.all(np.isfinite(self.coefficients)):
+            raise ValidationError("weights must be finite")
+        total = self.coefficients.sum()
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValidationError(f"weights must sum to 1 (got {total!r})")
+
+    @property
+    def order(self) -> int:
+        return len(self.coefficients) - 1
+
+
 # ---------------------------------------------------------------------------
 # the Levinson kernel, in double or double-double arithmetic
 # ---------------------------------------------------------------------------
 
-def _levinson(r, ar=_DOUBLE):
+def _levinson(r):
     """One Levinson-Durbin pass solving R x = 1, R the Toeplitz matrix of r.
 
-    r is a float array, or a `dd.DD` array with `ar` = _DD.  Returns (x,
-    reflections, prediction errors e_0..e_n, variance curve, final predictor
-    a) in the same arithmetic, with R a = e_n (1, 0, ..., 0).  The step at
-    order m is P_m(1) / e_m, P_m(1) = prod_{j<=m} (1 + k_j), and the curve is
-    1 / sum_{j<=m} P_j(1)^2 / e_j.  A breakdown raises `NearSingularError`
-    with the reflections so far, the offending one last, and the curve below
-    its order.  The double-double pass also stops on pivot and variance loss;
-    its reflection bound, compared with the reflection rounded to double, is
-    1.0.
+    r is a float array, run in numpy, or a `dd.DD` array, run in
+    double-double.  Returns (x, reflections, prediction errors e_0..e_n,
+    variance curve, final predictor a) in the same arithmetic, with R a = e_n
+    (1, 0, ..., 0).  The step at order m is P_m(1) / e_m, P_m(1) =
+    prod_{j<=m} (1 + k_j), and the curve is 1 / sum_{j<=m} P_j(1)^2 / e_j.  A
+    breakdown raises `NearSingularError` with the reflections so far, the
+    offending one last, and the curve below its order.  The double-double
+    pass also stops on pivot and variance loss; its reflection bound,
+    compared with the reflection rounded to double, is 1.0.
     """
+    extended = isinstance(r, dd.DD)
+    empty, dot = (dd.empty, dd.dot) if extended else (np.empty, np.dot)
+
     def breakdown(what, m, reflections=None):
-        note = (" in double-double precision" if ar.extended
+        note = (" in double-double precision" if extended
                 else "; extended double-double precision may reach further")
-        return NearSingularError(f"{what}{note}", order=m, extended=ar.extended,
+        return NearSingularError(f"{what}{note}", order=m, extended=extended,
                                  reflections=reflections,
                                  curve=np.array(1.0 / terms[:m].cumsum(), dtype=float))
 
-    bound = 1.0 if ar.extended else BREAKDOWN_DOUBLE
+    bound = 1.0 if extended else BREAKDOWN_DOUBLE
     n = len(r) - 1
     lags = np.flatnonzero(np.asarray(r))
     band = int(lags[-1]) if lags.size else 0        # dots skip the exact-zero lags past it
-    a, x, refl, errors = ar.empty(n + 1), ar.empty(n + 1), ar.empty(n), ar.empty(n + 1)
+    a, x, refl, errors = empty(n + 1), empty(n + 1), empty(n), empty(n + 1)
     a[:], x[:], a[0], x[0] = 0.0, 0.0, 1.0, 1.0 / r[0]     # a, x stay 0 past order m
     e = errors[0] = r[0]
-    p, terms = 1.0, ar.empty(n + 1)             # P_j(1)^2 / e_j
+    p, terms = 1.0, empty(n + 1)                # P_j(1)^2 / e_j
     terms[0] = x[0]
     for m in range(1, n + 1):
         w = min(m, band)
-        k = -ar.dot(a[m - w:m], r[w:0:-1]) / e
+        k = -dot(a[m - w:m], r[w:0:-1]) / e
         if abs(float(k)) >= bound:
             raise breakdown(f"Toeplitz factorization breakdown at order {m} "
                             f"(reflection {float(k):+.17g})", m, np.append(refl[:m - 1], k))
         refl[m - 1] = k
         a[:m + 1] += k * a[m::-1]
         e *= 1.0 - k * k
-        if ar.extended and float(e) <= 0.0:
+        if extended and float(e) <= 0.0:
             raise breakdown(f"pivot loss at order {m}", m)
         errors[m] = e
         p *= 1.0 + k
@@ -120,7 +149,7 @@ def _levinson(r, ar=_DOUBLE):
         x[:m + 1] += step * a[m::-1]
     curve = 1.0 / terms.cumsum()
     lost = np.flatnonzero(np.asarray(curve) <= 0.0)
-    if ar.extended and lost.size:
+    if extended and lost.size:
         raise breakdown(f"variance loss at order {lost[0]}", int(lost[0]))
     return x, refl, errors, curve, a
 
@@ -147,7 +176,7 @@ def _pass(r_bytes, lo_bytes):
     of length n+1, each two arrays in double-double.  A breakdown raises
     every time."""
     r, lo = _floats(r_bytes), _floats(lo_bytes)
-    found = _levinson(r) if lo is None else _levinson(dd.DD(r, lo), _DD)
+    found = _levinson(r if lo is None else dd.DD(r, lo))
     return _LevinsonPass(*map(dd.read_only, found))
 
 
@@ -164,7 +193,7 @@ def _bytes(v):
     return None if v is None else np.asarray(v, dtype=float).tobytes()
 
 
-def _levinson_pass(r, lo=None) -> _LevinsonPass:
+def levinson_pass(r, lo=None) -> _LevinsonPass:
     """The memoised pass over the exact values r, in double-double when their
     low parts lo are given."""
     return _pass(_bytes(r), _bytes(lo))
@@ -174,10 +203,10 @@ def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
     if precision not in ("double", "dd"):
         raise ValidationError(f"unknown precision {precision!r}")
     if precision == "double":
-        return _levinson_pass(covariance.values)
+        return levinson_pass(covariance.values)
     if covariance.precision != "dd":
         raise ValidationError("extended precision requires a dd covariance sequence")
-    return _levinson_pass(covariance.values, covariance.lo)
+    return levinson_pass(covariance.values, covariance.lo)
 
 
 def _correlate(r, x):
@@ -226,8 +255,6 @@ def blue_solve(system: ToeplitzSystem):
     Weights are (1^T R^-1 1)^-1 1^T R^-1 with the unit-sum constraint enforced
     by a final renormalization; the variance is (1^T R^-1 1)^-1.
     """
-    from .estimators import EstimatorWeights
-
     cov = system.covariance
     if system.precision == "double":
         x = _refined(_bytes(cov.values), _bytes(cov.lo))
@@ -250,7 +277,7 @@ def blue_variance_curve(covariance: CovarianceSequence, precision: str = "double
 
 def reflection_coefficients(r):
     """Reflection (Schur) coefficients of the prediction recursion."""
-    return _levinson_pass(r).refl.copy()
+    return levinson_pass(r).refl.copy()
 
 
 def quadratic_form(weights, covariance: CovarianceSequence) -> float:
@@ -330,8 +357,7 @@ def inverse_density_approx_variance(measure, n: int) -> float:
     N = n + 1
     lam, w = model_grid(model, osc_k=n)
     inv_vals = 1.0 / model.values(lam)
-    from .covariance import _cosine_moments
-    a = INVERSE_DENSITY_CALIBRATION * _cosine_moments(lam, w, inv_vals, n)
+    a = INVERSE_DENSITY_CALIBRATION * cosine_moments(lam, w, inv_vals, n)
     t = np.arange(1, N)
     form = N * a[0] + 2.0 * np.dot(N - t, a[1:])
     if form <= 0.0:

@@ -162,6 +162,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "validation error: the jackknife needs at least 3 replicates\n"
 
+    def test_overflowing_probe_is_one_line(self, model_dir):
+        """Powers of the probe that overflow reach the not-finite check with no
+        numpy warning before its line."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("christoffel", "--model", str(model_dir / "f1.json"),
+                                     "--n", "8", "--probe", "1e308+1e308j")
+        assert code == 3 and out == ""
+        assert err == "numerical-accuracy error: result is not finite\n"
+
     def test_memory_error_is_two(self, model_dir, monkeypatch):
         """An order too large for memory is refused like any invalid input."""
         def exhausted(*args, **kwargs):
@@ -213,6 +223,13 @@ class TestExitCodes:
         # a finite probe whose powers overflow is a numerical failure
         (("christoffel", "--model", "{models}/f1.json", "--n", "8", "--probe", "1e308+1e308j"),
          3),
+        # alpha must be finite with alpha > -1/2 wherever it is read
+        (("efficiency", "--law", "eq7.8", "--alpha", "inf", "--beta", "1"), 2),
+        (("efficiency", "--law", "eq3.3", "--alpha", "inf"), 2),
+        (("efficiency", "--law", "samarov-taqqu", "--n", "8", "--alpha", "inf"), 2),
+        (("asymptote", "--alpha", "inf"), 2),
+        # pseudo-best weights need a nondeterministic design
+        (("weights", "--estimator", "pseudo-best", "--model", "{models}/arc.json", "--n", "8"), 2),
     ])
     def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
         (tmp_path / "malformed.json").write_text('{"variant": ')

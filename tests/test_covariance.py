@@ -151,7 +151,7 @@ class TestCovarianceSequence:
 
     def test_positive_definiteness_check(self):
         cov = st.covariance_sequence(st.FgnDensity(0.75), 64)
-        assert cov.check_positive_definite()
+        assert np.all(np.abs(toeplitz.reflection_coefficients(cov.values)) < 1.0)
 
     def test_metadata_fields(self):
         cov = st.covariance_sequence(st.FgnDensity(0.6), 4)

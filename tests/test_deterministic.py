@@ -230,7 +230,7 @@ class TestDecayRate:
         edge = frac * math.pi
         cov = st.covariance_sequence(st.ArcSupported(edge, 1.0 / (2 * math.pi)), 32,
                                      precision="dd")
-        refl = np.array(toeplitz._levinson_pass(cov.values, cov.lo).refl, dtype=float)
+        refl = np.array(toeplitz.levinson_pass(cov.values, cov.lo).refl, dtype=float)
         assert abs(abs(refl[31]) - math.sin(edge / 2.0)) <= 1e-3
 
     def test_hyperbolic_models_are_neutral(self):

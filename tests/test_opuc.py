@@ -253,7 +253,7 @@ class TestViewOfLevinsonPass:
         r = st.covariance_sequence(measure, 512).values
         state = st.szego_recursion(measure, 512)
         assert state.verblunsky.tobytes() == (-toeplitz.reflection_coefficients(r)).tobytes()
-        assert state.monic_norms.tobytes() == toeplitz._levinson_pass(r).errors.tobytes()
+        assert state.monic_norms.tobytes() == toeplitz.levinson_pass(r).errors.tobytes()
 
     def test_no_second_pass_after_the_variance_curve(self, monkeypatch):
         calls = []
@@ -296,7 +296,7 @@ class TestViewOfLevinsonPass:
         def broken(r):
             raise st.NearSingularError("breakdown", order=3, reflections=partial)
 
-        monkeypatch.setattr(opuc, "_levinson_pass", broken)
+        monkeypatch.setattr(opuc, "levinson_pass", broken)
         with pytest.raises(st.NearTrivialMeasureError) as trivial:
             st.szego_recursion(LEBESGUE, 4)
         assert trivial.value.index == 1

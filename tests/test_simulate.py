@@ -74,10 +74,11 @@ class TestSamplePaths:
         means = batch.paths.mean(axis=1)
         assert abs(means.mean()) < 4 * means.std(ddof=1) / math.sqrt(64)
 
-    def test_synthesis_fallback_matches_covariance(self, white_noise):
-        from statmean.simulate import _spectral_synthesis
+    def test_synthesis_fallback_matches_covariance(self, monkeypatch):
+        import statmean.simulate as sim
+        monkeypatch.setattr(sim, "EMBEDDING_TOLERANCE", math.inf)    # every spectrum fails
         measure = st.SpectralMeasure(st.PowerAtOrigin(1.0))
-        batch = _spectral_synthesis(measure, 64, 4000, seed=11)
+        batch = st.sample_paths(measure, 64, 4000, seed=11)
         assert batch.generator == "spectral-synthesis"
         x = batch.paths
         lag1 = float(np.mean(x[:, :-1] * x[:, 1:]))

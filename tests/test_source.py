@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import ast
+import graphlib
 import pathlib
 
 import pytest
 
 import statmean
 
+PACKAGE = sorted(pathlib.Path(statmean.__file__).parent.glob("*.py"))
+
 #: every module but the package's __init__, whose imports are its public names
-MODULES = sorted(p for p in pathlib.Path(statmean.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
@@ -24,3 +26,74 @@ def test_every_module_level_import_is_named(path):
                 and getattr(node, "module", None) != "__future__" for alias in node.names]
     named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in named] == []
+
+
+def _package_imports(node):
+    """(module, name) for each name an import statement takes from the
+    package: `from .a import x` gives ("a", "x"), `from . import a` or
+    `import statmean.a` gives ("a", None), and a name of the package's own, such
+    as `from . import __version__`, gives ("__init__", name)."""
+    modules = {p.stem for p in PACKAGE}
+    if isinstance(node, ast.Import):
+        return [(alias.name.split(".")[1], None) for alias in node.names
+                if alias.name.startswith("statmean.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    if node.level:
+        module = node.module
+    elif node.module.split(".")[0] == "statmean":
+        module = node.module.partition(".")[2] or None
+    else:
+        return []
+    if module is not None:
+        return [(module, alias.name) for alias in node.names]
+    return [(alias.name, None) if alias.name in modules else ("__init__", alias.name)
+            for alias in node.names]
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_package_imports_sit_at_module_level():
+    """Every import of a statmean module is a statement of the module body, so
+    the import graph is what the tops of the files say."""
+    deferred = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        deferred += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                     if _package_imports(node) and node not in tree.body]
+    assert deferred == []
+
+
+def test_package_imports_are_acyclic():
+    """The modules import one another in layers, wherever the import stands:
+    errors, ddouble -> quadrature -> spectra -> covariance -> toeplitz ->
+    estimators, opuc, deterministic, simulate -> efficiency -> cli."""
+    graph = {}
+    for path in PACKAGE:
+        graph[path.stem] = {module for node in ast.walk(ast.parse(path.read_text()))
+                            for module, _ in _package_imports(node)}
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as err:
+        pytest.fail(f"import cycle {' -> '.join(reversed(err.args[1]))}")
+
+
+def test_no_private_name_crosses_modules():
+    """No module imports an underscore name from another statmean module or
+    reads one off a statmean module it imported."""
+    crossings = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text())
+        imports = [(node, module, name) for node in ast.walk(tree)
+                   for module, name in _package_imports(node)]
+        crossings += [f"{path.name}:{node.lineno} {module}.{name}"
+                      for node, module, name in imports if name and _private(name)]
+        bound = {alias.asname or alias.name for node, _, name in imports if name is None
+                 for alias in node.names}
+        crossings += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                      for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in bound
+                      and _private(node.attr)]
+    assert crossings == []

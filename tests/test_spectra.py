@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import statmean as st
-from statmean.spectra import MINUS_INFINITY, parse_angle
+from statmean.spectra import MINUS_INFINITY, Singularity, parse_angle
+from statmean.toeplitz import reflection_coefficients
 from tests.conftest import fgn_density_mp
 
 TWO_PI = 2.0 * math.pi
@@ -150,6 +151,22 @@ class TestClassify:
         assert rec.determinism == "Regular"
         assert rec.memory == "Antipersistent"
         assert rec.origin_exponent == pytest.approx(0.5)
+
+    def test_ma_unit_root_at_origin(self):
+        """|1 - e^{i lam}|^2 / (2 pi) as an MA(1) and as f_alpha at alpha = 1."""
+        for model in (st.Arma(ma=(1.0, -1.0)), st.PowerAtOrigin(1.0)):
+            rec = st.classify(model)
+            assert (rec.memory, rec.origin_exponent) == ("Antipersistent", 2.0)
+
+    def test_repeated_ma_unit_root_is_one_zero(self):
+        model = st.Arma(ma=(1.0, -2.0, 1.0))
+        assert model.singularities() == (Singularity(0.0, "algebraic", 4.0),)
+        assert model.origin_exponent() == 4.0
+
+    def test_combinators_over_an_ma_unit_root(self):
+        base = st.Arma(ma=(1.0, -1.0))
+        assert st.ArfimaFactor(0.25, base).origin_exponent() == 1.5
+        assert st.Product(base, st.WhiteNoise(1.0)).origin_exponent() == 2.0
 
     def test_arc_purely_deterministic(self):
         assert st.classify(st.ArcSupported(math.pi / 2, 1.0)).determinism == "PurelyDeterministic"
@@ -392,7 +409,7 @@ class TestFgnExtremes:
         model = st.FgnDensity(hurst)
         cov = st.covariance_sequence(model, 32)
         assert np.all(np.isfinite(cov.values))
-        assert cov.check_positive_definite()
+        assert np.all(np.abs(reflection_coefficients(cov.values)) < 1.0)
 
     def test_origin_limits_by_hurst(self):
         assert st.evaluate(st.FgnDensity(0.25), 0.0) == 0.0

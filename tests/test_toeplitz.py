@@ -19,7 +19,6 @@ import scipy.linalg
 import statmean as st
 from statmean import ddouble as dd
 from statmean import toeplitz
-from statmean.covariance import _DD
 from statmean.opuc import christoffel_curve
 from statmean.toeplitz import (INVERSE_DENSITY_CALIBRATION, _levinson, _residual,
                                reflection_coefficients)
@@ -110,7 +109,7 @@ class TestExtendedAgainstMpmath:
         model, n, tol = self.CASES[name]
         cov = st.covariance_sequence(model, n, precision="dd")
         curve_ref, weights_ref = mp_dense_blue(cov)
-        entry = toeplitz._levinson_pass(cov.values, cov.lo)
+        entry = toeplitz.levinson_pass(cov.values, cov.lo)
         total = entry.x.sum()
         with mpmath.workdps(50):
             curve_err = max(abs(_mp(entry.curve[m]) / curve_ref[m] - 1) for m in range(n + 1))
@@ -168,7 +167,7 @@ class TestLevinsonMemo:
                  st.blue_variance_curve(cov), reflection_coefficients(cov.values))
         for old, new in zip(kept, again):
             assert _bits(new) == _bits(old)
-        entry = toeplitz._levinson_pass(cov.values)
+        entry = toeplitz.levinson_pass(cov.values)
         refined = toeplitz._refined(cov.values.tobytes(), None)
         for a in (entry.x, entry.refl, entry.curve, refined):
             assert not a.flags.writeable
@@ -386,7 +385,7 @@ class TestOnesPass:
     def test_eta_is_the_predictor_at_one_in_dd(self, seed):
         r = _random_sequence(seed, 12)
         lo = r * 2.0 ** -60                   # exact values with nonzero low parts
-        _, refl, errors, _, _ = _levinson(dd.DD(r, lo), _DD)
+        _, refl, errors, _, _ = _levinson(dd.DD(r, lo))
         p = (1.0 + refl).cumprod()
         with mpmath.workdps(50):
             exact = [mpmath.mpf(h) + mpmath.mpf(v) for h, v in zip(r, lo)]
@@ -427,7 +426,7 @@ class TestOnesPass:
             cov = st.covariance_sequence(model, n, precision="dd")
             r = dd.DD(cov.values, cov.lo)
             assert np.flatnonzero(cov.values)[-1] < n       # the cut skips something
-        x, refl, _, curve, _ = _levinson(r, _DD)
+        x, refl, _, curve, _ = _levinson(r)
         for got, want in zip((x, refl, curve), _dense_window_pass(r)):
             assert got.hi.tobytes() == want.hi.tobytes()
             assert got.lo.tobytes() == want.lo.tobytes()
