@@ -29,14 +29,15 @@ def test_every_module_level_import_is_named(path):
 
 
 def _package_imports(node):
-    """(module, name) for each name an import statement takes from the
-    package: `from .a import x` gives ("a", "x"), `from . import a` or
-    `import statmean.a` gives ("a", None), and a name of the package's own, such
-    as `from . import __version__`, gives ("__init__", name)."""
+    """(module, name, alias) for each name an import statement takes from the
+    package, alias the name it binds: `from .a import x` gives ("a", "x",
+    "x"), `from . import a` or `import statmean.a as a` gives ("a", None,
+    "a"), and a name of the package's own, such as `from . import
+    __version__`, gives ("__init__", "__version__", "__version__")."""
     modules = {p.stem for p in PACKAGE}
     if isinstance(node, ast.Import):
-        return [(alias.name.split(".")[1], None) for alias in node.names
-                if alias.name.startswith("statmean.")]
+        return [(alias.name.split(".")[1], None, alias.asname or alias.name)
+                for alias in node.names if alias.name.startswith("statmean.")]
     if not isinstance(node, ast.ImportFrom):
         return []
     if node.level:
@@ -45,10 +46,15 @@ def _package_imports(node):
         module = node.module.partition(".")[2] or None
     else:
         return []
-    if module is not None:
-        return [(module, alias.name) for alias in node.names]
-    return [(alias.name, None) if alias.name in modules else ("__init__", alias.name)
-            for alias in node.names]
+    found = []
+    for alias in node.names:
+        if module is not None:
+            found.append((module, alias.name, alias.asname or alias.name))
+        elif alias.name in modules:
+            found.append((alias.name, None, alias.asname or alias.name))
+        else:
+            found.append(("__init__", alias.name, alias.asname or alias.name))
+    return found
 
 
 def _private(name):
@@ -73,7 +79,7 @@ def test_package_imports_are_acyclic():
     graph = {}
     for path in PACKAGE:
         graph[path.stem] = {module for node in ast.walk(ast.parse(path.read_text()))
-                            for module, _ in _package_imports(node)}
+                            for module, _, _ in _package_imports(node)}
     try:
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as err:
@@ -86,12 +92,11 @@ def test_no_private_name_crosses_modules():
     crossings = []
     for path in PACKAGE:
         tree = ast.parse(path.read_text())
-        imports = [(node, module, name) for node in ast.walk(tree)
-                   for module, name in _package_imports(node)]
+        imports = [(node, *found) for node in ast.walk(tree)
+                   for found in _package_imports(node)]
         crossings += [f"{path.name}:{node.lineno} {module}.{name}"
-                      for node, module, name in imports if name and _private(name)]
-        bound = {alias.asname or alias.name for node, _, name in imports if name is None
-                 for alias in node.names}
+                      for node, module, name, _ in imports if name and _private(name)]
+        bound = {alias for _, _, name, alias in imports if name is None}
         crossings += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
                       for node in ast.walk(tree) if isinstance(node, ast.Attribute)
                       and isinstance(node.value, ast.Name) and node.value.id in bound
