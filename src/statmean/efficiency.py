@@ -100,8 +100,8 @@ def lse_efficiency_exact_falpha(n: int, alpha: float) -> float:
 
 def beran_kunsch_expansion(alpha: float) -> float:
     """Small-alpha expansion of the sample-mean limit efficiency."""
-    if abs(alpha) > 0.2:
-        raise ValidationError("expansion is stated for |alpha| <= 0.2")
+    if not abs(alpha) <= 0.2:
+        raise ValidationError("expansion is stated for finite |alpha| <= 0.2")
     return 1.0 - (1.0 - math.pi ** 2 / 12.0) * (2.0 * alpha) ** 2
 
 

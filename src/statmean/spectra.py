@@ -235,16 +235,23 @@ class Arma(SpectralModel, variant="arma"):
         return self.scale / TWO_PI * num / den
 
     def singularities(self):
-        # each MA root on the circle is a zero of f of order 2, and a repeated
-        # root one zero of the summed order
-        roots = np.roots(self.ma[::-1]) if len(self.ma) > 1 else ()
-        return _merge_singularities(tuple(Singularity(float(np.angle(root)), "algebraic", 2.0)
-                                          for root in roots if abs(abs(root) - 1.0) < 1e-10))
+        # np.roots spreads a root of multiplicity m about eps^(1/m) around it,
+        # 2.2e-4 at m = 4.  Roots within 1e-3 of each other whose mean lies on
+        # the circle are one root there, a zero of f of order 2 m; the roots of
+        # a cluster off the circle are tested one by one
+        clusters, roots = {}, []        # clusters by their first root
+        for root in np.roots(self.ma[::-1]) if len(self.ma) > 1 else ():
+            first = next((c for c in clusters if abs(c - root) < 1e-3), root)
+            clusters.setdefault(first, []).append(root)
+        for c in clusters.values():
+            mean = np.mean(c)
+            roots += [(mean, len(c))] if abs(abs(mean) - 1.0) < 1e-10 else [(z, 1) for z in c]
+        return tuple(Singularity(float(np.angle(z)), "algebraic", 2.0 * m)
+                     for z, m in roots if abs(abs(z) - 1.0) < 1e-10)
 
     def origin_exponent(self):
-        """0 where f(0) > 0; else the order of the zero at 0 among the merged
-        MA roots, None if they miss it (np.roots spreads a root of
-        multiplicity 3 or more off the circle)."""
+        """0 where f(0) > 0; else the order of the zero at 0 among the
+        clustered MA roots."""
         if abs(sum(self.ma)) > 1e-12:
             return 0.0
         return next((s.exponent for s in self.singularities() if abs(s.angle) < 1e-12), None)
@@ -488,8 +495,7 @@ class FisherHartwig(SpectralModel, variant="fisher_hartwig"):
         if len(set(angles)) != len(angles):
             raise ValidationError("singular angles must be pairwise distinct")
         for a, e in pts:
-            if not e > -0.5:
-                raise ValidationError("singular exponents must satisfy alpha > -1/2")
+            check_alpha(e)
             if abs(a) > 1e-12 and abs(abs(a) - math.pi) > 1e-12:
                 mirrored = [(b, f) for b, f in pts if abs(b + a) < 1e-12]
                 if not mirrored or abs(mirrored[0][1] - e) > 1e-12:

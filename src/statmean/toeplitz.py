@@ -1,31 +1,28 @@
 """Symmetric Toeplitz systems for optimal mean-estimation weights.
 
-The core routine is a Levinson-Durbin recursion generalized to the all-ones
-right-hand side: one O(n^2) pass yields the optimal weights and variance at
-every intermediate order, plus the reflection coefficients used for the
-positive-definiteness check, and the one-step prediction errors.  Each order
-takes one dot product, over the lags up to the last nonzero covariance: the
-weights step by P_m(1) / e_m, the monic orthogonal polynomial at 1 over the
-prediction error, and the curve is 1 / sum_{j<=m} P_j(1)^2 / e_j, the
-Christoffel sum at 1 (Simon, OPUC, 2005, ch. 1-2).  It is the library's only
-Levinson recursion, written once over the arithmetic of its input: numpy
-float64, or the double-double arrays of `ddouble` for the extended path;
-`opuc` reads its reflections and prediction errors as negated Verblunsky
-coefficients and monic norms.  The pass runs at most once per exact
-covariance sequence, in either arithmetic: an `lru_cache` keyed on the
-sequence's bytes (and its low parts' in double-double) holds the 8 used last,
-so `blue_solve`, `blue_variance_curve`, `reflection_coefficients`, the OPUC
-recursion and their callers share it.  Cached arrays are read-only and callers receive copies; a
-breakdown is raised, never cached.
+The core routine is a Levinson-Durbin recursion that only recurses: per order
+one reflection dot, over the lags up to the last nonzero covariance, then the
+updates of the monic predictor a and the prediction error.  The rest is read
+off its outputs after the loop (Simon, OPUC, 2005, ch. 1-2).  P_j(1) =
+prod_{i<=j} (1 + k_i) is the monic orthogonal polynomial at 1, the variance at
+order m is 1 / sum_{j<=m} P_j(1)^2 / e_j, the Christoffel sum at 1, and the
+solution of R x = 1 is x = (P_n(1) / e_n) cumsum(a_j - a_{n+1-j}), a_{n+1} =
+0, the coefficients of the Christoffel-Darboux kernel K_n(z, 1) = P_n(1)
+(P*_n(z) - z P_n(z)) / (e_n (1 - z)).  The pass is the library's only Levinson
+recursion, written once over the arithmetic of its input, numpy float64 or
+`ddouble` pairs; `opuc` reads its reflections and errors as negated Verblunsky
+coefficients and monic norms.  An `lru_cache` keyed on a sequence's bytes (and
+its low parts' in double-double) holds the 8 passes used last for every
+caller.  Cached arrays are read-only and callers receive copies; a breakdown
+is raised, never cached.
 
-In double precision the solution is polished by one step of iterative
-refinement at every order, cached beside the pass on the bytes of the values
-and of their low parts: the residual 1 - (R + L) x,
-L the Toeplitz matrix of the closed forms' low parts, is formed in double from
-`ddouble.grid_split` parts, and R^-1 is applied to it by the Gohberg-Semencul
-formula from the pass's final predictor.  The double-double pass is not
-refined.  The quadratic form takes short-band lag sums from the same split, and
-the autocorrelation of long weight vectors by numpy's FFT.
+In double precision x is polished by one step of iterative refinement, cached
+beside the pass: the residual 1 - (R + L) x, L the Toeplitz matrix of the
+closed forms' low parts, is formed in double from `ddouble.grid_split` parts,
+and R^-1 is applied to it by the Gohberg-Semencul formula from a.  The
+double-double pass is not refined.  The quadratic form takes short-band lag
+sums from the same split, and the autocorrelation of long weight vectors by
+numpy's FFT.
 """
 
 from __future__ import annotations
@@ -105,12 +102,11 @@ def _levinson(r):
     r is a float array, run in numpy, or a `dd.DD` array, run in
     double-double.  Returns (x, reflections, prediction errors e_0..e_n,
     variance curve, final predictor a) in the same arithmetic, with R a = e_n
-    (1, 0, ..., 0).  The step at order m is P_m(1) / e_m, P_m(1) =
-    prod_{j<=m} (1 + k_j), and the curve is 1 / sum_{j<=m} P_j(1)^2 / e_j.  A
-    breakdown raises `NearSingularError` with the reflections so far, the
-    offending one last, and the curve below its order.  The double-double
-    pass also stops on pivot and variance loss; its reflection bound,
-    compared with the reflection rounded to double, is 1.0.
+    (1, 0, ..., 0); x and the curve are formed after the loop.  A breakdown
+    raises `NearSingularError` with the reflections so far, the offending one
+    last, and the curve below its order.  The double-double pass also stops on
+    pivot and variance loss; its reflection bound, compared with the
+    reflection rounded to double, is 1.0.
     """
     extended = isinstance(r, dd.DD)
     empty, dot = (dd.empty, dd.dot) if extended else (np.empty, np.dot)
@@ -118,19 +114,16 @@ def _levinson(r):
     def breakdown(what, m, reflections=None):
         note = (" in double-double precision" if extended
                 else "; extended double-double precision may reach further")
+        curve = _at_one(refl[:m - 1], errors[:m])[1] if m else ()
         return NearSingularError(f"{what}{note}", order=m, extended=extended,
-                                 reflections=reflections,
-                                 curve=np.array(1.0 / terms[:m].cumsum(), dtype=float))
+                                 reflections=reflections, curve=np.array(curve, dtype=float))
 
     bound = 1.0 if extended else BREAKDOWN_DOUBLE
     n = len(r) - 1
-    lags = np.flatnonzero(np.asarray(r))
-    band = int(lags[-1]) if lags.size else 0        # dots skip the exact-zero lags past it
-    a, x, refl, errors = empty(n + 1), empty(n + 1), empty(n), empty(n + 1)
-    a[:], x[:], a[0], x[0] = 0.0, 0.0, 1.0, 1.0 / r[0]     # a, x stay 0 past order m
+    band = _band(r)                                 # dots skip the exact-zero lags past it
+    a, refl, errors = empty(n + 1), empty(n), empty(n + 1)
+    a[:], a[0] = 0.0, 1.0                           # a stays 0 past order m
     e = errors[0] = r[0]
-    p, terms = 1.0, empty(n + 1)                # P_j(1)^2 / e_j
-    terms[0] = x[0]
     for m in range(1, n + 1):
         w = min(m, band)
         k = -dot(a[m - w:m], r[w:0:-1]) / e
@@ -143,15 +136,27 @@ def _levinson(r):
         if extended and float(e) <= 0.0:
             raise breakdown(f"pivot loss at order {m}", m)
         errors[m] = e
-        p *= 1.0 + k
-        step = p / e
-        terms[m] = p * step
-        x[:m + 1] += step * a[m::-1]
-    curve = 1.0 / terms.cumsum()
+    p, curve = _at_one(refl, errors)
     lost = np.flatnonzero(np.asarray(curve) <= 0.0)
     if extended and lost.size:
         raise breakdown(f"variance loss at order {lost[0]}", int(lost[0]))
-    return x, refl, errors, curve, a
+    d = a.copy()                                    # d_j = a_j - a_{n+1-j}, a_{n+1} = 0
+    d[1:] -= a[:0:-1]
+    return (p[-1] / e) * d.cumsum(), refl, errors, curve, a
+
+
+def _at_one(refl, errors):
+    """P_j(1) and the curve for j <= m from k_1..k_m and e_0..e_m, the same for any m >= j."""
+    p = errors.copy()
+    p[0], p[1:] = 1.0, 1.0 + refl
+    p = p.cumprod()
+    return p, 1.0 / (p * (p / errors)).cumsum()
+
+
+def _band(r) -> int:
+    """The last lag of a nonzero covariance, 0 if none: past it r is exactly 0."""
+    lags = np.flatnonzero(np.asarray(r))
+    return int(lags[-1]) if lags.size else 0
 
 
 class _LevinsonPass(NamedTuple):
@@ -290,9 +295,7 @@ def quadratic_form(weights, covariance: CovarianceSequence) -> float:
     r = covariance.values
     if len(c) > len(r):
         raise ValidationError("weight length exceeds covariance order + 1")
-    nz = np.nonzero(r)[0]
-    lags = int(nz[-1]) + 1 if len(nz) else 1
-    lags = min(lags, len(c))
+    lags = min(_band(r) + 1, len(c))
     if lags <= 8:
         # lag sums of split weights, c1 . c1 exact, combined in double-double:
         # closed-form identities hold at n ~ 4096

@@ -172,6 +172,20 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "numerical-accuracy error: result is not finite\n"
 
+    @pytest.mark.parametrize("subcommand", ["classify", "covariance"])
+    def test_infinite_singular_exponent_is_one_line(self, tmp_path, subcommand):
+        """An infinite Fisher-Hartwig exponent is refused on reading the model,
+        before any numpy warning."""
+        path = tmp_path / "fh.json"
+        path.write_text(json.dumps({"variant": "fisher_hartwig", "base": {"variant": "white_noise"},
+                                    "points": [[0, "inf"]]}))
+        argv = [subcommand, "--model", str(path)] + (["--n", "4"] if subcommand != "classify" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(*argv)
+        assert code == 2 and out == ""
+        assert err == "validation error: alpha must be finite with alpha > -1/2\n"
+
     def test_memory_error_is_two(self, model_dir, monkeypatch):
         """An order too large for memory is refused like any invalid input."""
         def exhausted(*args, **kwargs):
@@ -230,6 +244,8 @@ class TestExitCodes:
         (("asymptote", "--alpha", "inf"), 2),
         # pseudo-best weights need a nondeterministic design
         (("weights", "--estimator", "pseudo-best", "--model", "{models}/arc.json", "--n", "8"), 2),
+        # the expansion is stated for finite |alpha| <= 0.2 only
+        (("efficiency", "--law", "beran-kunsch", "--alpha", "nan"), 2),
     ])
     def test_exit_code_without_traceback(self, model_dir, tmp_path, argv, expected):
         (tmp_path / "malformed.json").write_text('{"variant": ')

@@ -49,6 +49,11 @@ class TestEvaluate:
             st.FisherHartwig(st.WhiteNoise(1.0), ((0.7, 0.3),))
         st.FisherHartwig(st.WhiteNoise(1.0), ((0.7, 0.3), (-0.7, 0.3)))  # ok
 
+    @pytest.mark.parametrize("exponent", [math.inf, math.nan, -0.5])
+    def test_fisher_hartwig_exponent_is_checked_like_alpha(self, exponent):
+        with pytest.raises(st.ValidationError, match="alpha must be finite with alpha > -1/2"):
+            st.FisherHartwig(st.WhiteNoise(1.0), ((0.0, exponent),))
+
     def test_product_and_scaled_compose_pointwise(self, ma1):
         lam = np.linspace(-math.pi, math.pi, 101)
         prod = st.Product(ma1, st.PowerAtOrigin(0.5))
@@ -162,6 +167,29 @@ class TestClassify:
         model = st.Arma(ma=(1.0, -2.0, 1.0))
         assert model.singularities() == (Singularity(0.0, "algebraic", 4.0),)
         assert model.origin_exponent() == 4.0
+
+    def test_triple_ma_unit_root_at_origin(self):
+        """np.roots puts the roots of (1 - z)^3 6.6e-6 off the circle; their
+        cluster's mean lies on it."""
+        model = st.Arma(ma=(1.0, -3.0, 3.0, -1.0))
+        (s,) = model.singularities()
+        assert (s.angle, s.kind, s.exponent) == (pytest.approx(0.0, abs=1e-12), "algebraic", 6.0)
+        rec = st.classify(model)
+        assert (rec.memory, rec.origin_exponent) == ("Antipersistent", 6.0)
+
+    def test_unit_root_beside_a_root_off_the_circle(self):
+        """Roots at 1 and 1.0005 cluster, and their mean is off the circle: each
+        is tested alone, so the root at 1 is still found."""
+        model = st.Arma(ma=(1.0, -2.0005 / 1.0005, 1.0 / 1.0005))
+        (s,) = model.singularities()
+        assert (s.angle, s.kind, s.exponent) == (pytest.approx(0.0, abs=1e-12), "algebraic", 2.0)
+
+    def test_double_ma_unit_roots_off_the_real_axis(self):
+        """(1 + z^2)^2: a double root at each of +i and -i."""
+        found = sorted((s.angle, s.kind, s.exponent)
+                       for s in st.Arma(ma=(1.0, 0.0, 2.0, 0.0, 1.0)).singularities())
+        assert found == [(pytest.approx(-math.pi / 2, abs=1e-12), "algebraic", 4.0),
+                         (pytest.approx(math.pi / 2, abs=1e-12), "algebraic", 4.0)]
 
     def test_combinators_over_an_ma_unit_root(self):
         base = st.Arma(ma=(1.0, -1.0))

@@ -345,25 +345,29 @@ def _random_sequence(seed, n):
 
 
 def _dense_window_pass(r):
-    """The double-double all-ones pass with every dot over all m lags, exact
-    zeros included, as the kernel would run without its band cut."""
+    """The double-double recursion with every dot over all m lags, exact zeros
+    included, as the kernel would run without its band cut: (refl, errors, a)."""
     n = len(r) - 1
-    a, x, refl, terms = dd.empty(n + 1), dd.empty(n + 1), dd.empty(n), dd.empty(n + 1)
+    a, refl, errors = dd.empty(n + 1), dd.empty(n), dd.empty(n + 1)
     a[0] = 1.0
-    x[0] = terms[0] = 1.0 / r[0]
-    e, p = r[0], 1.0
+    e = errors[0] = r[0]
     for m in range(1, n + 1):
         k = -dd.dot(a[:m], r[m:0:-1]) / e
         refl[m - 1] = k
         a[m] = 0.0
         a[:m + 1] += k * a[:m + 1][::-1].copy()
         e *= 1.0 - k * k
-        p *= 1.0 + k
-        step = p / e
-        terms[m] = p * step
-        x[m] = 0.0
-        x[:m + 1] += step * a[:m + 1][::-1]
-    return x, refl, 1.0 / terms.cumsum()
+        errors[m] = e
+    return refl, errors, a
+
+
+def _christoffel_darboux(refl, errors, a):
+    """x and the curve from a pass's outputs: x = (P_n(1) / e_n) cumsum(a_j -
+    a_{n+1-j}), P_j(1) and the curve by the kernel's own helper."""
+    p, curve = toeplitz._at_one(refl, errors)
+    d = a.copy()
+    d[1:] -= a[:0:-1]
+    return (p[-1] / errors[-1]) * d.cumsum(), curve
 
 
 class TestOnesPass:
@@ -426,10 +430,44 @@ class TestOnesPass:
             cov = st.covariance_sequence(model, n, precision="dd")
             r = dd.DD(cov.values, cov.lo)
             assert np.flatnonzero(cov.values)[-1] < n       # the cut skips something
-        x, refl, _, curve, _ = _levinson(r)
-        for got, want in zip((x, refl, curve), _dense_window_pass(r)):
+        x, refl, errors, curve, a = _levinson(r)
+        ref = _dense_window_pass(r)
+        for got, want in zip((refl, errors, a, x, curve), ref + _christoffel_darboux(*ref)):
             assert got.hi.tobytes() == want.hi.tobytes()
             assert got.lo.tobytes() == want.lo.tobytes()
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n", [0, 1, 12, 300])
+    def test_christoffel_darboux_solves_in_double(self, seed, n):
+        r = _random_sequence(seed, n)
+        x = _levinson(r)[0]
+        want = scipy.linalg.solve(scipy.linalg.toeplitz(r), np.ones(n + 1))
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("n", [0, 1, 12, 40])
+    def test_christoffel_darboux_solves_in_dd(self, seed, n):
+        r = _random_sequence(seed, n)
+        lo = r * 2.0 ** -60                   # exact values with nonzero low parts
+        x = _levinson(dd.DD(r, lo))[0]
+        with mpmath.workdps(50):
+            exact = [mpmath.mpf(h) + mpmath.mpf(v) for h, v in zip(r, lo)]
+            rows = [[exact[abs(i - j)] for j in range(n + 1)] for i in range(n + 1)]
+            want = mpmath.lu_solve(mpmath.matrix(rows), mpmath.matrix([1] * (n + 1)))
+            scale = max(abs(w) for w in want)
+            assert max(abs(_mp(x[j]) - want[j]) for j in range(n + 1)) <= 1e-30 * scale
+
+    @pytest.mark.parametrize("extended", [False, True])
+    def test_breakdown_carries_the_curve_below_its_order(self, extended):
+        cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 60,
+                                     precision="dd")
+        r = dd.DD(cov.values, cov.lo) if extended else cov.values
+        with pytest.raises(st.NearSingularError) as info:
+            _levinson(r)
+        m = info.value.order
+        assert m > 4 and info.value.extended == extended
+        below = _levinson(r[:m])[3]
+        assert info.value.curve.tobytes() == np.array(below, dtype=float).tobytes()
 
     @pytest.mark.parametrize("measure", [st.PowerAtOrigin(1.37), st.FgnDensity(0.8),
                                          st.Arma(ma=(1.0,), ar=(1.0, -0.7))])
