@@ -17,8 +17,11 @@ second difference of k^2H as a series of one sign in the arithmetic asked
 for; ARMA runs its difference equation in double-double at either precision.
 Every other density (Fisher-Hartwig, ARFIMA or products over an AR part,
 Pollaczek-Szego, an AR polynomial with a root in the unit disc) goes through
-singularity-graded double quadrature with a refinement cross-check at
-absolute tolerance 1e-12 per coefficient, and has no double-double form.
+singularity-graded double quadrature, its moments by the nonuniform FFT of
+`quadrature.cosine_moments`, with a refinement cross-check at absolute
+tolerance 1e-12 per coefficient, and has no double-double form.  A density
+that is not finite at a node, such as a pole graded below double resolution,
+is refused before its moments are taken.
 
 The double-double path produces covariances accurate to a few units of 1e-32,
 required by the exponential-decay studies where Toeplitz variances reach the
@@ -184,7 +187,15 @@ def _quadrature_density_covariances(model, kmax):
     achieved = math.inf
     for g in grids:
         lam, w = quadrature.model_grid(model, osc_k=kmax, **g)
-        cur = quadrature.cosine_moments(lam, w, model.values(lam), kmax)
+        values = model.values(lam)
+        lost = np.flatnonzero(~np.isfinite(values))
+        if lost.size:
+            angle = min((abs(s.angle) for s in model.singularities()),
+                        key=lambda a: abs(a - lam[lost[0]]), default=lam[lost[0]])
+            raise AccuracyError(
+                f"density is not finite at {lost.size} quadrature nodes graded onto "
+                f"its singular angle {angle:.17g}", achieved=math.inf)
+        cur = quadrature.cosine_moments(lam, w, values, kmax)
         if prev is not None:
             achieved = float(np.max(np.abs(cur - prev)))
             if achieved <= QUAD_TOL:

@@ -37,7 +37,7 @@ from .covariance import covariance_sequence
 from .errors import NearSingularError, NearTrivialMeasureError, ValidationError
 from .quadrature import cosine_moments, model_grid
 from .spectra import MINUS_INFINITY, TWO_PI, SpectralModel, as_measure, szego_integral
-from .toeplitz import levinson_pass
+from .toeplitz import levinson_pass, solve_ones
 
 
 @dataclass
@@ -49,6 +49,7 @@ class OpucState:
     monic_norms: np.ndarray              # ||P_k||^2, k = 0..n
     moments: np.ndarray                  # r(0..n)
     phi_at_probes: dict                  # probe -> complex array of phi_k(probe)
+    moments_lo: np.ndarray | None = None  # their low parts, when the closed form keeps them
 
     def kappa(self, m: int) -> float:
         """Leading coefficient of the orthonormal polynomial, 1/||P_m||."""
@@ -64,7 +65,8 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
     probes = tuple(complex(p) for p in probes)
     if not all(cmath.isfinite(p) for p in probes):
         raise ValidationError("probes must be finite complex numbers")
-    r = covariance_sequence(measure, n).values
+    cov = covariance_sequence(measure, n)
+    r = cov.values
     try:
         entry = levinson_pass(r)
         alphas = -entry.refl
@@ -92,7 +94,7 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
         phi[p] = vals
 
     return OpucState(order=n, verblunsky=alphas, monic_norms=norms,
-                     moments=r, phi_at_probes=phi)
+                     moments=r, phi_at_probes=phi, moments_lo=cov.lo)
 
 
 def christoffel(state: OpucState, probe, m: int) -> float:
@@ -130,11 +132,13 @@ def optimal_polynomial(state: OpucState, m: int) -> np.ndarray:
     """Coefficients of the minimizer S_m(z, 1) / S_m(1, 1); they sum to 1.
 
     The minimizer is the optimal estimator's weight vector of order m: the
-    normalized solution of the memoised Levinson pass on the first m+1 moments.
+    normalized solution of R x = 1 on the first m+1 moments, refined as
+    `toeplitz.blue_solve` refines it.
     """
     if not 0 <= m <= state.order:
         raise ValidationError("m must lie within the recursion order")
-    x = levinson_pass(state.moments[:m + 1]).x
+    lo = None if state.moments_lo is None else state.moments_lo[:m + 1]
+    x = solve_ones(state.moments[:m + 1], lo)
     return x / x.sum()
 
 

@@ -13,6 +13,11 @@ ingredients:
   never fall inside a panel.
 
 Gauss-Legendre nodes are interior, so a grid never probes a singular angle.
+
+The cosine moments of a density on such a grid, the covariances, the Fourier
+coefficients of 1/f and those of ln f, come from one nonuniform FFT,
+`cosine_moments`: O(nodes + kmax log kmax) work, within 2e-15 of sum |w f| of
+a double-double sum at every lag tested up to 4096.
 """
 
 from __future__ import annotations
@@ -33,6 +38,12 @@ GRADE_RATIO = 0.5
 #: max radians of oscillation phase per panel; 32-node panels integrate this
 #: to well below 1e-15 relative error.
 OSC_RADIANS = 14.0
+#: `cosine_moments` spreads each node over SPREAD_HALF_WIDTH grid points a
+#: side, on a grid of GRID_PER_LAG points per lag, 4x oversampling of the lags
+#: -kmax-1..kmax; with tau = pi SPREAD_HALF_WIDTH / (size (size - kmax - 1))
+#: the Gaussian's aliasing and truncation at lag kmax are both e^-37.7 = 4e-17
+#: of sum |w f|
+SPREAD_HALF_WIDTH, GRID_PER_LAG = 14, 8
 
 
 @lru_cache(maxsize=8)
@@ -153,20 +164,38 @@ def model_grid(model, osc_k=0, base_panels=8, depth=SINGULAR_PANELS, nodes=NODES
 
 def cosine_moments(lam, w, fvals, kmax):
     """m[k] = 2 * sum w * cos(k*lam) * f, k = 0..kmax, over a half-line grid
-    (lam, w), via the Chebyshev recurrence in k."""
-    fw = w * fvals
-    out = np.empty(kmax + 1)
-    out[0] = 2.0 * fw.sum()
-    if kmax == 0:
-        return out
-    ckm1 = np.ones_like(lam)
-    ck = np.cos(lam)
-    two_cos = 2.0 * ck
-    out[1] = 2.0 * np.dot(ck, fw)
-    for k in range(2, kmax + 1):
-        ckm1, ck = ck, two_cos * ck - ckm1
-        out[k] = 2.0 * np.dot(ck, fw)
-    return out
+    (lam, w), by a type-1 nonuniform FFT (Dutt & Rokhlin 1993; Greengard &
+    Lee, SIAM Review 2004).
+
+    Each node's w f is spread by a Gaussian onto the 2 SPREAD_HALF_WIDTH + 1
+    nearest of GRID_PER_LAG (kmax + 1) points on [0, 2 pi), one `np.bincount`
+    per offset with each offset's factors stepped from the last, so memory
+    stays O(nodes + kmax).  Nodes are placed on the grid in double-double, or
+    lag k would see k times lam's rounding.  One `rfft`, divided by the
+    Gaussian's Fourier coefficients, gives the moments.
+    """
+    half, size = SPREAD_HALF_WIDTH, GRID_PER_LAG * (kmax + 1)
+    tau = math.pi * half / (size * (size - kmax - 1))
+    beta = (math.pi / size) ** 2 / tau
+    cells = float(size) / (2.0 * dd.PI)                # grid cells per radian
+    hi, lo = dd.two_prod(lam, cells.hi)
+    near = np.rint(hi)
+    u = (hi - near) + (lo + lam * cells.lo)            # offset from the nearest cell
+    index = near.astype(np.intp) % size
+    up = np.exp(2.0 * beta * u)
+    left = right = w * fvals * np.exp(-beta * u * u)
+    down = 1.0 / up
+    spread = np.zeros(size + 2 * half)                 # grid points -half .. size + half - 1
+    spread[half:half + size] = np.bincount(index, right, size)
+    for j in range(1, half + 1):
+        step = math.exp(-beta * (2 * j - 1))
+        right, left = right * up * step, left * down * step
+        spread[half + j:half + j + size] += np.bincount(index, right, size)
+        spread[half - j:half - j + size] += np.bincount(index, left, size)
+    grid = np.bincount((np.arange(size + 2 * half) - half) % size, spread, size)
+    k = np.arange(kmax + 1)
+    scale = 2.0 * math.sqrt(math.pi / tau) / size
+    return np.fft.rfft(grid)[:kmax + 1].real * (scale * np.exp(k * k * tau))
 
 
 def log_integral_grid(model):

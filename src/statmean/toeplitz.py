@@ -137,20 +137,23 @@ def _levinson(r):
             raise breakdown(f"pivot loss at order {m}", m)
         errors[m] = e
     p, curve = _at_one(refl, errors)
-    lost = np.flatnonzero(np.asarray(curve) <= 0.0)
+    lost = np.flatnonzero(~(np.asarray(curve) > 0.0))
     if extended and lost.size:
         raise breakdown(f"variance loss at order {lost[0]}", int(lost[0]))
     d = a.copy()                                    # d_j = a_j - a_{n+1-j}, a_{n+1} = 0
     d[1:] -= a[:0:-1]
-    return (p[-1] / e) * d.cumsum(), refl, errors, curve, a
+    with np.errstate(all="ignore"):                 # out of range: left to the callers' checks
+        return (p[-1] / e) * d.cumsum(), refl, errors, curve, a
 
 
 def _at_one(refl, errors):
-    """P_j(1) and the curve for j <= m from k_1..k_m and e_0..e_m, the same for any m >= j."""
+    """P_j(1) and the curve for j <= m from k_1..k_m and e_0..e_m, the same for
+    any m >= j; a value out of double range is left for the caller to refuse."""
     p = errors.copy()
     p[0], p[1:] = 1.0, 1.0 + refl
-    p = p.cumprod()
-    return p, 1.0 / (p * (p / errors)).cumsum()
+    with np.errstate(all="ignore"):
+        p = p.cumprod()
+        return p, 1.0 / (p * (p / errors)).cumsum()
 
 
 def _band(r) -> int:
@@ -202,6 +205,12 @@ def levinson_pass(r, lo=None) -> _LevinsonPass:
     """The memoised pass over the exact values r, in double-double when their
     low parts lo are given."""
     return _pass(_bytes(r), _bytes(lo))
+
+
+def solve_ones(r, lo=None) -> np.ndarray:
+    """x solving R x = 1 in double: the memoised pass's x after one refinement
+    step against r + lo, read-only."""
+    return _refined(_bytes(r), _bytes(lo))
 
 
 def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
@@ -262,7 +271,7 @@ def blue_solve(system: ToeplitzSystem):
     """
     cov = system.covariance
     if system.precision == "double":
-        x = _refined(_bytes(cov.values), _bytes(cov.lo))
+        x = solve_ones(cov.values, cov.lo)
     else:
         x = _pass_for(cov, system.precision).x
     total = x.sum()

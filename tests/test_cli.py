@@ -186,6 +186,33 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err == "validation error: alpha must be finite with alpha > -1/2\n"
 
+    def test_pole_off_the_axis_is_one_line(self, tmp_path):
+        """Grading onto a Fisher-Hartwig pole at 1 puts nodes on it in double:
+        the non-finite density is refused, naming the angle, with no numpy
+        warning before its line."""
+        path = tmp_path / "fh.json"
+        path.write_text(json.dumps({"density": {
+            "variant": "fisher_hartwig", "base": {"variant": "white_noise"},
+            "points": [[1.0, -0.3], [-1.0, -0.3]]}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("covariance", "--model", str(path), "--n", "64")
+        assert code == 3 and out == ""
+        assert err == ("numerical-accuracy error: density is not finite at 53 quadrature "
+                       "nodes graded onto its singular angle 1\n")
+
+    def test_curve_out_of_range_is_one_line(self, tmp_path):
+        """At a subnormal scale 1 / r(0) overflows: the double-double curve is
+        refused as a variance loss, with no numpy warning before its line."""
+        path = tmp_path / "wn.json"
+        path.write_text(json.dumps({"variant": "white_noise", "level": 1e-311}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("decay", "--model", str(path), "--n-grid", "8:32:8")
+        assert code == 3 and out == ""
+        assert err == ("numerical-accuracy error: variance loss at order 0 in "
+                       "double-double precision\n")
+
     def test_memory_error_is_two(self, model_dir, monkeypatch):
         """An order too large for memory is refused like any invalid input."""
         def exhausted(*args, **kwargs):

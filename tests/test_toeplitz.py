@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -468,6 +469,17 @@ class TestOnesPass:
         assert m > 4 and info.value.extended == extended
         below = _levinson(r[:m])[3]
         assert info.value.curve.tobytes() == np.array(below, dtype=float).tobytes()
+
+    def test_curve_out_of_range_is_refused_without_warnings(self):
+        """1 / r(0) overflows at a subnormal r(0): the double-double curve is not
+        finite, and the pass refuses it before any numpy warning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.NearSingularError, match="variance loss at order 0") as info:
+                _levinson(dd.DD(np.array([1e-310, 0.0, 0.0]), np.zeros(3)))
+            x, _, _, curve, _ = _levinson(np.array([1e-310, 0.0, 0.0]))
+        assert info.value.extended and info.value.order == 0
+        assert np.all(np.isinf(x)) and np.all(curve == 0.0)    # left to its callers
 
     @pytest.mark.parametrize("measure", [st.PowerAtOrigin(1.37), st.FgnDensity(0.8),
                                          st.Arma(ma=(1.0,), ar=(1.0, -0.7))])
