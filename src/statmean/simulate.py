@@ -1,18 +1,24 @@
 """Gaussian sample paths and Monte Carlo variance estimates.
 
 Paths are generated by circulant embedding of the covariance sequence when
-the embedding spectrum is nonnegative, otherwise by spectral synthesis (a
-cosine sum over quadrature nodes with independent Gaussian amplitudes).  The
-normal generator is counter-based (Philox) with ziggurat normals; replicate
-blocks draw from spawned substreams of the seed, so results are reproducible
-and independent of the block size.  `monte_carlo_variance` reduces each block
-to its weighted sums as it is drawn, so it never holds all the paths.
+the embedding spectrum is nonnegative (Wood & Chan 1994; Dietrich & Newsam
+1997), otherwise by spectral synthesis (a cosine sum over quadrature nodes
+with independent Gaussian amplitudes).  Either generator is a fixed linear map
+from two arrays of standard normals, the real and the imaginary parts, to the
+paths.  The normal generator is counter-based (Philox) with ziggurat normals;
+replicate blocks draw from spawned substreams of the seed, so results are
+reproducible and independent of the block size.  `sample_paths` is the only
+route that forms paths.  `monte_carlo_variance` pushes the weights once
+through the generator's adjoint and reduces each block's normals by the two
+vectors this gives, the real parts before the imaginary ones are drawn, so it
+holds about one block of normals and never a path.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -46,20 +52,77 @@ def _embedding_spectrum(r):
     return np.fft.rfft(first_row).real, len(first_row)
 
 
-def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
-    """Zero-mean stationary Gaussian paths with the measure's covariance."""
-    generator, blocks = _path_blocks(measure, length, replicates, seed)
-    out = np.empty((replicates, length))
-    lo = 0
-    for block in blocks:
-        out[lo:lo + len(block)] = block
-        lo += len(block)
-    return PathBatch(paths=out, generator=generator)
+@dataclass(frozen=True)
+class _CirculantEmbedding:
+    """The first `length` points of a real field of period `size` whose
+    Hermitian spectrum is amplitude * (re + i im)."""
+
+    amplitude: np.ndarray      # sqrt(eigenvalue / size) at each rfft frequency
+    size: int
+    length: int
+    name = "circulant-embedding"
+
+    @property
+    def width(self):
+        return len(self.amplitude)
+
+    def paths(self, re, im):
+        # Hermitian noise spectrum => real field of exactly the right covariance
+        re[:, [0, -1]] *= math.sqrt(2.0)
+        im[:, [0, -1]] = 0.0
+        noise = np.empty(re.shape, dtype=complex)
+        noise.real, noise.imag = re, im
+        del re, im
+        noise *= self.amplitude
+        field = np.fft.irfft(noise, n=self.size)
+        del noise
+        field *= self.size
+        field /= math.sqrt(2.0)
+        return field[:, :self.length]
+
+    def adjoint(self, c):
+        """(g_re, g_im) with paths(re, im) @ c = re @ g_re + im @ g_im: the
+        field counts the interior frequencies twice over sqrt 2, and the two
+        real ones once, with their imaginary normals unused."""
+        g = np.fft.rfft(c, self.size) * self.amplitude
+        g[1:-1] *= math.sqrt(2.0)
+        g.imag[[0, -1]] = 0.0
+        return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
 
 
-def _path_blocks(measure, length: int, replicates: int, seed: int):
-    """(generator name, an iterator over the paths in blocks of at most BLOCK
-    replicates), so that callers which reduce each path need not hold them all."""
+@dataclass(frozen=True)
+class _SpectralSynthesis:
+    """X(t) = sum_j sd_j (re_j cos + im_j sin)(lam_j t)."""
+
+    lam: np.ndarray
+    sd: np.ndarray             # one-sided: sqrt(2 f(lam) w), sqrt(mass) at atoms
+    length: int
+    name = "spectral-synthesis"
+
+    @property
+    def width(self):
+        return len(self.lam)
+
+    @cached_property
+    def _basis(self):
+        angles = np.outer(np.arange(self.length), self.lam)
+        return np.cos(angles), np.sin(angles)
+
+    def paths(self, re, im):
+        cos_t, sin_t = self._basis
+        return (re * self.sd) @ cos_t.T + (im * self.sd) @ sin_t.T
+
+    def adjoint(self, c):
+        """(g_re, g_im) with paths(re, im) @ c = re @ g_re + im @ g_im."""
+        cos_t, sin_t = self._basis
+        return self.sd * (c @ cos_t), self.sd * (c @ sin_t)
+
+
+def _plan(measure, length: int, replicates: int, seed: int):
+    """The measure's path generator at this length, and per block of at most
+    BLOCK replicates a function drawing the block's next (replicates x width)
+    normals from its own substream: the real parts first, then the imaginary
+    ones.  Both entry points read this one choice and these draws."""
     measure = as_measure(measure)
     if length < 1 or replicates < 1:
         raise ValidationError("length and replicates must be positive")
@@ -70,57 +133,36 @@ def _path_blocks(measure, length: int, replicates: int, seed: int):
     spectrum, size = _embedding_spectrum(r)
     scale = float(np.max(spectrum))
     if float(np.min(spectrum)) < EMBEDDING_TOLERANCE * scale:
-        return "spectral-synthesis", _synthesis_blocks(measure, length, replicates, seed)
-    return "circulant-embedding", _circulant_embedding(spectrum, size, length, replicates, seed)
+        generator = _synthesis(measure, length)
+    else:
+        amplitude = np.sqrt(np.maximum(spectrum, 0.0) / size)
+        generator = _CirculantEmbedding(amplitude, size, length)
+    draws = (partial(_rng_for_block(seed, b).standard_normal,
+                     (min(BLOCK, replicates - lo), generator.width))
+             for b, lo in enumerate(range(0, replicates, BLOCK)))
+    return generator, draws
 
 
-def _block_rngs(replicates: int, seed: int):
-    """(size, generator) of each replicate block, from its own substream."""
-    for b, lo in enumerate(range(0, replicates, BLOCK)):
-        yield min(BLOCK, replicates - lo), _rng_for_block(seed, b)
-
-
-def _circulant_embedding(spectrum, size, length, replicates, seed):
-    amplitude = np.sqrt(np.maximum(spectrum, 0.0) / size)
-    half = size // 2
-    for m, rng in _block_rngs(replicates, seed):
-        # Hermitian noise spectrum => real field of exactly the right covariance
-        re = rng.standard_normal((m, half + 1))
-        im = rng.standard_normal((m, half + 1))
-        re[:, 0] *= math.sqrt(2.0)
-        im[:, 0] = 0.0
-        re[:, -1] *= math.sqrt(2.0)
-        im[:, -1] = 0.0
-        noise = np.empty((m, half + 1), dtype=complex)
-        noise.real, noise.imag = re, im
-        del re, im
-        noise *= amplitude
-        field = np.fft.irfft(noise, n=size)
-        del noise
-        field *= size
-        field /= math.sqrt(2.0)
-        yield field[:, :length]
-
-
-def _synthesis_blocks(measure, length, replicates, seed):
-    """Cosine-sum fallback: X(t) = sum_j s_j (A_j cos + B_j sin)(lam_j t)."""
+def _synthesis(measure, length):
+    """Cosine-sum fallback over the density's quadrature nodes and the atoms."""
     model = measure.density
     lam, w = model_grid(model, osc_k=length)
     sd = np.sqrt(2.0 * w * model.values(lam))        # one-sided: 2 f(lam) w
-    angles = [lam]
-    scales = [sd]
-    for angle, mass in measure.atoms:
-        angles.append(np.array([abs(angle)]))
-        scales.append(np.array([math.sqrt(mass)]))
-    lam = np.concatenate(angles)
-    sd = np.concatenate(scales)
-    t = np.arange(length)
-    cos_t = np.cos(np.outer(t, lam))
-    sin_t = np.sin(np.outer(t, lam))
-    for m, rng in _block_rngs(replicates, seed):
-        a = rng.standard_normal((m, len(lam))) * sd
-        bcoef = rng.standard_normal((m, len(lam))) * sd
-        yield a @ cos_t.T + bcoef @ sin_t.T
+    return _SpectralSynthesis(np.concatenate([lam] + [[abs(a)] for a, _ in measure.atoms]),
+                              np.concatenate([sd] + [[math.sqrt(m)] for _, m in measure.atoms]),
+                              length)
+
+
+def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
+    """Zero-mean stationary Gaussian paths with the measure's covariance."""
+    generator, draws = _plan(measure, length, replicates, seed)
+    out = np.empty((replicates, length))
+    lo = 0
+    for draw in draws:
+        block = generator.paths(draw(), draw())
+        out[lo:lo + len(block)] = block
+        lo += len(block)
+    return PathBatch(paths=out, generator=generator.name)
 
 
 @dataclass
@@ -136,17 +178,21 @@ def monte_carlo_variance(weights, measure, replicates: int, seed: int) -> MonteC
     if replicates < 3:
         raise ValidationError("the jackknife needs at least 3 replicates")
     c = np.asarray(getattr(weights, "coefficients", weights), dtype=float)
-    generator, blocks = _path_blocks(measure, len(c), replicates, seed)
-    stats = np.concatenate([block @ c for block in blocks])
+    generator, draws = _plan(measure, len(c), replicates, seed)
+    g_re, g_im = generator.adjoint(c)
+    # each block's real normals are reduced, and freed, before its imaginary ones are drawn
+    stats = np.concatenate([draw() @ g_re + draw() @ g_im for draw in draws])
+    estimate, se = _jackknife(stats)
+    return MonteCarloVariance(estimate=estimate, standard_error=se, generator=generator.name)
+
+
+def _jackknife(stats):
+    """The sample variance of stats and its jackknife standard error.  Leaving
+    replicate i out gives the variance (S - n d_i^2 / (n - 1)) / (n - 2), d
+    the deviations from the mean and S their sum of squares, so the spread of
+    the leave-one-out variances is that of d^2, scaled; formed from d, it
+    keeps the digits that sums of x and x^2 lose to cancellation."""
     n = len(stats)
-    mean = stats.mean()
-    dev2 = (stats - mean) ** 2
-    estimate = dev2.sum() / (n - 1)
-    # leave-one-out variances from the sufficient sums
-    s1 = stats.sum()
-    s2 = (stats ** 2).sum()
-    loo_mean = (s1 - stats) / (n - 1)
-    loo_var = (s2 - stats ** 2 - (n - 1) * loo_mean ** 2) / (n - 2)
-    se = math.sqrt((n - 1) / n * float(np.sum((loo_var - loo_var.mean()) ** 2)))
-    return MonteCarloVariance(estimate=float(estimate), standard_error=se,
-                              generator=generator)
+    dev2 = (stats - stats.mean()) ** 2
+    spread = math.sqrt((n - 1) / n * float(np.sum((dev2 - dev2.mean()) ** 2)))
+    return float(dev2.sum() / (n - 1)), n / ((n - 1) * (n - 2)) * spread

@@ -191,8 +191,12 @@ def _pass(r_bytes, lo_bytes):
 @lru_cache(maxsize=8)
 def _refined(r_bytes, lo_bytes):
     """x + R^-1 (1 - (R + L) x), one refinement step of the double pass's x
-    against r + lo, for the 8 sequences asked last."""
+    against r + lo, for the 8 sequences asked last.  An x out of double range
+    (1 / r(0) overflows at a subnormal scale) is refused, not refined."""
     p, r = _pass(r_bytes, None), _floats(r_bytes)
+    if not np.isfinite(p.x).all():
+        raise NearSingularError(f"solution out of double range at order {len(r) - 1}",
+                                order=len(r) - 1)
     correction = _gohberg_semencul(p.a, p.errors[-1], _residual(r, p.x, _floats(lo_bytes)))
     return dd.read_only(p.x + correction)
 

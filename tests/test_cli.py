@@ -213,6 +213,17 @@ class TestExitCodes:
         assert err == ("numerical-accuracy error: variance loss at order 0 in "
                        "double-double precision\n")
 
+    def test_solution_out_of_range_is_one_line(self, tmp_path):
+        """At a subnormal scale the double pass's x overflows: the BLUE refuses
+        it before refinement, with no numpy warning before its line."""
+        path = tmp_path / "wn.json"
+        path.write_text(json.dumps({"variant": "white_noise", "level": 1e-311}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("blue", "--model", str(path), "--n", "8")
+        assert code == 3 and out == ""
+        assert err == "numerical-accuracy error: solution out of double range at order 8\n"
+
     def test_memory_error_is_two(self, model_dir, monkeypatch):
         """An order too large for memory is refused like any invalid input."""
         def exhausted(*args, **kwargs):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import statmean as st
-from statmean.simulate import _embedding_spectrum
+import statmean.simulate as sim
+from statmean.simulate import _embedding_spectrum, _jackknife
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,3 +112,32 @@ class TestMonteCarloVariance:
         analytic = st.variance_under(w, model)
         mc = st.monte_carlo_variance(w, model, 20000, seed=31)
         assert abs(mc.estimate - analytic) < 4 * mc.standard_error
+
+    @pytest.mark.parametrize("model, n, block", [(st.FgnDensity(0.75), 255, sim.BLOCK),
+                                                 (st.PowerAtOrigin(1.2), 31, 256)])
+    def test_reduction_equals_the_paths(self, monkeypatch, model, n, block):
+        """Reducing the normals by the adjoint vectors is the variance of the
+        paths' weighted sums, across a block boundary, for either generator."""
+        monkeypatch.setattr(sim, "BLOCK", block)
+        w = st.lse_weights(n)
+        mc = st.monte_carlo_variance(w, model, block + 3, seed=17)
+        batch = st.sample_paths(model, n + 1, block + 3, seed=17)
+        assert mc.generator == batch.generator
+        assert mc.generator == ("spectral-synthesis" if n == 31 else "circulant-embedding")
+        estimate, se = _jackknife(batch.paths @ w.coefficients)
+        assert mc.estimate == pytest.approx(estimate, rel=1e-12, abs=0.0)
+        assert mc.standard_error == pytest.approx(se, rel=1e-12, abs=0.0)
+
+    def test_no_field_is_formed(self):
+        """The peak is about one block of normals, below the real and
+        imaginary blocks together, which the field alone exceeds."""
+        model, w = st.FgnDensity(0.75), st.lse_weights(255)
+        size = 4 * 256
+        st.monte_carlo_variance(w, model, 3, seed=1)        # covariances cached
+        tracemalloc.start()
+        try:
+            st.monte_carlo_variance(w, model, sim.BLOCK, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * sim.BLOCK * (size // 2 + 1) * 8
