@@ -83,10 +83,10 @@ class _CirculantEmbedding:
     def adjoint(self, c):
         """(g_re, g_im) with paths(re, im) @ c = re @ g_re + im @ g_im: the
         field counts the interior frequencies twice over sqrt 2, and the two
-        real ones once, with their imaginary normals unused."""
+        real ones once, where the rfft of c is real, so that their unused
+        imaginary normals drop out."""
         g = np.fft.rfft(c, self.size) * self.amplitude
         g[1:-1] *= math.sqrt(2.0)
-        g.imag[[0, -1]] = 0.0
         return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
 
 

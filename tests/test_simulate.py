@@ -113,17 +113,18 @@ class TestMonteCarloVariance:
         mc = st.monte_carlo_variance(w, model, 20000, seed=31)
         assert abs(mc.estimate - analytic) < 4 * mc.standard_error
 
-    @pytest.mark.parametrize("model, n, block", [(st.FgnDensity(0.75), 255, sim.BLOCK),
-                                                 (st.PowerAtOrigin(1.2), 31, 256)])
-    def test_reduction_equals_the_paths(self, monkeypatch, model, n, block):
+    @pytest.mark.parametrize("model, n, block, generator", [
+        (st.FgnDensity(0.75), 255, sim.BLOCK, "circulant-embedding"),
+        (st.PowerAtOrigin(1.2), 31, 256, "spectral-synthesis"),      # embedding misses
+    ])
+    def test_reduction_equals_the_paths(self, monkeypatch, model, n, block, generator):
         """Reducing the normals by the adjoint vectors is the variance of the
         paths' weighted sums, across a block boundary, for either generator."""
         monkeypatch.setattr(sim, "BLOCK", block)
         w = st.lse_weights(n)
         mc = st.monte_carlo_variance(w, model, block + 3, seed=17)
         batch = st.sample_paths(model, n + 1, block + 3, seed=17)
-        assert mc.generator == batch.generator
-        assert mc.generator == ("spectral-synthesis" if n == 31 else "circulant-embedding")
+        assert mc.generator == batch.generator == generator
         estimate, se = _jackknife(batch.paths @ w.coefficients)
         assert mc.estimate == pytest.approx(estimate, rel=1e-12, abs=0.0)
         assert mc.standard_error == pytest.approx(se, rel=1e-12, abs=0.0)
@@ -132,7 +133,7 @@ class TestMonteCarloVariance:
         """The peak is about one block of normals, below the real and
         imaginary blocks together, which the field alone exceeds."""
         model, w = st.FgnDensity(0.75), st.lse_weights(255)
-        size = 4 * 256
+        size = 4 * 256                                      # the embedding's period, 4 (n + 1)
         st.monte_carlo_variance(w, model, 3, seed=1)        # covariances cached
         tracemalloc.start()
         try:
