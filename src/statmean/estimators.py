@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -136,8 +137,10 @@ class FejerKernel:
         return np.where(small, t / TWO_PI, vals)
 
 
+@lru_cache(maxsize=8)
 def _lse_fejer_variance(measure, n: int) -> float:
-    """Independent route for the sample-mean variance.
+    """Independent route for the sample-mean variance, for the 8 (measure, n)
+    asked last: `efficiency_finite` asks again what `variance_under` just did.
 
     Var = 2 pi/(n+1) * integral F_{n+1} f  + atom terms; the 2 pi factor makes
     the kernel route agree with the quadratic form for every density (checked

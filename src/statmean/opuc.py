@@ -30,19 +30,22 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
 from .covariance import covariance_sequence
-from .errors import NearSingularError, NearTrivialMeasureError, ValidationError
+from .ddouble import read_only
+from .errors import AccuracyError, NearSingularError, NearTrivialMeasureError, ValidationError
 from .quadrature import cosine_moments, model_grid
 from .spectra import MINUS_INFINITY, TWO_PI, SpectralModel, as_measure, szego_integral
 from .toeplitz import levinson_pass, solve_ones
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpucState:
-    """Recursion output: coefficients, norms, and probe values up to `order`."""
+    """Recursion output: coefficients, norms, and probe values up to `order`;
+    the arrays are read-only and the probe map is a read-only mapping."""
 
     order: int
     verblunsky: np.ndarray               # a_0 .. a_{n-1}
@@ -80,7 +83,7 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
         raise NearTrivialMeasureError(
             f"recursion coefficient {k} has modulus {abs(alphas[k]):.17g}, numerically "
             f"at the unit bound; the measure is trivial at this order", index=k)
-    norms = entry.errors.copy()
+    norms = entry.errors
     roots = np.sqrt(norms)
 
     phi = {}
@@ -91,10 +94,10 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
         for k, (a_k, root) in enumerate(zip(alphas.tolist(), roots[1:].tolist()), 1):
             pk, pk_star = p * pk - a_k * pk_star, pk_star - a_k * p * pk
             vals[k] = pk / root
-        phi[p] = vals
+        phi[p] = read_only(vals)
 
-    return OpucState(order=n, verblunsky=alphas, monic_norms=norms,
-                     moments=r, phi_at_probes=phi, moments_lo=cov.lo)
+    return OpucState(order=n, verblunsky=read_only(alphas), monic_norms=norms,
+                     moments=r, phi_at_probes=MappingProxyType(phi), moments_lo=cov.lo)
 
 
 def christoffel(state: OpucState, probe, m: int) -> float:
@@ -108,8 +111,9 @@ def christoffel(state: OpucState, probe, m: int) -> float:
         raise ValidationError(f"probe {probe} was not registered in the recursion")
     if not 0 <= m <= state.order:
         raise ValidationError("m must lie within the recursion order")
-    vals = state.phi_at_probes[probe][:m + 1]
-    return 1.0 / float(np.sum(np.abs(vals) ** 2))
+    with np.errstate(over="ignore"):          # an overflow reads 0, refused by _in_range
+        value = 1.0 / np.sum(np.abs(state.phi_at_probes[probe][:m + 1]) ** 2)
+    return float(_in_range(np.array([value]), m)[0])
 
 
 def christoffel_curve(state: OpucState, probe) -> np.ndarray:
@@ -117,8 +121,18 @@ def christoffel_curve(state: OpucState, probe) -> np.ndarray:
     probe = complex(probe)
     if probe not in state.phi_at_probes:
         raise ValidationError(f"probe {probe} was not registered in the recursion")
-    with np.errstate(over="ignore"):          # an overflow is left to the caller's check
-        return 1.0 / np.cumsum(np.abs(state.phi_at_probes[probe]) ** 2)
+    with np.errstate(over="ignore"):          # an overflow reads 0, refused by _in_range
+        return _in_range(1.0 / np.cumsum(np.abs(state.phi_at_probes[probe]) ** 2))
+
+
+def _in_range(values, first=0):
+    """values, the Christoffel values at orders first, first + 1, ..., unless
+    one reads 0: at a subnormal r(0), 1 / r(0) overflows and the reciprocal
+    sums vanish.  Values that are not finite are the caller's to refuse."""
+    if np.isfinite(values).all() and not values.all():
+        order = first + int(np.argmin(values != 0.0))
+        raise AccuracyError(f"Christoffel value out of double range at order {order}")
+    return values
 
 
 def prediction_error(state: OpucState, m: int) -> float:
@@ -180,7 +194,8 @@ def christoffel_limit_in_disk(model: SpectralModel, xi: complex) -> float:
 
 @dataclass(frozen=True)
 class SzegoFunctionEval:
-    """Outer-function value D(f, z) with the log-density Fourier tail used."""
+    """Outer-function value D(f, z) with the log-density Fourier tail used,
+    read-only."""
 
     point: complex
     value: complex
@@ -215,4 +230,4 @@ def szego_function(model: SpectralModel, z: complex) -> SzegoFunctionEval:
         terms *= 2
     k = np.arange(1, terms + 1)
     log_d = 0.5 * d[0] + np.sum(d[1:terms + 1] * z ** k)
-    return SzegoFunctionEval(point=z, value=np.exp(log_d), log_fourier=d[:terms + 1])
+    return SzegoFunctionEval(point=z, value=np.exp(log_d), log_fourier=read_only(d[:terms + 1]))

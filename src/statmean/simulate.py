@@ -23,6 +23,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .covariance import covariance_sequence
+from .ddouble import read_only
 from .errors import ValidationError
 from .quadrature import model_grid
 from .spectra import as_measure
@@ -35,9 +36,9 @@ EMBEDDING_TOLERANCE = -1e-10
 BLOCK = 4096
 
 
-@dataclass
+@dataclass(frozen=True)
 class PathBatch:
-    paths: np.ndarray          # replicates x length
+    paths: np.ndarray          # replicates x length, read-only
     generator: str             # "circulant-embedding" | "spectral-synthesis"
 
 
@@ -162,10 +163,10 @@ def sample_paths(measure, length: int, replicates: int, seed: int) -> PathBatch:
         block = generator.paths(draw(), draw())
         out[lo:lo + len(block)] = block
         lo += len(block)
-    return PathBatch(paths=out, generator=generator.name)
+    return PathBatch(paths=read_only(out), generator=generator.name)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MonteCarloVariance:
     estimate: float
     standard_error: float

@@ -1,11 +1,11 @@
 """Spectral density models and spectral measures.
 
-A model evaluates the spectral density f(lambda) on [-pi, pi] and reports
-enough analytic structure (singular angles, local exponent at the origin,
-divergence of the log-integral) for the rest of the library to avoid fragile
-numerics: quadrature grids are graded toward the declared singular angles and
-determinism classification never relies on a float comparison against a huge
-negative number.
+A model evaluates the spectral density f(lambda) on [-pi, pi] and declares
+its singular angles.  The three facts the paper's variance law turns on, the
+local power of f at 0, the divergence of the Szego log-integral and a support
+edge (f vanishing on an arc), are read off those declarations alone, so
+quadrature grids are graded toward the same angles and classification never
+compares a float against a huge negative number.
 
 Conventions
 -----------
@@ -68,7 +68,8 @@ class Singularity:
       * "algebraic": f ~ c*|lambda-angle|**exponent near the angle,
       * "essential": f vanishes faster than any power (flat zero), with
         ln f ~ -c*|lambda-angle|**(-rate),
-      * "edge": jump discontinuity (support edge of an arc density).
+      * "edge": a support edge, where f vanishes on one side; an exponent,
+        when given, is f's power on the other.
     """
 
     angle: float
@@ -78,8 +79,8 @@ class Singularity:
 
 
 def _reduce_angle(lam):
-    """Reduce angles mod 2*pi into [-pi, pi]."""
-    return np.mod(np.asarray(lam, dtype=float) + np.pi, TWO_PI) - np.pi
+    """Reduce angles mod 2*pi into [-pi, pi]; one already there stays as it is."""
+    return np.where(np.abs(lam) <= np.pi, lam, np.mod(lam + np.pi, TWO_PI) - np.pi)
 
 
 def _check_angle_range(angle):
@@ -101,12 +102,12 @@ _VARIANTS: dict[str, type] = {}
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Base class; concrete variants implement `values` (vectorized).
-
-    A combinator lists the models it is built from in `children`, and unless
-    it overrides them the structural queries below are walks over those.  The
-    dataclass fields are the model document: `to_json` writes them under the
-    class's `variant` name and `model_from_json` reads them back.
+    """Base class.  A variant declares its dataclass fields, `values`
+    (vectorized; `log_values` too where the direct form avoids under/overflow)
+    and, unless the merge of its children's will do, `singularities()`.
+    `children`, `origin_exponent` and `szego_diverges` are derived here from
+    those.  The fields are also the model document: `to_json` writes them
+    under the class's `variant` name and `model_from_json` reads them back.
     """
 
     variant = None
@@ -129,15 +130,31 @@ class SpectralModel:
         return _merge_singularities(tuple(s for c in self.children() for s in c.singularities()))
 
     def origin_exponent(self) -> float | None:
-        """Known local power of f at 0 (f ~ c*|lambda|**e), None when unknown."""
-        return None
+        """Local power e of f ~ c*|lambda|**e at 0, None when there is none:
+        for a zero density or one with a support edge, and at an essential
+        zero.  An algebraic singularity at 0 gives its exponent; else e = 0
+        where f(0) is positive and finite."""
+        sings = self.singularities()
+        if self.zero_density() or any(s.kind == "edge" for s in sings):
+            return None
+        at_zero = next((s for s in sings if abs(s.angle) < 1e-12), None)
+        if at_zero is not None:
+            return at_zero.exponent if at_zero.kind == "algebraic" else None
+        with np.errstate(all="ignore"):      # f(0) out of double range has no power
+            f0 = float(self.values(np.zeros(1))[0])
+        return 0.0 if 0.0 < f0 < math.inf else None
 
     def children(self) -> tuple[SpectralModel, ...]:
-        return ()
+        """The models this one is built from: its model-valued fields, in order."""
+        return tuple(v for v in (getattr(self, f.name) for f in fields(self))
+                     if isinstance(v, SpectralModel))
 
     def szego_diverges(self) -> bool:
-        """True when the log-integral is -infinity, decided analytically."""
-        return self.zero_density() or any(c.szego_diverges() for c in self.children())
+        """True when the log-integral is -infinity: f is zero, vanishes past a
+        support edge, or has an essential zero of rate >= 1."""
+        return self.zero_density() or any(
+            s.kind == "edge" or (s.kind == "essential" and s.rate >= 1.0)
+            for s in self.singularities())
 
     def zero_density(self) -> bool:
         """True when the density is identically zero."""
@@ -192,9 +209,6 @@ class WhiteNoise(SpectralModel, variant="white_noise"):
     def zero_density(self):
         return self.level == 0.0
 
-    def origin_exponent(self):
-        return 0.0 if self.level > 0 else None
-
     def falpha_reduction(self, ar):
         return 0.0, 2 * ar.pi * self.level, np.array([1.0])
 
@@ -248,13 +262,6 @@ class Arma(SpectralModel, variant="arma"):
             roots += [(mean, len(c))] if abs(abs(mean) - 1.0) < 1e-10 else [(z, 1) for z in c]
         return tuple(Singularity(float(np.angle(z)), "algebraic", 2.0 * m)
                      for z, m in roots if abs(abs(z) - 1.0) < 1e-10)
-
-    def origin_exponent(self):
-        """0 where f(0) > 0; else the order of the zero at 0 among the
-        clustered MA roots."""
-        if abs(sum(self.ma)) > 1e-12:
-            return 0.0
-        return next((s.exponent for s in self.singularities() if abs(s.angle) < 1e-12), None)
 
     def falpha_reduction(self, ar):
         if len(self.ar) > 1:
@@ -339,9 +346,6 @@ class PowerAtOrigin(SpectralModel, variant="power_at_origin"):
             return ()
         return (Singularity(0.0, "algebraic", 2.0 * self.alpha),)
 
-    def origin_exponent(self):
-        return 2.0 * self.alpha
-
     def falpha_reduction(self, ar):
         return self.alpha, 1.0, np.array([1.0])
 
@@ -371,13 +375,6 @@ class ArfimaFactor(SpectralModel, variant="arfima"):
     def singularities(self):
         mine = (Singularity(0.0, "algebraic", -2.0 * self.d),) if self.d != 0.0 else ()
         return _merge_singularities(mine + self.base.singularities())
-
-    def origin_exponent(self):
-        be = self.base.origin_exponent()
-        return None if be is None else be - 2.0 * self.d
-
-    def children(self):
-        return (self.base,)
 
     def falpha_reduction(self, ar):
         base = self.base.falpha_reduction(ar)
@@ -446,9 +443,6 @@ class FgnDensity(SpectralModel, variant="fgn"):
         if self.hurst == 0.5:
             return ()
         return (Singularity(0.0, "algebraic", 1.0 - 2.0 * self.hurst),)
-
-    def origin_exponent(self):
-        return 1.0 - 2.0 * self.hurst
 
     def covariances(self, kmax, ar):
         """r(k) = r0/2 (|k+1|^2H - 2|k|^2H + |k-1|^2H), r0 = 2 pi scale /
@@ -523,16 +517,6 @@ class FisherHartwig(SpectralModel, variant="fisher_hartwig"):
         mine = tuple(Singularity(a, "algebraic", 2.0 * e) for a, e in self.points)
         return _merge_singularities(mine + self.base.singularities())
 
-    def origin_exponent(self):
-        be = self.base.origin_exponent()
-        if be is None:
-            return None
-        at_zero = sum(2.0 * e for a, e in self.points if abs(a) < 1e-12)
-        return be + at_zero
-
-    def children(self):
-        return (self.base,)
-
 
 @dataclass(frozen=True)
 class FlatZero(SpectralModel, variant="flat_zero"):
@@ -559,9 +543,6 @@ class FlatZero(SpectralModel, variant="flat_zero"):
 
     def singularities(self):
         return (Singularity(0.0, "essential", rate=self.a),)
-
-    def szego_diverges(self):
-        return self.a >= 1.0
 
     def covariances(self, kmax, ar):
         if ar.flat_zero is None:
@@ -605,9 +586,6 @@ class PollaczekSzego(SpectralModel, variant="pollaczek_szego"):
         return tuple(Singularity(angle, "essential", rate=1.0)
                      for angle in (0.0, math.pi, -math.pi))
 
-    def szego_diverges(self):
-        return True
-
 
 @dataclass(frozen=True)
 class ArcSupported(SpectralModel, variant="arc_supported"):
@@ -630,9 +608,6 @@ class ArcSupported(SpectralModel, variant="arc_supported"):
         return (Singularity(self.alpha, "edge", None),
                 Singularity(-self.alpha, "edge", None))
 
-    def szego_diverges(self):
-        return True
-
     def covariances(self, kmax, ar):
         a, lv = self.alpha, self.level
         k = ar.arange(1, kmax + 1)
@@ -652,15 +627,6 @@ class Product(SpectralModel, variant="product"):
 
     def log_values(self, lam):
         return self.left.log_values(lam) + self.right.log_values(lam)
-
-    def origin_exponent(self):
-        a, b = self.left.origin_exponent(), self.right.origin_exponent()
-        if a is None or b is None:
-            return None
-        return a + b
-
-    def children(self):
-        return (self.left, self.right)
 
     def falpha_reduction(self, ar):
         left, right = self.left.falpha_reduction(ar), self.right.falpha_reduction(ar)
@@ -689,12 +655,6 @@ class Scaled(SpectralModel, variant="scaled"):
         if self.factor == 0.0:
             return np.full_like(np.asarray(lam, dtype=float), -np.inf)
         return math.log(self.factor) + self.model.log_values(lam)
-
-    def origin_exponent(self):
-        return self.model.origin_exponent() if self.factor > 0 else None
-
-    def children(self):
-        return (self.model,)
 
     def zero_density(self):
         return self.factor == 0.0 or super().zero_density()
@@ -727,16 +687,8 @@ class FrequencyShifted(SpectralModel, variant="frequency_shifted"):
         return self.model.log_values(_reduce_angle(np.asarray(lam, dtype=float) + self.shift))
 
     def singularities(self):
-        return tuple(replace(s, angle=float(_reduce_angle(s.angle - self.shift)))
-                     for s in self.model.singularities())
-
-    def origin_exponent(self):
-        if self.shift == 0.0:
-            return self.model.origin_exponent()
-        return None
-
-    def children(self):
-        return (self.model,)
+        return _merge_singularities(replace(s, angle=float(_reduce_angle(s.angle - self.shift)))
+                                    for s in self.model.singularities())
 
     def _axis_sign(self):
         """1.0 for a shift by 0, -1.0 for one by +/-pi, None for any other."""
@@ -754,17 +706,24 @@ class FrequencyShifted(SpectralModel, variant="frequency_shifted"):
         return None if inner is None else (inner[0] * sign ** np.arange(kmax + 1), inner[1])
 
 
+#: which kind stays where two singularities meet
+_RANK = {"algebraic": 0, "essential": 1, "edge": 2}
+
+
 def _merge_singularities(sings):
+    """One singularity per angle (to 12 places), of the higher kind in _RANK,
+    the faster of two essential zeros.  Algebraic exponents add, also onto an
+    edge, where they are f's power on its live side."""
     seen = {}
     for s in sings:
-        prev = seen.get(round(s.angle, 12))
-        if prev is None:
-            seen[round(s.angle, 12)] = s
-        elif prev.kind == "algebraic" and s.kind == "algebraic":
-            seen[round(s.angle, 12)] = Singularity(prev.angle, "algebraic",
-                                                   prev.exponent + s.exponent)
-        elif s.kind == "essential" and (prev.kind != "essential" or s.rate > prev.rate):
-            seen[round(s.angle, 12)] = s
+        prev = seen.setdefault(round(s.angle, 12), s)
+        if prev is s:
+            continue
+        top = max(prev, s, key=lambda t: (_RANK[t.kind], t.rate or 0.0))
+        if top.kind != "essential":
+            powers = [t.exponent for t in (prev, s) if t.exponent is not None]
+            top = Singularity(prev.angle, top.kind, sum(powers[1:], powers[0]) if powers else None)
+        seen[round(s.angle, 12)] = top
     return tuple(seen.values())
 
 
@@ -823,8 +782,8 @@ def szego_integral(model: SpectralModel):
     """integral of ln f over [-pi, pi], or MINUS_INFINITY.
 
     Divergence (density vanishing on a set of positive measure, or a
-    non-integrable contact at a point) is detected from the variant, never
-    from the size of a quadrature result.  The integrand is symmetrized over
+    non-integrable contact at a point) is read off the declared singularities,
+    never from the size of a quadrature result.  The integrand is symmetrized over
     +/-lambda, so the value is correct for shifted (non-even) models too.
     """
     if model.szego_diverges():
@@ -861,13 +820,10 @@ def classify(measure) -> Classification:
     """Regularity and memory labels for a measure (or bare model)."""
     measure = as_measure(measure)
     model = measure.density
-    integral = szego_integral(model) if not model.zero_density() else MINUS_INFINITY
-
+    integral = szego_integral(model)
     if integral is MINUS_INFINITY:
-        if model.zero_density() or _contains_arc(model):
-            determinism = "PurelyDeterministic"
-        else:
-            determinism = "LightDeterministic"
+        pure = model.zero_density() or any(s.kind == "edge" for s in model.singularities())
+        determinism = "PurelyDeterministic" if pure else "LightDeterministic"
     else:
         determinism = "Mixed" if measure.atoms else "Regular"
 
@@ -881,10 +837,6 @@ def classify(measure) -> Classification:
     else:
         memory = "Short"
     return Classification(determinism, memory, exponent, integral)
-
-
-def _contains_arc(model) -> bool:
-    return isinstance(model, ArcSupported) or any(map(_contains_arc, model.children()))
 
 
 # ---------------------------------------------------------------------------

@@ -343,17 +343,10 @@ def _fast_length(m: int) -> int:
 
 
 def _inverse_integrable(model) -> bool:
-    """1/f integrable: no zero of order >= 1 and no vanishing on intervals."""
-    if model.szego_diverges() or model.zero_density():
-        return False
-    for s in model.singularities():
-        if s.kind == "essential":
-            return False
-        if s.kind == "edge":
-            return False
-        if s.kind == "algebraic" and s.exponent is not None and s.exponent >= 1.0:
-            return False
-    return True
+    """1/f integrable: f is not zero, and every singularity is an algebraic
+    one of exponent < 1, so no zero of order >= 1 and no vanishing on arcs."""
+    return not model.zero_density() and all(
+        s.kind == "algebraic" and s.exponent < 1.0 for s in model.singularities())
 
 
 def inverse_density_approx_variance(measure, n: int) -> float:

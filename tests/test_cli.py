@@ -224,6 +224,36 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == "numerical-accuracy error: solution out of double range at order 8\n"
 
+    def test_christoffel_out_of_range_is_one_line(self, tmp_path):
+        """At a subnormal scale the reciprocal Christoffel sums read 0: the
+        curve is refused, not printed, with no numpy warning before its line."""
+        path = tmp_path / "wn.json"
+        path.write_text(json.dumps({"variant": "white_noise", "level": 1e-311}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("christoffel", "--model", str(path), "--n", "8")
+        assert code == 3 and out == ""
+        assert err == "numerical-accuracy error: Christoffel value out of double range at order 0\n"
+
+    @pytest.mark.parametrize("model", [
+        {"variant": "power_at_origin", "alpha": -0.26},
+        {"variant": "arfima", "d": 0.38, "base": {"variant": "white_noise"}},
+        {"variant": "product", "left": {"variant": "fgn", "hurst": 0.67},
+         "right": {"variant": "power_at_origin", "alpha": 0.115}},
+    ])
+    def test_shift_by_zero_answers_as_the_model(self, tmp_path, model):
+        """A shift by 0 leaves every angle as it is, so graded nodes near the
+        pole stay off it: the sample-mean variance is the bare model's."""
+        bare, shifted = tmp_path / "bare.json", tmp_path / "shifted.json"
+        bare.write_text(json.dumps(model))
+        shifted.write_text(json.dumps({"variant": "frequency_shifted", "model": model,
+                                       "shift": 0.0}))
+        argv = ("variance", "--estimator", "lse", "--n", "1024", "--model")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = [run_json(*argv, str(path))["result"] for path in (shifted, bare)]
+        assert results[0] == results[1]
+
     def test_memory_error_is_two(self, model_dir, monkeypatch):
         """An order too large for memory is refused like any invalid input."""
         def exhausted(*args, **kwargs):

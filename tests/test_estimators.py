@@ -212,6 +212,15 @@ class TestVarianceUnder:
         with pytest.raises(st.AccuracyError):
             st.variance_under(st.EstimatorWeights(np.full(5, 0.2)), st.PowerAtOrigin(1.0))
 
+    def test_kernel_route_runs_once_per_measure_and_order(self):
+        """`efficiency_finite` reads the cross-check `variance_under` just ran:
+        measures compare by value, so one built anew hits too."""
+        estimators._lse_fejer_variance.cache_clear()
+        st.variance_under(st.lse_weights(64), st.FgnDensity(0.7))
+        st.efficiency_finite(st.lse_weights(64), st.SpectralMeasure(st.FgnDensity(0.7)))
+        info = estimators._lse_fejer_variance.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     def test_other_weights_skip_the_kernel_route(self, monkeypatch):
         calls = []
         monkeypatch.setattr(estimators, "_lse_fejer_variance",

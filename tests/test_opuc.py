@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -50,6 +51,23 @@ class TestRecursion:
         measure = st.SpectralMeasure(st.WhiteNoise(0.0), atoms)
         with pytest.raises((st.NearTrivialMeasureError, st.ValidationError)):
             st.szego_recursion(measure, 4)
+
+
+class TestImmutable:
+    def test_state_and_outer_function_are_read_only(self):
+        """No field of a result can be assigned and no array written into."""
+        state = st.szego_recursion(st.Arma((1.0, -0.5)), 8, probes=(1.0,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.order = 9
+        for array in (state.verblunsky, state.monic_norms, state.moments,
+                      state.phi_at_probes[1.0]):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        with pytest.raises(TypeError):
+            state.phi_at_probes[0.5] = state.phi_at_probes[1.0]
+        outer = st.szego_function(st.Arma((1.0, -0.5)), 0.3)
+        with pytest.raises(ValueError, match="read-only"):
+            outer.log_fourier[0] = 0.0
 
 
 class TestChristoffel:

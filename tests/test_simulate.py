@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -85,6 +86,18 @@ class TestSamplePaths:
         x = batch.paths
         lag1 = float(np.mean(x[:, :-1] * x[:, 1:]))
         assert lag1 == pytest.approx(-1.0, abs=0.1)
+
+
+class TestImmutable:
+    def test_paths_and_estimates_are_read_only(self, white_noise):
+        """No field of a result can be assigned and the paths not written into."""
+        batch = st.sample_paths(white_noise, 8, 4, seed=1)
+        mc = st.monte_carlo_variance(st.lse_weights(7), white_noise, 16, seed=1)
+        for result, field in ((batch, "generator"), (mc, "estimate")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(result, field, None)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.paths[0, 0] = 0.0
 
 
 class TestMonteCarloVariance:

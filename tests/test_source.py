@@ -102,3 +102,21 @@ def test_no_private_name_crosses_modules():
                       and isinstance(node.value, ast.Name) and node.value.id in bound
                       and _private(node.attr)]
     assert crossings == []
+
+
+#: the model variants' class names
+VARIANTS = {cls.__name__ for cls in statmean.SpectralModel.__subclasses__()}
+
+
+def test_no_module_tests_a_model_against_a_variant():
+    """Behaviour that depends on the variant lives on the variant: no module
+    asks `isinstance(model, SomeVariant)`, only of the base class."""
+    found = []
+    for path in PACKAGE:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "isinstance" and len(node.args) == 2):
+                classes = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+                found += [f"{path.name}:{node.lineno} {ast.unparse(c)}" for c in classes
+                          if ast.unparse(c).rpartition(".")[2] in VARIANTS]
+    assert found == []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,107 @@ class TestClassify:
 
     def test_atoms_with_density_mixed(self, atom_measure):
         assert st.classify(atom_measure).determinism == "Mixed"
+
+
+def _fisher_hartwig(base, angle, exponent):
+    """Points at +/-angle, or one point at 0 or pi."""
+    points = (((angle, exponent),) if angle in (0.0, math.pi)
+              else ((angle, exponent), (-angle, exponent)))
+    return st.FisherHartwig(base, points)
+
+
+#: valid leaves: every variant that is not a combinator, with unit MA roots
+LEAVES = hst.one_of(
+    hst.builds(st.WhiteNoise, hst.sampled_from([0.0, 0.05, 1.0 / TWO_PI, 2.0])),
+    hst.builds(st.Arma, hst.sampled_from([(1.0,), (1.0, -1.0), (1.0, 0.5), (1.0, -2.0, 1.0),
+                                          (1.0, 0.0, 1.0)]),
+               hst.sampled_from([(1.0,), (1.0, -0.5), (1.0, 0.3)])),
+    hst.builds(st.PowerAtOrigin, hst.floats(-0.45, 2.0)),
+    hst.builds(st.FgnDensity, hst.floats(0.05, 0.95)),
+    hst.builds(st.FlatZero, hst.sampled_from([0.5, 1.0, 1.5])),
+    hst.builds(st.PollaczekSzego, hst.sampled_from([0.5, 1.0])),
+    hst.builds(st.ArcSupported, hst.sampled_from([0.5, 1.0, math.pi / 2])),
+)
+
+
+def _combinators(children, shifts):
+    return hst.one_of(
+        hst.builds(st.ArfimaFactor, hst.floats(-0.45, 0.45), children),
+        hst.builds(_fisher_hartwig, children, hst.sampled_from([0.0, 0.5, 1.0, math.pi]),
+                   hst.floats(-0.45, 1.0)),
+        hst.builds(st.Product, children, children),
+        hst.builds(st.Scaled, children, hst.sampled_from([0.0, 0.5, 3.0])),
+        hst.builds(st.FrequencyShifted, children, hst.sampled_from(shifts)),
+    )
+
+
+#: nested models whose shifts are all by 0, and nested models with any shift
+UNSHIFTED = hst.recursive(LEAVES, lambda c: _combinators(c, [0.0]), max_leaves=6)
+SHIFTED = hst.recursive(LEAVES, lambda c: _combinators(c, [0.0, 0.3, -1.0, math.pi]),
+                        max_leaves=6)
+LAWS = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+class TestDerivedStructure:
+    """children, origin_exponent and szego_diverges are read off the fields
+    and the declared singularities, so the combinators obey their laws."""
+
+    def test_children_are_the_model_fields_in_order(self):
+        left, right = st.WhiteNoise(0.2), st.PowerAtOrigin(0.3)
+        assert st.Product(left, right).children() == (left, right)
+        assert st.FisherHartwig(left, ((0.0, 0.2),)).children() == (left,)
+        assert st.Arma().children() == ()
+
+    @pytest.mark.parametrize("arc_first", [False, True])
+    def test_an_edge_outlasts_a_point_at_its_angle(self, arc_first):
+        """Fisher-Hartwig points on an arc's edges: the edges stay, carrying
+        the points' power on their live side, so the arc still decides."""
+        points = st.FisherHartwig(st.WhiteNoise(1.0), ((1.0, -0.3), (-1.0, -0.3)))
+        arc = st.ArcSupported(1.0)
+        model = st.Product(arc, points) if arc_first else st.Product(points, arc)
+        assert sorted(model.singularities(), key=lambda s: s.angle) == [
+            Singularity(-1.0, "edge", -0.6), Singularity(1.0, "edge", -0.6)]
+        rec = st.classify(model)
+        assert (rec.determinism, rec.memory, rec.origin_exponent) == (
+            "PurelyDeterministic", "Unclassified", None)
+
+    def test_a_shift_reports_the_shifted_density_at_zero(self):
+        """A pole at pi shifted by pi is a pole at 0."""
+        model = st.FrequencyShifted(st.FisherHartwig(st.WhiteNoise(), ((math.pi, -0.3),)), math.pi)
+        rec = st.classify(model)
+        assert (rec.memory, rec.origin_exponent) == ("Long", -0.6)
+
+    @LAWS
+    @given(a=UNSHIFTED, b=UNSHIFTED)
+    def test_product_adds_origin_exponents(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ea, eb = a.origin_exponent(), b.origin_exponent()
+            assert st.Product(a, b).origin_exponent() == (None if None in (ea, eb) else ea + eb)
+
+    @LAWS
+    @given(model=UNSHIFTED, d=hst.floats(-0.45, 0.45), angle=hst.sampled_from([0.0, 1.0, math.pi]),
+           e=hst.floats(-0.45, 1.0), factor=hst.floats(0.1, 10.0))
+    def test_factors_move_the_origin_exponent(self, model, d, angle, e, factor):
+        """ArfimaFactor(d) subtracts 2d, a Fisher-Hartwig point at 0 adds 2e,
+        and a positive scaling or a shift by 0 keeps it."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e0 = model.origin_exponent()
+            moved = {st.ArfimaFactor(d, model): -2.0 * d,
+                     _fisher_hartwig(model, angle, e): 2.0 * e if angle == 0.0 else 0.0,
+                     st.Scaled(model, factor): 0.0, st.FrequencyShifted(model, 0.0): 0.0}
+            for combined, change in moved.items():
+                assert combined.origin_exponent() == (None if e0 is None else e0 + change)
+
+    @LAWS
+    @given(model=SHIFTED)
+    def test_a_combinator_diverges_with_any_child(self, model):
+        """Whatever the nesting and shifts, the Szego integral of a combinator
+        diverges exactly when its density is zero or a child's diverges."""
+        if model.children():
+            assert model.szego_diverges() == (model.zero_density() or any(
+                c.szego_diverges() for c in model.children()))
 
 
 class TestEvenness:
@@ -428,6 +530,30 @@ class TestShiftInvariance:
     def test_off_axis_shift_rejected_by_covariance(self, ma1):
         with pytest.raises(st.ValidationError):
             st.covariance_sequence(st.FrequencyShifted(ma1, 0.3), 4)
+
+
+class TestShiftByZero:
+    """A shift by 0 is the model itself, bit for bit: angles in [-pi, pi] are
+    not reduced, so graded nodes near a pole at 0 keep their offset."""
+
+    MODELS = [st.PowerAtOrigin(-0.26), st.FgnDensity(0.62),
+              st.ArfimaFactor(0.38, st.WhiteNoise()),
+              st.Product(st.FgnDensity(0.67), st.PowerAtOrigin(0.115))]
+
+    @pytest.mark.parametrize("model", MODELS, ids=lambda m: type(m).__name__)
+    def test_every_answer_is_the_models(self, model):
+        shifted = st.FrequencyShifted(model, 0.0)
+        lam = np.array([-math.pi, -1.0, -1e-19, 1e-300, 1e-19, 0.5, math.pi])
+        n = 1024
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(shifted.values(lam), model.values(lam))
+            a, b = st.covariance_sequence(shifted, n), st.covariance_sequence(model, n)
+            assert np.array_equal(a.values, b.values) and a.provenance == b.provenance
+            for variance in (lambda m: st.variance_under(st.lse_weights(n), m),
+                             lambda m: st.blue_solve(st.system_for(m, n))[1]):
+                assert variance(shifted) == variance(model)
+            assert st.classify(shifted) == st.classify(model)
 
 
 class TestFgnExtremes:

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/fingerprint.py --seed 1
 
-Four digests are printed, one line each:
+Five digests are printed, one line each:
 
 * ``double``: over the first double-sweep round, the `blue_solve` weights and
   variance, `blue_variance_curve`, `reflection_coefficients`,
@@ -16,7 +16,9 @@ Four digests are printed, one line each:
   rows (CSV) without the manifest, or the last line of its error message;
 * ``density``: over the same double-sweep and extended-decay ops, the
   density's `values` at `ANGLES`, so that a change in a density which no
-  covariance integrates still shows.
+  covariance integrates still shows;
+* ``structure``: over `STRUCTURE_MODELS`, each model's `classify` record and
+  its declared `singularities()`.
 
 Two commits that print the same digests for a seed give bitwise the same
 outputs on those ops.  An op that raises contributes its exception's class
@@ -50,6 +52,30 @@ from statmean import (cli, covariance, deterministic, efficiency,  # noqa: E402
 
 #: 257 angles evenly spaced on [-pi, pi], 0 and +/-pi among them
 ANGLES = np.pi * np.linspace(-1.0, 1.0, 257)
+
+_WN, _PI = spectra.WhiteNoise(), math.pi
+#: nested models, shifted ones among them, for the structure digest
+STRUCTURE_MODELS = [
+    _WN, spectra.Arma((1.0, -1.0)), spectra.Arma((1.0, -2.0, 1.0), (1.0, -0.5)),
+    spectra.PowerAtOrigin(0.3), spectra.PowerAtOrigin(-0.26), spectra.FgnDensity(0.7),
+    spectra.ArfimaFactor(0.25, spectra.Arma((1.0, 0.4))),
+    spectra.FisherHartwig(spectra.PowerAtOrigin(0.1), ((0.0, 0.3), (_PI, 0.25))),
+    spectra.FlatZero(0.5), spectra.FlatZero(1.5), spectra.PollaczekSzego(1.0),
+    spectra.ArcSupported(0.5 * _PI),
+    spectra.Product(spectra.FlatZero(1.5), spectra.Scaled(spectra.PollaczekSzego(1.0), 2.0)),
+    spectra.Product(spectra.FgnDensity(0.67), spectra.PowerAtOrigin(0.115)),
+    spectra.Scaled(spectra.ArfimaFactor(-0.3, _WN), 0.0),
+    spectra.Product(spectra.ArcSupported(1.0),
+                    spectra.FisherHartwig(_WN, ((1.0, -0.3), (-1.0, -0.3)))),
+    spectra.FrequencyShifted(
+        spectra.Product(spectra.FgnDensity(0.67), spectra.PowerAtOrigin(0.115)), 0.0),
+    spectra.FrequencyShifted(spectra.FisherHartwig(_WN, ((_PI, -0.3),)), _PI),
+    spectra.FrequencyShifted(spectra.ArfimaFactor(0.38, _WN), _PI),
+    spectra.FrequencyShifted(spectra.FlatZero(0.5), 0.3),
+    spectra.FrequencyShifted(spectra.PollaczekSzego(1.0), 0.0),
+    spectra.FrequencyShifted(spectra.ArcSupported(1.0), _PI),
+    spectra.ArfimaFactor(0.2, spectra.FrequencyShifted(spectra.FgnDensity(0.3), -0.25)),
+]
 
 
 class Digest:
@@ -125,6 +151,13 @@ def _density_values(model):
         return [("values", model.values(ANGLES))]
 
 
+def _structure(model):
+    rec = spectra.classify(model)
+    sings = [(s.angle, s.kind, s.exponent, s.rate) for s in model.singularities()]
+    return [("classify", repr((rec.determinism, rec.memory, rec.origin_exponent,
+                               rec.szego_integral))), ("singularities", repr(sings))]
+
+
 def _cli_outputs(spec, model_dir):
     argv = list(spec["argv"])
     if "model" in spec:
@@ -146,7 +179,7 @@ def _cli_outputs(spec, model_dir):
 
 
 def fingerprint(seed: int) -> dict:
-    double, dd, cli_digest, density = Digest(), Digest(), Digest(), Digest()
+    double, dd, cli_digest, density, structure = (Digest() for _ in range(5))
     for spec in workloads.first_rounds("double-sweep", seed, 1)[0]:
         label = f"op{spec['op']}"
         double.run(label, lambda: _double_outputs(spec))
@@ -162,7 +195,10 @@ def fingerprint(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as model_dir:
         for spec in workloads.first_rounds("cli-oneshot", seed, 1)[0]:
             cli_digest.run(f"op{spec['op']}", lambda: _cli_outputs(spec, model_dir))
-    return {"double": double, "dd": dd, "cli": cli_digest, "density": density}
+    for i, model in enumerate(STRUCTURE_MODELS):
+        structure.run(f"model{i}", lambda: _structure(model))
+    return {"double": double, "dd": dd, "cli": cli_digest, "density": density,
+            "structure": structure}
 
 
 def main(argv=None):
