@@ -1,27 +1,21 @@
 """Covariance sequences r(0..n) from spectral measures.
 
 A variant with a closed form computes it itself (`SpectralModel.covariances`),
-written once over an arithmetic this module supplies: numpy float64 arrays
-for precision="double", the double-double arrays of `ddouble` for
-precision="dd".  The closed forms, the same in both precisions, cover models
-that reduce to a power-at-origin factor times a finite trigonometric
-polynomial (white noise, pure-MA ARMA, fractional factors of those, products,
-scalings), fractional Gaussian noise, ARMA whose AR polynomial has every root
-outside the unit disc, arc-supported indicators, scalings of these, and
-shifts of any of them by 0 or pi; a flat-zero density is integrated by
-Gauss-Legendre quadrature in double-double.  The first group rests on r_alpha
-from one ratio recurrence in double-double, started from binom(2a, a) to
-double-double accuracy; double sums the trigonometric polynomial's terms in
-double-double arithmetic, double-double sums them exactly.  FGN sums its
-second difference of k^2H as a series of one sign in the arithmetic asked
-for; ARMA runs its difference equation in double-double at either precision.
-Every other density (Fisher-Hartwig, ARFIMA or products over an AR part,
-Pollaczek-Szego, an AR polynomial with a root in the unit disc) goes through
-singularity-graded double quadrature, its moments by the nonuniform FFT of
-`quadrature.cosine_moments`, with a refinement cross-check at absolute
-tolerance 1e-12 per coefficient, and has no double-double form.  A density
-that is not finite at a node, such as a pole graded below double resolution,
-is refused before its moments are taken.
+over the arithmetic this module passes it: the module `numpy` for
+precision="double", `ddouble` for precision="dd".  No closed form lives here.
+They are the same in both precisions and cover models that reduce to a
+power-at-origin factor times a finite trigonometric polynomial (white noise,
+pure-MA ARMA, fractional factors of those, products, scalings), fractional
+Gaussian noise, ARMA whose AR polynomial has every root outside the unit
+disc, arc-supported indicators, scalings of these, and shifts of any of them
+by 0 or pi; a flat-zero density integrates itself by Gauss-Legendre
+quadrature in double-double.  Every other density (Fisher-Hartwig, ARFIMA or
+products over an AR part, Pollaczek-Szego, an AR polynomial with a root in
+the unit disc) goes through singularity-graded double quadrature, its moments
+by the nonuniform FFT of `quadrature.cosine_moments`, with a refinement
+cross-check at absolute tolerance 1e-12 per coefficient, and has no
+double-double form.  A density that is not finite at a node, such as a pole
+graded below double resolution, is refused before its moments are taken.
 
 The double-double path produces covariances accurate to a few units of 1e-32,
 required by the exponential-decay studies where Toeplitz variances reach the
@@ -40,7 +34,6 @@ value, so an equal model built anew, say from its document, hits.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -50,61 +43,15 @@ import numpy as np
 from . import ddouble as dd
 from . import quadrature
 from .errors import AccuracyError, ValidationError
-from .spectra import as_measure, check_alpha
+from .spectra import as_measure, check_alpha, falpha
 
 #: absolute tolerance per quadrature coefficient
 QUAD_TOL = 1e-12
 
 
-def _falpha(alpha: float, kmax: int) -> dd.DD:
-    """r_alpha(0..kmax) by the ratio recurrence r(k+1) = r(k) (k-a)/(k+a+1)
-    from r(0) = binom(2a, a) by `dd.central_binomial`, in double-double.  k-a
-    and k+1+a are exact double-double values, so at an integer a the factor
-    k-a is an exact 0 and every later lag an exact +0.0."""
-    check_alpha(alpha)
-    r0 = dd.central_binomial(alpha)
-    k = np.arange(kmax, dtype=float)
-    ratios = dd.DD(*dd.two_sum(k, -alpha)) / dd.DD(*dd.two_sum(k + 1.0, alpha))
-    return dd.DD(np.append(r0.hi, ratios.hi), np.append(r0.lo, ratios.lo)).cumprod()
-
-
 def falpha_covariance_array(alpha: float, kmax: int) -> np.ndarray:
     """r_alpha(0..kmax) rounded once to double: r(0) is correctly rounded."""
-    return np.asarray(_falpha(alpha, kmax))
-
-
-def _falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
-    """gamma_0 r_a(k) + sum_{t>=1} gamma_t (r_a(k+t) + r_a(|k-t|)), k = 0..kmax,
-    in double-double arithmetic on r_a: the double sequence is its hi part,
-    and its lo part the low parts the refinement step reads."""
-    ra = _falpha(alpha, kmax + len(gamma) - 1)
-    k = np.arange(kmax + 1)
-    out = ra[k] * gamma[0]
-    for t in range(1, len(gamma)):
-        out = out + (ra[k + t] + ra[np.abs(k - t)]) * gamma[t]
-    return out
-
-
-def _dd_falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
-    """The sum of `_falpha_sum` in double-double, to a few units of 1e-32
-    relative even where its terms cancel: with m the least lag in the sum at k,
-    r(k) = r_a(m) S(k), where S(k), the sum of gamma_t r_a(j) / r_a(m), is
-    formed in exact rationals and rounded once."""
-    if not np.all(np.isfinite(gamma)):
-        raise AccuracyError("the trigonometric polynomial's coefficients are not finite")
-    big = len(gamma) - 1
-    ra = _falpha(alpha, kmax + big)
-    if not big:
-        return ra * gamma[0]
-    from fractions import Fraction
-    a = Fraction(alpha)
-    ratios = [(i - a) / (i + 1 + a) for i in range(kmax + big)]
-    least, sums = np.maximum(np.arange(kmax + 1) - big, 0), []
-    for k, m in enumerate(least.tolist()):
-        s = sum(Fraction(g) * math.prod(ratios[m:j]) for t, g in enumerate(gamma)
-                for j in ((k + t, abs(k - t)) if t else (k,)))
-        sums.append(dd.exact(s.numerator, s.denominator))
-    return ra[least] * dd.DD(np.array([v.hi for v in sums]), np.array([v.lo for v in sums]))
+    return np.asarray(falpha(alpha, kmax))
 
 
 def covariance_exact_falpha(alpha: float, k: int) -> float:
@@ -252,90 +199,8 @@ def covariance_sequence(measure, n: int, precision: str = "double") -> Covarianc
     return CovarianceSequence(hi, prov, precision=precision, lo=lo)
 
 
-# -- arithmetics -------------------------------------------------------------
-
-def _dd_flat_zero(a: float, kmax: int) -> dd.DD:
-    """r(0..kmax) of exp(-|lam|^-a) by composite 24-node Gauss-Legendre in
-    double-double.
-
-    The integrand is below 1e-45 for lam < (45 ln 10)^(-1/a), so integration
-    starts there and ends at pi in double-double; panels of at most
-    min(6/kmax, 0.05) resolve the fastest oscillation.
-    """
-    cut = (45.0 * math.log(10.0)) ** (-1.0 / a)
-    h = min(6.0 / max(kmax, 1), 0.05)
-    panels = math.ceil((math.pi - cut) / h)
-    edges = dd.DD(np.linspace(cut, math.pi, panels + 1), np.zeros(panels + 1))
-    edges[-1] = dd.PI
-    x, w = quadrature.dd_gl_nodes(24)
-    half = ((edges[1:] - edges[:-1]) * 0.5).reshape(-1, 1)
-    lam = ((edges[1:] + edges[:-1]) * 0.5).reshape(-1, 1) + half * x
-    weights = (half * w * dd.exp(-dd.exp(dd.log(lam) * -a))).reshape(-1)
-    cos = dd.sincos(lam.reshape(-1))[1]
-    block = max(1, _TABLE_SIZE // (kmax + 1))
-    out = 0.0
-    for j in range(0, len(cos), block):
-        out = _cosine_sums(cos[j:j + block], weights[j:j + block], kmax) + out
-    return out * 2.0
-
-
-#: entries of one block of the flat-zero cosine table, which keeps each of
-#: its arrays near 1 MB, and the lag step of its recurrence
-_TABLE_SIZE, _LAG_STEP = 1 << 17, 8
-
-
-def _cosine_sums(cos: dd.DD, g: dd.DD, kmax: int) -> dd.DD:
-    """sum_j g_j cos(k lam_j), k = 0..kmax, from the cos lam_j.
-
-    cos(k lam) = 2 cos(s lam) cos((k-s) lam) - cos((k-2s) lam) gives the lags
-    with s = 1 below 2B and then s = B = _LAG_STEP, B rows at a time: a
-    three-term recurrence of n steps amplifies errors at most n + 1 times.
-    """
-    step, rows = _LAG_STEP, min(2 * _LAG_STEP, kmax + 1)
-    c = dd.empty((rows, len(cos)))
-    c[0], c[1:2] = 1.0, cos
-    twice = dd.DD(2.0 * cos.hi, 2.0 * cos.lo)
-    for k in range(2, rows):
-        c[k] = twice * c[k - 1] - c[k - 2]
-    v = dd.empty((kmax + 1, len(cos)))
-    v[:rows] = c * g
-    if rows > step:
-        twice = dd.DD(2.0 * c.hi[step], 2.0 * c.lo[step])
-    for k in range(rows, kmax + 1, step):
-        top = min(k + step, kmax + 1)
-        v[k:top] = twice * v[k - step:top - step] - v[k - 2 * step:top - 2 * step]
-    # the rows' sums: hi parts by an error-free pairwise tree, the rest in double
-    hi, lo = v.hi, v.lo.sum(axis=1)
-    while hi.shape[1] > 1:
-        if hi.shape[1] % 2:
-            hi = np.pad(hi, ((0, 0), (0, 1)))
-        hi, err = dd.two_sum(hi[:, 0::2], hi[:, 1::2])
-        lo = lo + err.sum(axis=1)
-    return dd.DD(*dd.two_sum(hi[:, 0], lo))
-
-
-#: what the closed forms need of an arithmetic beyond
-#: + - * /, which both take with a double on either side: whether it is the
-#: extended one, arrays by `empty`, integer lags by `arange`, `dot`, pi,
-#: elementwise sin, cos, exp, expm1 and log, gamma of a double, the sum of
-#: `_falpha_sum` by `falpha`, `flat_zero`, r(0..kmax) of exp(-|lam|^-a) by
-#: quadrature where the arithmetic has one, and `exact`, the double-double
-#: record for the double one (None in itself), in which a recurrence runs at
-#: either precision so that the double sequence is rounded once
-Arithmetic = namedtuple(
-    "Arithmetic", "extended empty arange dot pi sin cos exp expm1 log gamma falpha flat_zero exact")
-
-_DD = Arithmetic(True, dd.empty, dd.arange, dd.dot, dd.PI, lambda x: dd.sincos(x)[0],
-                 lambda x: dd.sincos(x)[1], dd.exp, dd.expm1, dd.log,
-                 dd.gamma, _dd_falpha_sum, _dd_flat_zero, None)
-_DOUBLE = Arithmetic(False, np.empty, np.arange, np.dot, math.pi, np.sin, np.cos, np.exp,
-                     np.expm1, np.log, math.gamma, _falpha_sum, None, _DD)
-
-
-def _arithmetic(precision: str) -> Arithmetic:
-    """numpy float64 arrays, or the double-double arrays of `ddouble`."""
+def _arithmetic(precision: str):
+    """The module `numpy` for precision="double", `ddouble` for "dd"."""
     if precision not in ("double", "dd"):
         raise ValidationError(f"unknown precision {precision!r}")
-    return _DD if precision == "dd" else _DOUBLE
-
-
+    return dd if precision == "dd" else np

@@ -11,13 +11,13 @@ two_prod are Knuth's and Dekker's error-free transformations, for floats and
 arrays alike; `grid_split` cuts whole vectors so that their dot products are
 exact in plain double.
 
-The elementary functions are those the closed forms of `covariance` need, by
-the same paper's methods: `exp` and `expm1` reduce by ln 2 and 2^-10 before a
-Taylor series, `log` is one Newton step on `exp`, `gamma` takes Stirling's
-series, and `sin` and `cos` reduce mod 2 pi by a three-part 2 pi and then by
-quadrant.  Series coefficients are exact rationals rounded once to
-double-double; the Bernoulli numbers among them, `bernoulli`, also serve
-`spectra`'s Hurwitz zeta.
+The module is an arithmetic in its own right, read under numpy's names by the
+closed forms of `spectra`.  Its elementary functions follow the same paper:
+`exp` and `expm1` reduce by ln 2 and 2^-10 before a Taylor series, `log` is
+one Newton step on `exp`, `gamma` takes Stirling's series, and `sincos`
+reduces mod 2 pi by a three-part 2 pi and then by quadrant.  Series
+coefficients are exact rationals rounded once to double-double; the Bernoulli
+numbers among them, `bernoulli`, also serve `spectra`'s Hurwitz zeta.
 """
 
 from __future__ import annotations
@@ -204,7 +204,7 @@ def _poly(x, coeffs: DD) -> DD:
     return out
 
 
-PI = DD(3.141592653589793, 1.2246467991473532e-16)
+pi = DD(3.141592653589793, 1.2246467991473532e-16)
 INV_SQRT_PI = DD(0.5641895835477563, 7.66772980658294e-18)
 #: ln 2 and 2 pi, each the sum of three doubles to about 1e-49
 _LN2 = (0.6931471805599453, 2.3190468138462996e-17, 5.707708438416212e-34)
@@ -258,14 +258,22 @@ def sincos(x: DD) -> tuple[DD, DD]:
     parts of 2 pi, then by a quadrant to |t| <= pi/4 for the series."""
     x = _dd(x)
     r = _reduce(x, np.rint(x.hi / _TWO_PI[0]), _TWO_PI)
-    j = np.rint(r.hi / (0.5 * PI.hi))
-    t = r - PI * (0.5 * j)
+    j = np.rint(r.hi / (0.5 * pi.hi))
+    t = r - pi * (0.5 * j)
     u = t * t
     s, c = t * _poly(u, _SIN), _poly(u, _COS)
     odd = j % 2 == 1
     sign_s, sign_c = np.where(j % 4 >= 2, -1.0, 1.0), np.where((j + 1) % 4 >= 2, -1.0, 1.0)
     return (DD(np.where(odd, c.hi, s.hi) * sign_s, np.where(odd, c.lo, s.lo) * sign_s),
             DD(np.where(odd, s.hi, c.hi) * sign_c, np.where(odd, s.lo, c.lo) * sign_c))
+
+
+def sin(x: DD) -> DD:
+    return sincos(x)[0]
+
+
+def cos(x: DD) -> DD:
+    return sincos(x)[1]
 
 
 def read_only(v):
@@ -306,7 +314,7 @@ def gamma(x: float) -> DD:
     j = np.arange(max(0, math.ceil(16.0 - x)), dtype=float)
     y = DD(*two_sum(x, float(len(j))))
     inv = 1.0 / y
-    lead = exp((y - 0.5) * log(y) - y + 0.5 * log(PI * 2.0)
+    lead = exp((y - 0.5) * log(y) - y + 0.5 * log(pi * 2.0)
                + inv * _poly(inv * inv, _gamma_series(False)))
     return lead / DD(*two_sum(x, j)).cumprod()[-1] if len(j) else lead
 

@@ -263,18 +263,22 @@ def decay_rate_from_variances(measure, n_grid, precision: str = "auto") -> Decay
 
 
 def _curve_with_truncation(measure, nmax, precision):
-    """Variance curve as far as its arithmetic resolves: below a breakdown (as
-    the failed pass computed it) and before the first variance under the floor."""
+    """Variance curve as far as its arithmetic resolves: below a breakdown or a
+    double variance out of range (as the failed pass computed it) and before
+    the first variance under the floor."""
     cov = covariance_sequence(measure, nmax, precision=precision)
     kind = "extended" if precision == "dd" else "double"
     try:
         curve, warning = blue_variance_curve(cov, precision=precision), None
     except NearSingularError as err:
-        if err.order <= 2:
+        # a breakdown ran in double-double or carries its reflections; a double
+        # variance out of range, which is under the floor too, does neither
+        breakdown = err.extended or err.reflections is not None
+        if breakdown and err.order <= 2:
             raise
         curve = err.curve[:err.order]
-        warning = (f"grid truncated at order {err.order - 1}: factorization breakdown "
-                   f"in {kind} precision")
+        warning = f"grid truncated at order {err.order - 1}: " + (
+            f"factorization breakdown in {kind} precision" if breakdown else str(err))
     floor = UNIT_ROUNDOFF[precision] * nmax * cov.values[0]
     below = np.flatnonzero(curve < floor)
     if len(below):

@@ -30,6 +30,8 @@ class NearSingularError(StatmeanError):
     the offending one, so callers can locate the first coefficient past their
     own bound, and, on the all-ones pass, the variance curve at the orders
     below the failing one (rounded to double), so they can keep that prefix.
+    A double variance curve out of range is refused with the curve below it
+    and no reflections.
     """
 
     def __init__(self, message: str, order: int, extended: bool = False,

@@ -17,7 +17,8 @@ Gauss-Legendre nodes are interior, so a grid never probes a singular angle.
 The cosine moments of a density on such a grid, the covariances, the Fourier
 coefficients of 1/f and those of ln f, come from one nonuniform FFT,
 `cosine_moments`: O(nodes + kmax log kmax) work, within 2e-15 of sum |w f| of
-a double-double sum at every lag tested up to 4096.
+a double-double sum at every lag tested up to 4096; `dd_cosine_moments` is
+its double-double twin, by a cosine recurrence.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ OSC_RADIANS = 14.0
 #: the Gaussian's aliasing and truncation at lag kmax are both e^-37.7 = 4e-17
 #: of sum |w f|
 SPREAD_HALF_WIDTH, GRID_PER_LAG = 14, 8
+#: entries of one block of `dd_cosine_moments`' cosine table, which keeps each
+#: of its arrays near 1 MB, and the lag step of its recurrence
+_TABLE_SIZE, _LAG_STEP = 1 << 17, 8
 
 
 @lru_cache(maxsize=8)
@@ -177,7 +181,7 @@ def cosine_moments(lam, w, fvals, kmax):
     half, size = SPREAD_HALF_WIDTH, GRID_PER_LAG * (kmax + 1)
     tau = math.pi * half / (size * (size - kmax - 1))
     beta = (math.pi / size) ** 2 / tau
-    cells = float(size) / (2.0 * dd.PI)                # grid cells per radian
+    cells = float(size) / (2.0 * dd.pi)                # grid cells per radian
     hi, lo = dd.two_prod(lam, cells.hi)
     near = np.rint(hi)
     u = (hi - near) + (lo + lam * cells.lo)            # offset from the nearest cell
@@ -196,6 +200,43 @@ def cosine_moments(lam, w, fvals, kmax):
     k = np.arange(kmax + 1)
     scale = 2.0 * math.sqrt(math.pi / tau) / size
     return np.fft.rfft(grid)[:kmax + 1].real * (scale * np.exp(k * k * tau))
+
+
+def dd_cosine_moments(lam, w, fvals, kmax):
+    """The double-double twin of `cosine_moments`: m[k] = 2 * sum w * cos(k*lam)
+    * f, k = 0..kmax, for `dd.DD` nodes, weights and values.
+
+    In blocks of nodes whose cosine table holds at most _TABLE_SIZE entries,
+    cos(k lam) = 2 cos(s lam) cos((k-s) lam) - cos((k-2s) lam) gives the lags
+    with s = 1 below 2B and then s = B = _LAG_STEP, B rows at a time: a
+    three-term recurrence of n steps amplifies errors at most n + 1 times.
+    """
+    step, rows = _LAG_STEP, min(2 * _LAG_STEP, kmax + 1)
+    block, out = max(1, _TABLE_SIZE // (kmax + 1)), 0.0
+    cosines, weighted = dd.cos(lam), w * fvals        # each one call over every node
+    for j in range(0, len(lam), block):
+        cos, g = cosines[j:j + block], weighted[j:j + block]
+        c = dd.empty((rows, len(cos)))
+        c[0], c[1:2] = 1.0, cos
+        twice = dd.DD(2.0 * cos.hi, 2.0 * cos.lo)
+        for k in range(2, rows):
+            c[k] = twice * c[k - 1] - c[k - 2]
+        v = dd.empty((kmax + 1, len(cos)))
+        v[:rows] = c * g
+        if rows > step:
+            twice = dd.DD(2.0 * c.hi[step], 2.0 * c.lo[step])
+        for k in range(rows, kmax + 1, step):
+            top = min(k + step, kmax + 1)
+            v[k:top] = twice * v[k - step:top - step] - v[k - 2 * step:top - 2 * step]
+        # the rows' sums: hi parts by an error-free pairwise tree, the rest in double
+        hi, lo = v.hi, v.lo.sum(axis=1)
+        while hi.shape[1] > 1:
+            if hi.shape[1] % 2:
+                hi = np.pad(hi, ((0, 0), (0, 1)))
+            hi, err = dd.two_sum(hi[:, 0::2], hi[:, 1::2])
+            lo = lo + err.sum(axis=1)
+        out = dd.DD(*dd.two_sum(hi[:, 0], lo)) + out
+    return out * 2.0
 
 
 def log_integral_grid(model):

@@ -7,6 +7,11 @@ edge (f vanishing on an arc), are read off those declarations alone, so
 quadrature grids are graded toward the same angles and classification never
 compares a float against a huge negative number.
 
+A variant with closed-form covariances computes them in `covariances`,
+written once over an arithmetic `ar`, the module `numpy` or `ddouble`; `ar is
+dd` asks for the extended one.  The sums over the power law's `falpha` live
+here with the variants that use them.
+
 Conventions
 -----------
 * Covariances are plain Fourier coefficients of the measure,
@@ -27,8 +32,8 @@ from dataclasses import MISSING, dataclass, fields, replace
 import numpy as np
 
 from . import ddouble as dd
-from .errors import ValidationError
-from .quadrature import log_integral_grid
+from .errors import AccuracyError, ValidationError
+from .quadrature import dd_cosine_moments, dd_gl_nodes, log_integral_grid
 
 TWO_PI = 2.0 * math.pi
 
@@ -94,6 +99,52 @@ def check_alpha(alpha: float):
     where |1 - e^{i lam}|^{2 alpha} is integrable."""
     if not -0.5 < alpha < math.inf:
         raise ValidationError("alpha must be finite with alpha > -1/2")
+
+
+def falpha(alpha: float, kmax: int) -> dd.DD:
+    """r_alpha(0..kmax) by the ratio recurrence r(k+1) = r(k) (k-a)/(k+a+1)
+    from r(0) = binom(2a, a) by `dd.central_binomial`, in double-double.  k-a
+    and k+1+a are exact double-double values, so at an integer a the factor
+    k-a is an exact 0 and every later lag an exact +0.0."""
+    check_alpha(alpha)
+    r0 = dd.central_binomial(alpha)
+    k = np.arange(kmax, dtype=float)
+    ratios = dd.DD(*dd.two_sum(k, -alpha)) / dd.DD(*dd.two_sum(k + 1.0, alpha))
+    return dd.DD(np.append(r0.hi, ratios.hi), np.append(r0.lo, ratios.lo)).cumprod()
+
+
+def _falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
+    """gamma_0 r_a(k) + sum_{t>=1} gamma_t (r_a(k+t) + r_a(|k-t|)), k = 0..kmax,
+    in double-double arithmetic on r_a: the double sequence is its hi part,
+    and its lo part the low parts the refinement step reads."""
+    ra = falpha(alpha, kmax + len(gamma) - 1)
+    k = np.arange(kmax + 1)
+    out = ra[k] * gamma[0]
+    for t in range(1, len(gamma)):
+        out = out + (ra[k + t] + ra[np.abs(k - t)]) * gamma[t]
+    return out
+
+
+def _dd_falpha_sum(alpha: float, kmax: int, gamma) -> dd.DD:
+    """The sum of `_falpha_sum` in double-double, to a few units of 1e-32
+    relative even where its terms cancel: with m the least lag in the sum at k,
+    r(k) = r_a(m) S(k), where S(k), the sum of gamma_t r_a(j) / r_a(m), is
+    formed in exact rationals and rounded once."""
+    if not np.all(np.isfinite(gamma)):
+        raise AccuracyError("the trigonometric polynomial's coefficients are not finite")
+    big = len(gamma) - 1
+    ra = falpha(alpha, kmax + big)
+    if not big:
+        return ra * gamma[0]
+    from fractions import Fraction
+    a = Fraction(alpha)
+    ratios = [(i - a) / (i + 1 + a) for i in range(kmax + big)]
+    least, sums = np.maximum(np.arange(kmax + 1) - big, 0), []
+    for k, m in enumerate(least.tolist()):
+        s = sum(Fraction(g) * math.prod(ratios[m:j]) for t, g in enumerate(gamma)
+                for j in ((k + t, abs(k - t)) if t else (k,)))
+        sums.append(dd.exact(s.numerator, s.denominator))
+    return ra[least] * dd.DD(np.array([v.hi for v in sums]), np.array([v.lo for v in sums]))
 
 
 #: model classes by their `variant`, the discriminator of a model document
@@ -172,18 +223,20 @@ class SpectralModel:
         return None
 
     def covariances(self, kmax: int, ar):
-        """(r(0..kmax), provenance) in the arithmetic `ar` of `covariance`, or
-        None without a closed form.  Parameters enter as doubles, on either
-        side of the arithmetic's numbers.
+        """(r(0..kmax), provenance) in the arithmetic `ar`, the module `numpy`
+        or `ddouble`, or None without a closed form.  Parameters enter as
+        doubles, on either side of the arithmetic's numbers.
 
         The default evaluates the reduction: r(k) = C * [gamma_0 r_a(k) +
-        sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))], the bracket by `ar.falpha`.
+        sum_{t>=1} gamma_t (r_a(k+t) + r_a(k-t))], the bracket in double-double
+        arithmetic on r_a in double (`_falpha_sum`), to a few units of 1e-32
+        in double-double (`_dd_falpha_sum`).
         """
         red = self.falpha_reduction(ar)
         if red is None:
             return None
         alpha, c, gamma = red
-        return ar.falpha(alpha, kmax, gamma) * c, "exact"
+        return (_dd_falpha_sum if ar is dd else _falpha_sum)(alpha, kmax, gamma) * c, "exact"
 
     def to_json(self) -> dict:
         return {"variant": self.variant, **_fields_json(self)}
@@ -281,9 +334,8 @@ class Arma(SpectralModel, variant="arma"):
         disc, no causal solution."""
         if len(self.ar) == 1:
             return super().covariances(kmax, ar)
-        ar = ar.exact or ar
         p, q = len(self.ar) - 1, len(self.ma) - 1
-        psi, theta = ar.empty(p + 1), ar.empty(q + 1)
+        psi, theta = dd.empty(p + 1), dd.empty(q + 1)
         psi[:], theta[:] = self.ar, self.ma
         polys, refl, e = [psi / psi[0]], [], self.scale / (psi[0] * psi[0])
         for m in range(p, 0, -1):
@@ -294,15 +346,15 @@ class Arma(SpectralModel, variant="arma"):
             e = e / (1.0 - k * k)
             polys.append((a[:m] - a[m:0:-1] * k) / (1.0 - k * k))
         size = max(kmax + q, p) + 1
-        gam = ar.empty(size + _AR_BLOCK)
+        gam = dd.empty(size + _AR_BLOCK)
         gam[0] = e
         for m in range(1, p + 1):
             k = refl[p - m]
-            gam[m] = -(k * e) - ar.dot(polys[p - m + 1][1:m], gam[m - 1:0:-1])
+            gam[m] = -(k * e) - dd.dot(polys[p - m + 1][1:m], gam[m - 1:0:-1])
             e = e * (1.0 - k * k)
         # the difference equation _AR_BLOCK lags at a time: row t of `step`
         # holds the weights of gamma(k0-1-j), j < p, in gamma(k0-p+t)
-        phi, step = polys[0], ar.empty((_AR_BLOCK + p, p))
+        phi, step = polys[0], dd.empty((_AR_BLOCK + p, p))
         step[:p] = np.eye(p)[::-1]
         for t in range(p, _AR_BLOCK + p):
             row = -(step[t - 1] * phi[1])
@@ -315,9 +367,9 @@ class Arma(SpectralModel, variant="arma"):
                 block = block + step[p:, j] * gam[k0 - 1 - j]
             gam[k0:k0 + _AR_BLOCK] = block
         k = np.arange(kmax + 1)
-        out = gam[k] * ar.dot(theta, theta)
+        out = gam[k] * dd.dot(theta, theta)
         for t in range(1, q + 1):
-            out = out + (gam[k + t] + gam[np.abs(k - t)]) * ar.dot(theta[:q + 1 - t], theta[t:])
+            out = out + (gam[k + t] + gam[np.abs(k - t)]) * dd.dot(theta[:q + 1 - t], theta[t:])
         return out, "exact"
 
 
@@ -451,8 +503,9 @@ class FgnDensity(SpectralModel, variant="fgn"):
         r0 k^2H sum_{j>=1} C(2H, 2j) k^-2j, whose terms share one sign and
         shrink at least 4-fold, so nothing cancels and 28 terms reach double
         rounding, 56 double-double's."""
-        h2, terms = 2.0 * self.hurst, 56 if ar.extended else 28
-        r0 = ar.pi * (2.0 * self.scale) / (ar.gamma(h2) * h2 * ar.sin(ar.pi * self.hurst))
+        h2, terms = 2.0 * self.hurst, 56 if ar is dd else 28
+        gamma = dd.gamma if ar is dd else math.gamma       # numpy has none
+        r0 = ar.pi * (2.0 * self.scale) / (gamma(h2) * h2 * ar.sin(ar.pi * self.hurst))
         out = ar.empty(kmax + 1)
         out[0] = r0
         j = ar.arange(0, 2 * terms, 2)
@@ -545,9 +598,26 @@ class FlatZero(SpectralModel, variant="flat_zero"):
         return (Singularity(0.0, "essential", rate=self.a),)
 
     def covariances(self, kmax, ar):
-        if ar.flat_zero is None:
+        """r(0..kmax) by composite 24-node Gauss-Legendre in double-double, None
+        in double, where the covariance quadrature integrates it.
+
+        The integrand is below 1e-45 for lam < (45 ln 10)^(-1/a), so integration
+        starts there and ends at pi in double-double; panels of at most
+        min(6/kmax, 0.05) resolve the fastest oscillation.
+        """
+        if ar is not dd:
             return None
-        return ar.flat_zero(self.a, kmax), "quadrature"
+        cut = (45.0 * math.log(10.0)) ** (-1.0 / self.a)
+        h = min(6.0 / max(kmax, 1), 0.05)
+        panels = math.ceil((math.pi - cut) / h)
+        edges = dd.DD(np.linspace(cut, math.pi, panels + 1), np.zeros(panels + 1))
+        edges[-1] = dd.pi
+        x, w = dd_gl_nodes(24)
+        half = ((edges[1:] - edges[:-1]) * 0.5).reshape(-1, 1)
+        lam = ((edges[1:] + edges[:-1]) * 0.5).reshape(-1, 1) + half * x
+        f = dd.exp(-dd.exp(dd.log(lam) * -self.a))
+        return dd_cosine_moments(lam.reshape(-1), (half * w).reshape(-1), f.reshape(-1),
+                                 kmax), "quadrature"
 
 
 @dataclass(frozen=True)

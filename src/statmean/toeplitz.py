@@ -108,8 +108,8 @@ def _levinson(r):
     pivot and variance loss; its reflection bound, compared with the
     reflection rounded to double, is 1.0.
     """
-    extended = isinstance(r, dd.DD)
-    empty, dot = (dd.empty, dd.dot) if extended else (np.empty, np.dot)
+    ar = dd if isinstance(r, dd.DD) else np
+    extended, empty, dot = ar is dd, ar.empty, ar.dot
 
     def breakdown(what, m, reflections=None):
         note = (" in double-double precision" if extended
@@ -289,8 +289,16 @@ def blue_solve(system: ToeplitzSystem):
 
 
 def blue_variance_curve(covariance: CovarianceSequence, precision: str = "double"):
-    """Variance of the optimal estimator at every order 0..n in one pass."""
-    return np.array(_pass_for(covariance, precision).curve, dtype=float)
+    """Variance of the optimal estimator at every order 0..n in one pass.  A
+    double curve that reads 0 at order m (r(0) at a subnormal scale) is
+    refused, with the orders below m on the error."""
+    curve = np.array(_pass_for(covariance, precision).curve, dtype=float)
+    lost = np.flatnonzero(~(curve > 0.0))
+    if precision == "double" and lost.size:
+        m = int(lost[0])
+        raise NearSingularError(f"variance out of double range at order {m}", order=m,
+                                curve=curve[:m])
+    return curve
 
 
 def reflection_coefficients(r):

@@ -191,7 +191,7 @@ def test_log_over_the_flat_zero_range():
     lam = np.concatenate((np.geomspace(1e-3, 1.0, 200), np.linspace(1.0, 3.2, 200)))
     with mpmath.workdps(DPS):
         assert_close(dd.log(exact_dd(lam)), [mpmath.log(mpmath.mpf(v)) for v in lam])
-        assert_close(dd.log(dd.PI), [mpmath.log(mpmath.pi)])
+        assert_close(dd.log(dd.pi), [mpmath.log(mpmath.pi)])
 
 
 def test_expm1_keeps_its_relative_accuracy_near_zero():

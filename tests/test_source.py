@@ -6,9 +6,11 @@ import ast
 import graphlib
 import pathlib
 
+import numpy as np
 import pytest
 
 import statmean
+from statmean import ddouble
 
 PACKAGE = sorted(pathlib.Path(statmean.__file__).parent.glob("*.py"))
 
@@ -120,3 +122,15 @@ def test_no_module_tests_a_model_against_a_variant():
                 found += [f"{path.name}:{node.lineno} {ast.unparse(c)}" for c in classes
                           if ast.unparse(c).rpartition(".")[2] in VARIANTS]
     assert found == []
+
+
+@pytest.mark.parametrize("name", ["spectra.py", "covariance.py"])
+def test_closed_forms_read_only_what_numpy_and_ddouble_both_have(name):
+    """A closed form is written once over its arithmetic `ar`, the module
+    numpy or ddouble itself: every name the module reads off `ar` exists on
+    both, so no record stands between them."""
+    tree = ast.parse((pathlib.Path(statmean.__file__).parent / name).read_text())
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "ar"}
+    assert read
+    assert sorted(a for a in read if not (hasattr(np, a) and hasattr(ddouble, a))) == []

@@ -481,6 +481,19 @@ class TestOnesPass:
         assert info.value.extended and info.value.order == 0
         assert np.all(np.isinf(x)) and np.all(curve == 0.0)    # left to its callers
 
+    def test_double_curve_out_of_range_is_refused_by_its_reader(self):
+        """The double pass leaves a curve that reads 0 at a subnormal r(0) to
+        its callers: the public reader refuses it, with no numpy warning, and
+        carries the orders below the first 0."""
+        cov = st.covariance_sequence(st.WhiteNoise(1e-311), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(st.NearSingularError,
+                               match="^variance out of double range at order 0$") as info:
+                st.blue_variance_curve(cov)
+        assert info.value.order == 0 and len(info.value.curve) == 0
+        assert not info.value.extended and info.value.reflections is None
+
     @pytest.mark.parametrize("measure", [st.PowerAtOrigin(1.37), st.FgnDensity(0.8),
                                          st.Arma(ma=(1.0,), ar=(1.0, -0.7))])
     def test_curve_is_the_christoffel_curve_at_one(self, measure):

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/fingerprint.py --seed 1
 
-Five digests are printed, one line each:
+Six digests are printed, one line each:
 
 * ``double``: over the first double-sweep round, the `blue_solve` weights and
   variance, `blue_variance_curve`, `reflection_coefficients`,
@@ -18,7 +18,10 @@ Five digests are printed, one line each:
   density's `values` at `ANGLES`, so that a change in a density which no
   covariance integrates still shows;
 * ``structure``: over `STRUCTURE_MODELS`, each model's `classify` record and
-  its declared `singularities()`.
+  its declared `singularities()`;
+* ``covariance``: over `COVARIANCE_MEASURES`, which reach every closed form,
+  the `covariance_sequence` `values`, `lo` and `provenance` at each order in
+  `COVARIANCE_ORDERS`, in double and in double-double.
 
 Two commits that print the same digests for a seed give bitwise the same
 outputs on those ops.  An op that raises contributes its exception's class
@@ -76,6 +79,22 @@ STRUCTURE_MODELS = [
     spectra.FrequencyShifted(spectra.ArcSupported(1.0), _PI),
     spectra.ArfimaFactor(0.2, spectra.FrequencyShifted(spectra.FgnDensity(0.3), -0.25)),
 ]
+
+_ARMA = spectra.Arma((1.0, 0.4), (1.0, -0.5))
+#: measures whose covariances reach every closed form, the flat-zero
+#: quadrature and the double quadrature, for the covariance digest
+COVARIANCE_MEASURES = [
+    _WN, spectra.PowerAtOrigin(0.3), spectra.PowerAtOrigin(1.0),
+    spectra.Arma((1.0, -1.0)), _ARMA, spectra.ArfimaFactor(0.25, spectra.Arma((1.0, 0.4))),
+    spectra.Product(spectra.PowerAtOrigin(0.2), spectra.Arma((1.0, 0.5))),
+    spectra.FgnDensity(0.7), spectra.Scaled(spectra.FgnDensity(0.3), 2.5),
+    spectra.ArcSupported(0.5 * _PI), spectra.Scaled(spectra.ArcSupported(1.0), 0.5),
+    spectra.FrequencyShifted(spectra.PowerAtOrigin(0.3), 0.0),
+    spectra.FrequencyShifted(_ARMA, _PI), spectra.FlatZero(0.5),
+    spectra.SpectralMeasure(_WN, ((0.0, 0.5), (1.0, 0.25))),
+    spectra.FisherHartwig(_WN, ((1.0, 0.3), (-1.0, 0.3))),
+]
+COVARIANCE_ORDERS = (64, 1024)
 
 
 class Digest:
@@ -158,6 +177,12 @@ def _structure(model):
                                rec.szego_integral))), ("singularities", repr(sings))]
 
 
+def _covariances(measure, n, precision):
+    cov = covariance.covariance_sequence(measure, n, precision=precision)
+    lo = "none" if cov.lo is None else cov.lo
+    return [("values", cov.values), ("lo", lo), ("provenance", cov.provenance)]
+
+
 def _cli_outputs(spec, model_dir):
     argv = list(spec["argv"])
     if "model" in spec:
@@ -179,7 +204,7 @@ def _cli_outputs(spec, model_dir):
 
 
 def fingerprint(seed: int) -> dict:
-    double, dd, cli_digest, density, structure = (Digest() for _ in range(5))
+    double, dd, cli_digest, density, structure, cov = (Digest() for _ in range(6))
     for spec in workloads.first_rounds("double-sweep", seed, 1)[0]:
         label = f"op{spec['op']}"
         double.run(label, lambda: _double_outputs(spec))
@@ -197,8 +222,12 @@ def fingerprint(seed: int) -> dict:
             cli_digest.run(f"op{spec['op']}", lambda: _cli_outputs(spec, model_dir))
     for i, model in enumerate(STRUCTURE_MODELS):
         structure.run(f"model{i}", lambda: _structure(model))
+    for i, measure in enumerate(COVARIANCE_MEASURES):
+        for n in COVARIANCE_ORDERS:
+            for precision in ("double", "dd"):
+                cov.run(f"model{i}.{n}.{precision}", lambda: _covariances(measure, n, precision))
     return {"double": double, "dd": dd, "cli": cli_digest, "density": density,
-            "structure": structure}
+            "structure": structure, "covariance": cov}
 
 
 def main(argv=None):
