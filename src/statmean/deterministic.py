@@ -20,12 +20,12 @@ from .covariance import covariance_sequence
 from .ddouble import read_only
 from .errors import AccuracyError, NearSingularError, ValidationError
 from .spectra import as_measure
-from .toeplitz import blue_variance_curve
+from .toeplitz import levinson_pass
 
 LAWSON_MAX_ITERATIONS = 500
 LAWSON_RTOL = 1e-8
 LAWSON_WEIGHT_FLOOR = 1e-14
-#: switch to double-double once the predicted variance drops below this
+#: switch to double-double once the predicted variance drops below this times r(0)
 EXTENDED_PRECISION_THRESHOLD = 1e-12
 #: unit roundoff of each arithmetic; a variance below u * nmax * r(0) is noise
 UNIT_ROUNDOFF = {"double": 2.0 ** -53, "dd": 2.0 ** -104}
@@ -215,9 +215,10 @@ def decay_rate_from_variances(measure, n_grid, precision: str = "auto") -> Decay
     rho is the geometric mean of sigma_{n+1}/sigma_n over the top half of the
     reachable grid.  Extended double-double precision engages automatically
     when the predicted next variance (previous point times rho^2) falls below
-    1e-12.  The curve stops before its first variance below u * nmax * r(0)
-    (u the arithmetic's unit roundoff), or where the factorization breaks
-    down; either truncates the grid and is recorded in the warning.
+    1e-12 r(0).  The curve stops before its first variance below u * nmax *
+    r(0) (u the arithmetic's unit roundoff), or where the Levinson pass stops
+    short; either truncates the grid and is recorded in the warning.  When no
+    grid point is left, a pass that stopped short names why.
     """
     measure = as_measure(measure)
     if precision not in ("auto", "double", "dd"):
@@ -228,10 +229,10 @@ def decay_rate_from_variances(measure, n_grid, precision: str = "auto") -> Decay
     nmax = n_grid[-1] + 1
 
     used = "double" if precision in ("auto", "double") else "dd"
-    curve, warning = _curve_with_truncation(measure, nmax, used)
+    curve, warning, stop = _curve_with_truncation(measure, nmax, used)
     if precision == "auto" and (warning or _needs_extended(curve)):
         try:
-            curve, warning = _curve_with_truncation(measure, nmax, "dd")
+            curve, warning, stop = _curve_with_truncation(measure, nmax, "dd")
             used = "dd"
         except ValidationError:
             pass        # no extended covariance for this model; keep double
@@ -239,8 +240,7 @@ def decay_rate_from_variances(measure, n_grid, precision: str = "auto") -> Decay
     reachable = len(curve) - 1
     orders = np.array([n for n in n_grid if n + 1 <= reachable])
     if len(orders) == 0:
-        raise NearSingularError("no grid point reachable", order=reachable,
-                                extended=used == "dd")
+        raise NearSingularError(stop or "no grid point reachable", order=len(curve))
     if len(orders) < len(n_grid) and warning is None:
         warning = f"grid truncated at order {reachable - 1}"
 
@@ -263,36 +263,32 @@ def decay_rate_from_variances(measure, n_grid, precision: str = "auto") -> Decay
 
 
 def _curve_with_truncation(measure, nmax, precision):
-    """Variance curve as far as its arithmetic resolves: below a breakdown or a
-    double variance out of range (as the failed pass computed it) and before
-    the first variance under the floor."""
+    """Variance curve as far as its arithmetic resolves, with the warning that
+    says where it ends and the pass's stop if that ended it: the pass's curve,
+    below a breakdown or a variance out of range, cut before the first
+    variance under the floor.  A breakdown at order 2 or below is raised."""
     cov = covariance_sequence(measure, nmax, precision=precision)
     kind = "extended" if precision == "dd" else "double"
-    try:
-        curve, warning = blue_variance_curve(cov, precision=precision), None
-    except NearSingularError as err:
-        # a breakdown ran in double-double or carries its reflections; a double
-        # variance out of range, which is under the floor too, does neither
-        breakdown = err.extended or err.reflections is not None
-        if breakdown and err.order <= 2:
-            raise
-        curve = err.curve[:err.order]
-        warning = f"grid truncated at order {err.order - 1}: " + (
-            f"factorization breakdown in {kind} precision" if breakdown else str(err))
+    entry = levinson_pass(cov.values, cov.lo if precision == "dd" else None)
+    curve, warning, stop = np.array(entry.curve, dtype=float), None, entry.stop
+    if stop:
+        m = len(curve)
+        breakdown = entry.x is None             # a variance loss still forms x
+        if breakdown and m <= 2:
+            raise entry.refusal()
+        warning = f"grid truncated at order {m - 1}: " + (
+            f"factorization breakdown in {kind} precision" if breakdown else stop)
     floor = UNIT_ROUNDOFF[precision] * nmax * cov.values[0]
     below = np.flatnonzero(curve < floor)
     if len(below):
-        curve = curve[:below[0]]
+        curve, stop = curve[:below[0]], None
         warning = (f"grid truncated at order {below[0] - 1}: variance at order {below[0]} "
                    f"below the {kind} rounding floor {floor:.3g}")
-    return curve, warning
+    return curve, warning, stop
 
 
 def _needs_extended(curve) -> bool:
-    if curve[-1] < EXTENDED_PRECISION_THRESHOLD:
-        return True
-    if len(curve) > 2 and curve[-2] > 0:
-        predicted = curve[-1] * (curve[-1] / curve[-2])
-        if predicted < EXTENDED_PRECISION_THRESHOLD:
-            return True
-    return False
+    """The last variance, or the next one predicted from the last ratio, below
+    EXTENDED_PRECISION_THRESHOLD r(0), r(0) = curve[0]."""
+    ratio = curve[-1] / curve[-2] if len(curve) > 2 and curve[-2] > 0 else 1.0
+    return curve[-1] * min(ratio, 1.0) < EXTENDED_PRECISION_THRESHOLD * curve[0]

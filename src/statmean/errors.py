@@ -24,23 +24,18 @@ class AccuracyError(StatmeanError):
 
 
 class NearSingularError(StatmeanError):
-    """A Toeplitz factorization broke down (reflection magnitude too close to 1).
+    """A Toeplitz pass stopped short of the order asked: a breakdown (reflection
+    magnitude too close to 1), a lost pivot, or a variance out of range.
 
-    The recursion also carries the reflections it computed up to and including
-    the offending one, so callers can locate the first coefficient past their
-    own bound, and, on the all-ones pass, the variance curve at the orders
-    below the failing one (rounded to double), so they can keep that prefix.
-    A double variance curve out of range is refused with the curve below it
-    and no reflections.
+    Raised by the readers of the pass that need the whole order; the pass
+    itself, with the orders it reached, is `toeplitz.levinson_pass`.  order
+    is where it stopped: for a stop of the pass, the first order its variance
+    curve does not reach.
     """
 
-    def __init__(self, message: str, order: int, extended: bool = False,
-                 reflections=None, curve=None):
+    def __init__(self, message: str, order: int):
         super().__init__(message)
         self.order = order
-        self.extended = extended
-        self.reflections = reflections
-        self.curve = curve
 
 
 class NearTrivialMeasureError(StatmeanError):

@@ -36,7 +36,7 @@ import numpy as np
 
 from .covariance import covariance_sequence
 from .ddouble import read_only
-from .errors import AccuracyError, NearSingularError, NearTrivialMeasureError, ValidationError
+from .errors import AccuracyError, NearTrivialMeasureError, ValidationError
 from .quadrature import cosine_moments, model_grid
 from .spectra import MINUS_INFINITY, TWO_PI, SpectralModel, as_measure, szego_integral
 from .toeplitz import levinson_pass, solve_ones
@@ -70,13 +70,10 @@ def szego_recursion(measure, n: int, probes=()) -> OpucState:
         raise ValidationError("probes must be finite complex numbers")
     cov = covariance_sequence(measure, n)
     r = cov.values
-    try:
-        entry = levinson_pass(r)
-        alphas = -entry.refl
-    except NearSingularError as err:
-        # the reflections up to the breakdown: the last one is past the bound
-        # below, so the check raises before the missing pass is read
-        alphas = -err.reflections
+    entry = levinson_pass(r)
+    # after a breakdown the reflections end with the offending one, which is
+    # past the bound below, so the check raises before the short errors are read
+    alphas = -entry.refl
     trivial = np.flatnonzero(np.abs(alphas) >= 1.0 - 1e-13)
     if trivial.size:
         k = int(trivial[0])

@@ -13,8 +13,9 @@ recursion, written once over the arithmetic of its input, numpy float64 or
 `ddouble` pairs; `opuc` reads its reflections and errors as negated Verblunsky
 coefficients and monic norms.  An `lru_cache` keyed on a sequence's bytes (and
 its low parts' in double-double) holds the 8 passes used last for every
-caller.  Cached arrays are read-only and callers receive copies; a breakdown
-is raised, never cached.
+caller.  Cached arrays are read-only and callers receive copies; a pass that
+stops short is cached as it is, and each reader that needs the whole order
+raises its stop.
 
 In double precision x is polished by one step of iterative refinement, cached
 beside the pass: the residual 1 - (R + L) x, L the Toeplitz matrix of the
@@ -100,24 +101,20 @@ def _levinson(r):
     """One Levinson-Durbin pass solving R x = 1, R the Toeplitz matrix of r.
 
     r is a float array, run in numpy, or a `dd.DD` array, run in
-    double-double.  Returns (x, reflections, prediction errors e_0..e_n,
-    variance curve, final predictor a) in the same arithmetic, with R a = e_n
-    (1, 0, ..., 0); x and the curve are formed after the loop.  A breakdown
-    raises `NearSingularError` with the reflections so far, the offending one
-    last, and the curve below its order.  The double-double pass also stops on
-    pivot and variance loss; its reflection bound, compared with the
-    reflection rounded to double, is 1.0.
+    double-double.  Returns (x, reflections, prediction errors, variance
+    curve, final predictor a, stop) in the same arithmetic, with R a = e_n
+    (1, 0, ..., 0), as far as the pass gets: stop names why the curve ends
+    before order n, or is None.  A breakdown, or in double-double a pivot
+    loss, ends the loop with the reflections through the offending one, the
+    errors below it and no x or a.  Otherwise x and the curve are formed after
+    the loop, the curve cut before its first order that is not positive (1 /
+    r(0) overflows at a subnormal scale).  The double-double reflection bound,
+    compared with the reflection rounded to double, is 1.0.
     """
     ar = dd if isinstance(r, dd.DD) else np
     extended, empty, dot = ar is dd, ar.empty, ar.dot
-
-    def breakdown(what, m, reflections=None):
-        note = (" in double-double precision" if extended
-                else "; extended double-double precision may reach further")
-        curve = _at_one(refl[:m - 1], errors[:m])[1] if m else ()
-        return NearSingularError(f"{what}{note}", order=m, extended=extended,
-                                 reflections=reflections, curve=np.array(curve, dtype=float))
-
+    note = (" in double-double precision" if extended
+            else "; extended double-double precision may reach further")
     bound = 1.0 if extended else BREAKDOWN_DOUBLE
     n = len(r) - 1
     band = _band(r)                                 # dots skip the exact-zero lags past it
@@ -126,24 +123,31 @@ def _levinson(r):
     e = errors[0] = r[0]
     for m in range(1, n + 1):
         w = min(m, band)
-        k = -dot(a[m - w:m], r[w:0:-1]) / e
+        k = refl[m - 1] = -dot(a[m - w:m], r[w:0:-1]) / e
         if abs(float(k)) >= bound:
-            raise breakdown(f"Toeplitz factorization breakdown at order {m} "
-                            f"(reflection {float(k):+.17g})", m, np.append(refl[:m - 1], k))
-        refl[m - 1] = k
+            stop = (f"Toeplitz factorization breakdown at order {m} "
+                    f"(reflection {float(k):+.17g}){note}")
+            break
         a[:m + 1] += k * a[m::-1]
         e *= 1.0 - k * k
         if extended and float(e) <= 0.0:
-            raise breakdown(f"pivot loss at order {m}", m)
+            stop = f"pivot loss at order {m}{note}"
+            break
         errors[m] = e
-    p, curve = _at_one(refl, errors)
-    lost = np.flatnonzero(~(np.asarray(curve) > 0.0))
-    if extended and lost.size:
-        raise breakdown(f"variance loss at order {lost[0]}", int(lost[0]))
-    d = a.copy()                                    # d_j = a_j - a_{n+1-j}, a_{n+1} = 0
-    d[1:] -= a[:0:-1]
-    with np.errstate(all="ignore"):                 # out of range: left to the callers' checks
-        return (p[-1] / e) * d.cumsum(), refl, errors, curve, a
+    else:
+        p, curve = _at_one(refl, errors)
+        lost = np.flatnonzero(~(np.asarray(curve) > 0.0))
+        stop = None
+        if lost.size:
+            m = int(lost[0])
+            curve = curve[:m]
+            stop = (f"variance loss at order {m}{note}" if extended
+                    else f"variance out of double range at order {m}")
+        d = a.copy()                                # d_j = a_j - a_{n+1-j}, a_{n+1} = 0
+        d[1:] -= a[:0:-1]
+        with np.errstate(all="ignore"):             # out of range: left to the readers
+            return (p[-1] / e) * d.cumsum(), refl, errors, curve, a, stop
+    return None, refl[:m], errors[:m], _at_one(refl[:m - 1], errors[:m])[1], None, stop
 
 
 def _at_one(refl, errors):
@@ -163,14 +167,20 @@ def _band(r) -> int:
 
 
 class _LevinsonPass(NamedTuple):
-    """Read-only results of one all-ones pass, in the arithmetic it ran in:
-    float arrays, or `dd.DD` pairs of them."""
+    """Read-only results of one all-ones pass as far as it got, in the
+    arithmetic it ran in: float arrays, or `dd.DD` pairs of them; x and a are
+    None after a breakdown, and stop names why the curve ends early."""
 
-    x: np.ndarray
+    x: np.ndarray | None
     refl: np.ndarray
     errors: np.ndarray
     curve: np.ndarray
-    a: np.ndarray
+    a: np.ndarray | None
+    stop: str | None
+
+    def refusal(self) -> NearSingularError:
+        """Why the pass stopped, at the first order its curve does not reach."""
+        return NearSingularError(self.stop, order=len(self.curve))
 
 
 def _floats(b):
@@ -181,11 +191,11 @@ def _floats(b):
 def _pass(r_bytes, lo_bytes):
     """The pass over the exact values r, in double-double when their low parts
     lo are given, for the 8 sequences asked last; an entry holds five vectors
-    of length n+1, each two arrays in double-double.  A breakdown raises
-    every time."""
+    of length n+1, each two arrays in double-double.  A pass that stops short
+    is kept as it is; its readers raise."""
     r, lo = _floats(r_bytes), _floats(lo_bytes)
-    found = _levinson(r if lo is None else dd.DD(r, lo))
-    return _LevinsonPass(*map(dd.read_only, found))
+    *arrays, stop = _levinson(r if lo is None else dd.DD(r, lo))
+    return _LevinsonPass(*(v if v is None else dd.read_only(v) for v in arrays), stop)
 
 
 @lru_cache(maxsize=8)
@@ -194,6 +204,8 @@ def _refined(r_bytes, lo_bytes):
     against r + lo, for the 8 sequences asked last.  An x out of double range
     (1 / r(0) overflows at a subnormal scale) is refused, not refined."""
     p, r = _pass(r_bytes, None), _floats(r_bytes)
+    if p.x is None:
+        raise p.refusal()
     if not np.isfinite(p.x).all():
         raise NearSingularError(f"solution out of double range at order {len(r) - 1}",
                                 order=len(r) - 1)
@@ -217,14 +229,16 @@ def solve_ones(r, lo=None) -> np.ndarray:
     return _refined(_bytes(r), _bytes(lo))
 
 
-def _pass_for(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
+def _whole_pass(covariance: CovarianceSequence, precision: str) -> _LevinsonPass:
+    """The pass over the covariances in the precision asked, refused if it stops short."""
     if precision not in ("double", "dd"):
         raise ValidationError(f"unknown precision {precision!r}")
-    if precision == "double":
-        return levinson_pass(covariance.values)
-    if covariance.precision != "dd":
+    if precision == "dd" and covariance.precision != "dd":
         raise ValidationError("extended precision requires a dd covariance sequence")
-    return levinson_pass(covariance.values, covariance.lo)
+    p = levinson_pass(covariance.values, covariance.lo if precision == "dd" else None)
+    if p.stop:
+        raise p.refusal()
+    return p
 
 
 def _correlate(r, x):
@@ -277,7 +291,7 @@ def blue_solve(system: ToeplitzSystem):
     if system.precision == "double":
         x = solve_ones(cov.values, cov.lo)
     else:
-        x = _pass_for(cov, system.precision).x
+        x = _whole_pass(cov, system.precision).x
     total = x.sum()
     variance = float(1.0 / total)
     coeffs = np.asarray(x / total, dtype=float)
@@ -289,21 +303,18 @@ def blue_solve(system: ToeplitzSystem):
 
 
 def blue_variance_curve(covariance: CovarianceSequence, precision: str = "double"):
-    """Variance of the optimal estimator at every order 0..n in one pass.  A
-    double curve that reads 0 at order m (r(0) at a subnormal scale) is
-    refused, with the orders below m on the error."""
-    curve = np.array(_pass_for(covariance, precision).curve, dtype=float)
-    lost = np.flatnonzero(~(curve > 0.0))
-    if precision == "double" and lost.size:
-        m = int(lost[0])
-        raise NearSingularError(f"variance out of double range at order {m}", order=m,
-                                curve=curve[:m])
-    return curve
+    """Variance of the optimal estimator at every order 0..n in one pass,
+    refused where the pass stops short."""
+    return np.array(_whole_pass(covariance, precision).curve, dtype=float)
 
 
 def reflection_coefficients(r):
-    """Reflection (Schur) coefficients of the prediction recursion."""
-    return levinson_pass(r).refl.copy()
+    """Reflection (Schur) coefficients of the prediction recursion, refused
+    after a breakdown."""
+    p = levinson_pass(r)
+    if p.x is None:
+        raise p.refusal()
+    return p.refl.copy()
 
 
 def quadratic_form(weights, covariance: CovarianceSequence) -> float:

@@ -213,6 +213,21 @@ class TestExitCodes:
         assert err == ("numerical-accuracy error: variance loss at order 0 in "
                        "double-double precision\n")
 
+    @pytest.mark.parametrize("precision", ["double", "auto", "dd"])
+    def test_decay_names_why_no_order_is_reachable(self, tmp_path, precision):
+        """When the pass stops before any grid point, decay names the stop, in
+        the arithmetic it last ran in, not only that no point is reachable."""
+        line = ("variance out of double range at order 0" if precision == "double"
+                else "variance loss at order 0 in double-double precision")
+        path = tmp_path / "wn.json"
+        path.write_text(json.dumps({"variant": "white_noise", "level": 1e-311}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli("decay", "--model", str(path), "--n-grid", "8:32:8",
+                                     "--precision", precision)
+        assert code == 3 and out == ""
+        assert err == f"numerical-accuracy error: {line}\n"
+
     def test_solution_out_of_range_is_one_line(self, tmp_path):
         """At a subnormal scale the double pass's x overflows: the BLUE refuses
         it before refinement, with no numpy warning before its line."""

@@ -255,11 +255,23 @@ class TestDecayRate:
         assert report.warning.startswith("grid truncated at order 18: variance at order 19 "
                                          "below the double rounding floor")
 
+    @pytest.mark.parametrize("model", [st.Arma(ma=(1.0, -0.5), ar=(1.0, -0.3)),
+                                       st.PowerAtOrigin(2.0), st.FgnDensity(0.3)])
+    @pytest.mark.parametrize("factor", [1e-11, 1e3])
+    def test_switch_to_dd_does_not_depend_on_the_scale(self, model, factor):
+        """The switch compares variances with 1e-12 r(0), so a scaled model
+        runs in the precision of the model itself, with the same rho."""
+        grid = range(8, 65, 8)
+        bare = st.decay_rate_from_variances(model, grid)
+        scaled = st.decay_rate_from_variances(st.Scaled(model, factor), grid)
+        assert scaled.precision == bare.precision
+        assert scaled.rho == pytest.approx(bare.rho, rel=1e-12)
+
 
 class TestTruncationReusesTheFailedPass:
     def test_one_pass_per_precision_and_the_prefix_bits(self, monkeypatch):
-        """A breakdown carries the curve below its order, so the decay fit
-        keeps it instead of factoring the prefix a second time."""
+        """A pass that stops short keeps the curve below its stop, so the
+        decay fit reads it instead of factoring the prefix a second time."""
         arc = st.ArcSupported(0.455 * math.pi, 1.0 / (2.0 * math.pi))
         passes = []
         levinson = toeplitz._levinson
@@ -279,7 +291,9 @@ class TestTruncationReusesTheFailedPass:
                 st.blue_variance_curve(cov, precision=precision)
             m = info.value.order
             lo = None if cov.lo is None else cov.lo[:m]
+            entry = toeplitz.levinson_pass(cov.values, cov.lo if precision == "dd" else None)
+            assert len(entry.curve) == m and entry.stop == str(info.value)
             prefix = st.CovarianceSequence(cov.values[:m], cov.provenance, precision, lo)
             curve = st.blue_variance_curve(prefix, precision=precision)
-            assert info.value.curve.tobytes() == curve.tobytes()
+            assert np.array(entry.curve, dtype=float).tobytes() == curve.tobytes()
         assert rep.sigmas.tobytes() == np.sqrt(curve[rep.orders]).tobytes()

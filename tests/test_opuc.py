@@ -310,12 +310,11 @@ class TestViewOfLevinsonPass:
 
     def test_breakdown_of_the_pass_is_a_trivial_measure(self):
         measure = st.ArcSupported(math.pi / 2, 1.0 / TWO_PI)
-        with pytest.raises(st.NearSingularError) as singular:
-            st.blue_variance_curve(st.covariance_sequence(measure, 40))
+        entry = toeplitz.levinson_pass(st.covariance_sequence(measure, 40).values)
         with pytest.raises(st.NearTrivialMeasureError) as trivial:
             st.szego_recursion(measure, 40)
-        partial = np.abs(singular.value.reflections)
-        assert len(partial) == singular.value.order
+        partial = np.abs(entry.refl)               # up to the offending one
+        assert entry.x is None and len(partial) == len(entry.curve)
         assert trivial.value.index == np.flatnonzero(partial >= 1.0 - 1e-13)[0]
 
     def test_first_coefficient_past_the_bound_is_named(self, monkeypatch):
@@ -323,7 +322,8 @@ class TestViewOfLevinsonPass:
         partial = np.array([0.5, 1.0 - 5e-14, 1.0 - 1e-15])
 
         def broken(r):
-            raise st.NearSingularError("breakdown", order=3, reflections=partial)
+            return toeplitz._LevinsonPass(None, partial, np.ones(3), np.ones(3), None,
+                                          "breakdown")
 
         monkeypatch.setattr(opuc, "levinson_pass", broken)
         with pytest.raises(st.NearTrivialMeasureError) as trivial:

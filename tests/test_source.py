@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import graphlib
+import inspect
 import pathlib
 
 import numpy as np
@@ -104,6 +105,20 @@ def test_no_private_name_crosses_modules():
                       and isinstance(node.value, ast.Name) and node.value.id in bound
                       and _private(node.attr)]
     assert crossings == []
+
+
+def test_only_the_command_line_catches_a_stopped_pass():
+    """A Levinson pass that stops short is a value, which its readers raise:
+    `NearSingularError` keeps only a message and an order, and no module but
+    `cli` catches it to read the pass back out of it."""
+    parameters = list(inspect.signature(statmean.NearSingularError.__init__).parameters)
+    assert parameters == ["self", "message", "order"]
+    catchers = [f"{path.name}:{node.lineno}" for path in MODULES
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "NearSingularError" in ast.unparse(node.type)]
+    assert [c for c in catchers if not c.startswith("cli.py:")] == []
+    assert catchers
 
 
 #: the model variants' class names

@@ -192,14 +192,19 @@ class TestLevinsonMemo:
         info = toeplitz._pass.cache_info()
         assert info.currsize == info.maxsize
 
-    def test_breakdown_raised_on_every_call(self):
-        cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 40)
-        for call in [lambda: st.blue_solve(st.ToeplitzSystem(cov)),
-                     lambda: st.blue_variance_curve(cov)] * 3:
-            misses = toeplitz._pass.cache_info().misses
-            with pytest.raises(st.NearSingularError):
+    def test_a_stopped_pass_is_computed_once(self):
+        """A pass that stops short is cached like any other, and each reader
+        that needs the whole order refuses it from the cache."""
+        measure = st.ArcSupported(math.pi / 2)
+        cov = st.covariance_sequence(measure, 60)
+        _clear()
+        misses = toeplitz._pass.cache_info().misses
+        for call, error in [(lambda: st.blue_variance_curve(cov), st.NearSingularError),
+                            (lambda: st.blue_solve(st.ToeplitzSystem(cov)), st.NearSingularError),
+                            (lambda: st.szego_recursion(measure, 60), st.NearTrivialMeasureError)]:
+            with pytest.raises(error):
                 call()
-            assert toeplitz._pass.cache_info().misses == misses + 1
+        assert toeplitz._pass.cache_info().misses == misses + 1
 
     def test_threads_agree_while_evicting(self):
         # more sequences than the memo holds and more threads than cores, with
@@ -378,7 +383,7 @@ class TestOnesPass:
     @pytest.mark.parametrize("seed", range(4))
     def test_eta_is_the_predictor_at_one_in_double(self, seed):
         r = _random_sequence(seed, 24)
-        _, refl, errors, _, _ = _levinson(r)
+        _, refl, errors, _, _, _ = _levinson(r)
         p = np.cumprod(np.append(1.0, 1.0 + refl))
         for m in range(1, len(r)):
             prev = scipy.linalg.solve(scipy.linalg.toeplitz(r[:m]), np.ones(m))
@@ -390,7 +395,7 @@ class TestOnesPass:
     def test_eta_is_the_predictor_at_one_in_dd(self, seed):
         r = _random_sequence(seed, 12)
         lo = r * 2.0 ** -60                   # exact values with nonzero low parts
-        _, refl, errors, _, _ = _levinson(dd.DD(r, lo))
+        _, refl, errors, _, _, _ = _levinson(dd.DD(r, lo))
         p = (1.0 + refl).cumprod()
         with mpmath.workdps(50):
             exact = [mpmath.mpf(h) + mpmath.mpf(v) for h, v in zip(r, lo)]
@@ -409,7 +414,7 @@ class TestOnesPass:
     @pytest.mark.parametrize("n", [0, 1, 12, 300])
     def test_gohberg_semencul_is_the_inverse(self, seed, n):
         r = _random_sequence(seed, n)
-        _, _, errors, _, a = _levinson(r)
+        _, _, errors, _, a, _ = _levinson(r)
         b = np.random.default_rng(seed).normal(size=n + 1)
         want = scipy.linalg.solve(scipy.linalg.toeplitz(r), b)
         got = toeplitz._gohberg_semencul(a, errors[-1], b)
@@ -431,7 +436,7 @@ class TestOnesPass:
             cov = st.covariance_sequence(model, n, precision="dd")
             r = dd.DD(cov.values, cov.lo)
             assert np.flatnonzero(cov.values)[-1] < n       # the cut skips something
-        x, refl, errors, curve, a = _levinson(r)
+        x, refl, errors, curve, a, _ = _levinson(r)
         ref = _dense_window_pass(r)
         for got, want in zip((refl, errors, a, x, curve), ref + _christoffel_darboux(*ref)):
             assert got.hi.tobytes() == want.hi.tobytes()
@@ -463,36 +468,49 @@ class TestOnesPass:
         cov = st.covariance_sequence(st.ArcSupported(math.pi / 2, 1.0 / TWO_PI), 60,
                                      precision="dd")
         r = dd.DD(cov.values, cov.lo) if extended else cov.values
-        with pytest.raises(st.NearSingularError) as info:
-            _levinson(r)
-        m = info.value.order
-        assert m > 4 and info.value.extended == extended
-        below = _levinson(r[:m])[3]
-        assert info.value.curve.tobytes() == np.array(below, dtype=float).tobytes()
+        x, refl, errors, curve, a, stop = _levinson(r)
+        m = len(curve)
+        assert m > 4 and stop.startswith(f"Toeplitz factorization breakdown at order {m} ")
+        assert stop.endswith(" in double-double precision" if extended
+                             else "; extended double-double precision may reach further")
+        assert x is None and a is None and len(refl) == len(errors) == m
+        assert abs(float(refl[-1])) >= (1.0 if extended else toeplitz.BREAKDOWN_DOUBLE)
+        *whole, below_stop = _levinson(r[:m])          # the orders below, a whole pass
+        assert below_stop is None
+        for got, want in zip((refl[:-1], errors, curve), whole[1:4]):
+            assert _bits(got) == _bits(want)
+            if extended:
+                assert _bits(got.lo) == _bits(want.lo)
 
     def test_curve_out_of_range_is_refused_without_warnings(self):
-        """1 / r(0) overflows at a subnormal r(0): the double-double curve is not
-        finite, and the pass refuses it before any numpy warning."""
+        """1 / r(0) overflows at a subnormal r(0): the curve is not positive at
+        order 0, and the pass stops there in both arithmetics without a numpy
+        warning.  The loop is whole, so x is formed, out of range."""
+        r = np.array([1e-310, 0.0, 0.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(st.NearSingularError, match="variance loss at order 0") as info:
-                _levinson(dd.DD(np.array([1e-310, 0.0, 0.0]), np.zeros(3)))
-            x, _, _, curve, _ = _levinson(np.array([1e-310, 0.0, 0.0]))
-        assert info.value.extended and info.value.order == 0
-        assert np.all(np.isinf(x)) and np.all(curve == 0.0)    # left to its callers
+            x_dd, _, _, curve_dd, _, stop_dd = _levinson(dd.DD(r, np.zeros(3)))
+            x, refl, _, curve, _, stop = _levinson(r)
+        assert stop_dd == "variance loss at order 0 in double-double precision"
+        assert stop == "variance out of double range at order 0"
+        assert len(curve) == len(curve_dd) == 0 and len(refl) == 2
+        assert np.all(np.isinf(x)) and len(x_dd) == 3          # left to its readers
 
     def test_double_curve_out_of_range_is_refused_by_its_reader(self):
-        """The double pass leaves a curve that reads 0 at a subnormal r(0) to
-        its callers: the public reader refuses it, with no numpy warning, and
-        carries the orders below the first 0."""
+        """The double pass stops where its curve reads 0 at a subnormal r(0):
+        the public reader raises that stop, with no numpy warning, and the
+        error keeps only its message and the order; the orders below are the
+        pass's curve."""
         cov = st.covariance_sequence(st.WhiteNoise(1e-311), 8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(st.NearSingularError,
                                match="^variance out of double range at order 0$") as info:
                 st.blue_variance_curve(cov)
-        assert info.value.order == 0 and len(info.value.curve) == 0
-        assert not info.value.extended and info.value.reflections is None
+            entry = toeplitz.levinson_pass(cov.values)
+        assert vars(info.value) == {"order": 0}
+        assert entry.stop == str(info.value) and len(entry.curve) == 0
+        assert len(entry.refl) == 8 and entry.x is not None      # the loop was whole
 
     @pytest.mark.parametrize("measure", [st.PowerAtOrigin(1.37), st.FgnDensity(0.8),
                                          st.Arma(ma=(1.0,), ar=(1.0, -0.7))])

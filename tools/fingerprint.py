@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tools/fingerprint.py --seed 1
 
-Six digests are printed, one line each:
+Seven digests are printed, one line each:
 
 * ``double``: over the first double-sweep round, the `blue_solve` weights and
   variance, `blue_variance_curve`, `reflection_coefficients`,
@@ -21,7 +21,11 @@ Six digests are printed, one line each:
   its declared `singularities()`;
 * ``covariance``: over `COVARIANCE_MEASURES`, which reach every closed form,
   the `covariance_sequence` `values`, `lo` and `provenance` at each order in
-  `COVARIANCE_ORDERS`, in double and in double-double.
+  `COVARIANCE_ORDERS`, in double and in double-double;
+* ``refusals``: over `REFUSALS`, command lines that exit 3 (a subnormal
+  scale, a breakdown in either arithmetic, a pole on the quadrature grid),
+  run in-process as the ``cli`` digest runs its ops, each one's exit code and
+  last line of stderr.
 
 Two commits that print the same digests for a seed give bitwise the same
 outputs on those ops.  An op that raises contributes its exception's class
@@ -95,6 +99,18 @@ COVARIANCE_MEASURES = [
     spectra.FisherHartwig(_WN, ((1.0, 0.3), (-1.0, 0.3))),
 ]
 COVARIANCE_ORDERS = (64, 1024)
+
+_SUBNORMAL = spectra.WhiteNoise(1e-311)
+_ARC = spectra.ArcSupported(0.5 * _PI, 1.0 / (2.0 * _PI))
+#: (model, command line) pairs that each exit 3, for the refusals digest
+REFUSALS = [
+    (_SUBNORMAL, ["blue", "--n", "8"]), (_SUBNORMAL, ["christoffel", "--n", "8"]),
+    *[(_SUBNORMAL, ["decay", "--n-grid", "8:32:8", "--precision", precision])
+      for precision in ("double", "auto", "dd")],
+    (_ARC, ["blue", "--n", "60"]), (_ARC, ["blue", "--n", "200", "--precision", "dd"]),
+    (spectra.FisherHartwig(_WN, ((1.0, -0.3), (-1.0, -0.3))), ["covariance", "--n", "64"]),
+    (spectra.FisherHartwig(_WN, ((_PI, -0.3),)), ["classify"]),
+]
 
 
 class Digest:
@@ -204,7 +220,7 @@ def _cli_outputs(spec, model_dir):
 
 
 def fingerprint(seed: int) -> dict:
-    double, dd, cli_digest, density, structure, cov = (Digest() for _ in range(6))
+    double, dd, cli_digest, density, structure, cov, refusals = (Digest() for _ in range(7))
     for spec in workloads.first_rounds("double-sweep", seed, 1)[0]:
         label = f"op{spec['op']}"
         double.run(label, lambda: _double_outputs(spec))
@@ -220,6 +236,9 @@ def fingerprint(seed: int) -> dict:
     with tempfile.TemporaryDirectory() as model_dir:
         for spec in workloads.first_rounds("cli-oneshot", seed, 1)[0]:
             cli_digest.run(f"op{spec['op']}", lambda: _cli_outputs(spec, model_dir))
+        for i, (model, argv) in enumerate(REFUSALS):
+            spec = {"op": f"refusal{i}", "argv": argv, "model": model.to_json()}
+            refusals.run(f"refusal{i}", lambda: _cli_outputs(spec, model_dir))
     for i, model in enumerate(STRUCTURE_MODELS):
         structure.run(f"model{i}", lambda: _structure(model))
     for i, measure in enumerate(COVARIANCE_MEASURES):
@@ -227,7 +246,7 @@ def fingerprint(seed: int) -> dict:
             for precision in ("double", "dd"):
                 cov.run(f"model{i}.{n}.{precision}", lambda: _covariances(measure, n, precision))
     return {"double": double, "dd": dd, "cli": cli_digest, "density": density,
-            "structure": structure, "covariance": cov}
+            "structure": structure, "covariance": cov, "refusals": refusals}
 
 
 def main(argv=None):
