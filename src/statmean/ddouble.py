@@ -23,6 +23,7 @@ numbers among them, `bernoulli`, also serve `spectra`'s Hurwitz zeta.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -69,8 +70,7 @@ def _dd(v):
     return v if isinstance(v, DD) else DD(v, 0.0)
 
 
-def _fsum(parts) -> DD:
-    parts = parts.tolist()
+def _fsum(parts: list) -> DD:
     hi = math.fsum(parts)
     parts.append(-hi)
     return DD(hi, math.fsum(parts) if math.isfinite(hi) else 0.0)
@@ -149,7 +149,7 @@ class DD:
         return DD(other, 0.0) / self
 
     def sum(self) -> DD:
-        return _fsum(np.concatenate((self.hi, self.lo)))
+        return _fsum(np.concatenate((self.hi, self.lo)).tolist())
 
     def _scan(self, op) -> DD:
         """Running op-reductions by doubling strides; entry i is the same for any length > i."""
@@ -174,9 +174,15 @@ def empty(shape) -> DD:
 
 
 def dot(x: DD, y: DD) -> DD:
-    p, e = two_prod(np.concatenate((x.hi, x.hi, x.lo, x.lo)),
-                    np.concatenate((y.hi, y.lo, y.hi, y.lo)))
-    return _fsum(np.concatenate((p, e)))
+    """sum_i x_i y_i from the two_prod parts of hi hi, hi lo, lo hi and lo lo,
+    products before errors, summed by `_fsum`.  x and y hold arrays, or lists
+    of floats that two_prod takes a pair at a time, which spares a short dot
+    numpy's cost per call; the parts and their order are the same either way."""
+    xs, ys = (x.hi, x.hi, x.lo, x.lo), (y.hi, y.lo, y.hi, y.lo)
+    if isinstance(x.hi, np.ndarray):
+        return _fsum(np.concatenate(two_prod(np.concatenate(xs), np.concatenate(ys))).tolist())
+    pairs = list(map(two_prod, itertools.chain(*xs), itertools.chain(*ys)))
+    return _fsum([p for p, _ in pairs] + [e for _, e in pairs])
 
 
 def arange(*args) -> DD:

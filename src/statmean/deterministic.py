@@ -269,15 +269,14 @@ def _curve_with_truncation(measure, nmax, precision):
     variance under the floor.  A breakdown at order 2 or below is raised."""
     cov = covariance_sequence(measure, nmax, precision=precision)
     kind = "extended" if precision == "dd" else "double"
-    entry = levinson_pass(cov.values, cov.lo if precision == "dd" else None)
+    entry = levinson_pass(cov.values, cov.lo if precision == "dd" else None, solution=False)
     curve, warning, stop = np.array(entry.curve, dtype=float), None, entry.stop
     if stop:
         m = len(curve)
-        breakdown = entry.x is None             # a variance loss still forms x
-        if breakdown and m <= 2:
+        if entry.broke_down and m <= 2:
             raise entry.refusal()
         warning = f"grid truncated at order {m - 1}: " + (
-            f"factorization breakdown in {kind} precision" if breakdown else stop)
+            f"factorization breakdown in {kind} precision" if entry.broke_down else stop)
     floor = UNIT_ROUNDOFF[precision] * nmax * cov.values[0]
     below = np.flatnonzero(curve < floor)
     if len(below):

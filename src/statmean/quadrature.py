@@ -46,8 +46,9 @@ OSC_RADIANS = 14.0
 #: of sum |w f|
 SPREAD_HALF_WIDTH, GRID_PER_LAG = 14, 8
 #: entries of one block of `dd_cosine_moments`' cosine table, which keeps each
-#: of its arrays near 1 MB, and the lag step of its recurrence
-_TABLE_SIZE, _LAG_STEP = 1 << 17, 8
+#: of its arrays near 1 MB, the lag step of its recurrence, and the lags whose
+#: rows are held at once, a multiple of the step and at least two of them
+_TABLE_SIZE, _LAG_STEP, _SUM_ROWS = 1 << 17, 8, 32
 
 
 @lru_cache(maxsize=8)
@@ -210,6 +211,8 @@ def dd_cosine_moments(lam, w, fvals, kmax):
     cos(k lam) = 2 cos(s lam) cos((k-s) lam) - cos((k-2s) lam) gives the lags
     with s = 1 below 2B and then s = B = _LAG_STEP, B rows at a time: a
     three-term recurrence of n steps amplifies errors at most n + 1 times.
+    The rows are formed and summed _SUM_ROWS lags at a time, from the 2B rows
+    before them, so a block holds those rows and not the whole table.
     """
     step, rows = _LAG_STEP, min(2 * _LAG_STEP, kmax + 1)
     block, out = max(1, _TABLE_SIZE // (kmax + 1)), 0.0
@@ -221,22 +224,33 @@ def dd_cosine_moments(lam, w, fvals, kmax):
         twice = dd.DD(2.0 * cos.hi, 2.0 * cos.lo)
         for k in range(2, rows):
             c[k] = twice * c[k - 1] - c[k - 2]
-        v = dd.empty((kmax + 1, len(cos)))
-        v[:rows] = c * g
         if rows > step:
             twice = dd.DD(2.0 * c.hi[step], 2.0 * c.lo[step])
-        for k in range(rows, kmax + 1, step):
-            top = min(k + step, kmax + 1)
-            v[k:top] = twice * v[k - step:top - step] - v[k - 2 * step:top - 2 * step]
-        # the rows' sums: hi parts by an error-free pairwise tree, the rest in double
-        hi, lo = v.hi, v.lo.sum(axis=1)
-        while hi.shape[1] > 1:
-            if hi.shape[1] % 2:
-                hi = np.pad(hi, ((0, 0), (0, 1)))
-            hi, err = dd.two_sum(hi[:, 0::2], hi[:, 1::2])
-            lo = lo + err.sum(axis=1)
-        out = dd.DD(*dd.two_sum(hi[:, 0], lo)) + out
+        v = c * g
+        sums = [_row_sums(v)]
+        for first in range(rows, kmax + 1, _SUM_ROWS):
+            t = dd.empty((2 * step + min(_SUM_ROWS, kmax + 1 - first), len(cos)))
+            t[:2 * step] = v[-2 * step:]
+            for k in range(2 * step, len(t), step):
+                top = min(k + step, len(t))
+                t[k:top] = twice * t[k - step:top - step] - t[k - 2 * step:top - 2 * step]
+            v = t[2 * step:]
+            sums.append(_row_sums(v))
+        hi, lo = (np.concatenate(s) for s in zip(*sums))
+        out = dd.DD(*dd.two_sum(hi, lo)) + out
     return out * 2.0
+
+
+def _row_sums(v):
+    """Each row's sum of a double-double table: the hi parts by an error-free
+    pairwise tree, the rest in double."""
+    hi, lo = v.hi, v.lo.sum(axis=1)
+    while hi.shape[1] > 1:
+        if hi.shape[1] % 2:
+            hi = np.pad(hi, ((0, 0), (0, 1)))
+        hi, err = dd.two_sum(hi[:, 0::2], hi[:, 1::2])
+        lo = lo + err.sum(axis=1)
+    return hi[:, 0], lo
 
 
 def log_integral_grid(model):

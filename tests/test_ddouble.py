@@ -108,6 +108,34 @@ def test_sum_and_dot_are_correctly_rounded(pair):
             assert got.lo == float(exact - got.hi)
 
 
+def test_dot_on_lists_is_the_dot_on_arrays():
+    """The Levinson loop over a narrow band dots lists of floats, one two_prod
+    at a time, and must round as the vector dot does: the same bits, or the
+    same error from math.fsum where infinities of both signs meet."""
+    rng = np.random.default_rng(11)
+    special = [np.inf, -np.inf, np.nan]
+
+    def vector(size):
+        hi = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 8, size)
+        lo = hi * rng.uniform(-1.0, 1.0, size) * 2.0 ** -54
+        hi[rng.random(size) < 0.1] = special[rng.integers(3)]
+        return dd.DD(hi, lo)
+
+    def outcome(x, y):
+        try:
+            v = dd.dot(x, y)
+        except (ValueError, OverflowError) as err:
+            return type(err).__name__
+        return np.float64(v.hi).tobytes(), np.float64(v.lo).tobytes()
+
+    for trial in range(2000):
+        x, y = vector(trial % 10), vector(trial % 10)
+        with np.errstate(all="ignore"):
+            arrays = outcome(x, y)
+        lists = outcome(dd.DD(x.hi.tolist(), x.lo.tolist()), dd.DD(y.hi.tolist(), y.lo.tolist()))
+        assert lists == arrays, trial
+
+
 @given(pair=dd_pair(max_size=64))
 @settings(max_examples=100, deadline=None)
 def test_cumsum_matches_exact_prefix_sums(pair):

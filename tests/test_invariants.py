@@ -11,6 +11,9 @@ the library's routes to one another:
   (for white noise its two variances differ by their rounding);
 * the variance curve's last entry is `blue_solve`'s variance within 1e-8;
 * the OPUC minimizer's weights are `blue_solve`'s within a few ulps;
+* the Kolmogorov-Szego law: the Levinson errors are nonincreasing, and the
+  last stays above their limit 2 pi G(f), the one-step prediction error from
+  the infinite past, within 1e-13 r(0);
 * the double-double and double curves agree within 1e-8 wherever both run;
 * the document, read and written back, gives an equal model;
 
@@ -118,9 +121,16 @@ def test_routes_agree_on_valid_models(doc, n):
         assert curve[-1] == pytest.approx(variance, rel=1e-8)
 
         coefficients = weights.coefficients
-        opuc = st.optimal_polynomial(st.szego_recursion(model, n), n)
+        state = st.szego_recursion(model, n)
+        opuc = st.optimal_polynomial(state, n)
         assert np.max(np.abs(opuc - coefficients)) <= 4 * np.finfo(float).eps * np.max(
             np.abs(coefficients))
+
+        norms = state.monic_norms
+        assert np.all(np.diff(norms) <= 0.0)
+        # within the covariances' accuracy: quadrature ones are a few 1e-15
+        # r(0) off, and the pass carries that error to e_n, not e_n's digits
+        assert norms[-1] >= st.christoffel_limit_in_disk(model, 0) - 1e-13 * norms[0]
 
         try:
             extended = st.covariance_sequence(model, n, precision="dd")

@@ -520,6 +520,103 @@ class TestOnesPass:
         assert np.max(np.abs(kernel / curve - 1.0)) <= 1e-13
 
 
+def _dd_covariances(model, n):
+    cov = st.covariance_sequence(model, n, precision="dd")
+    return dd.DD(cov.values, cov.lo)
+
+
+def _moving_average(b, n):
+    """Double-double covariances of an MA(b) with drawn coefficients: exactly
+    0 past lag b."""
+    theta = np.append(1.0, 0.4 * np.random.default_rng(b).standard_normal(b))
+    return _dd_covariances(st.Arma(ma=tuple(theta)), n)
+
+
+def _narrow_cases():
+    """(id, sequence) pairs covering whole passes, breakdowns and a variance loss."""
+    for b in range(toeplitz.NARROW_BAND + 1):
+        for n in sorted({1, 2 * b, 2 * b + 1, 300}):
+            yield f"ma{b}_n{n}", lambda b=b, n=n: _moving_average(b, n)
+    for alpha in (1, 2, 3):
+        yield f"power_law_{alpha}", lambda alpha=alpha: _dd_covariances(
+            st.PowerAtOrigin(float(alpha)), 200)
+    interior = np.zeros(33)              # r(2) = 0 inside the band, r(k > 3) = 0 past it
+    interior[:4] = [1.0, 0.3, 0.0, 0.15]
+    yield "interior_zero", lambda: dd.DD(interior, interior * 2.0 ** -58)
+    for rho in (0.55, 0.6, 0.9):         # (1, rho, 0, ...) is not positive definite
+        hi = np.zeros(40)
+        hi[:2] = [1.0, rho]
+        yield f"band1_rho{rho}", lambda hi=hi: dd.DD(hi, hi * 2.0 ** -58)
+    yield "white_noise_1e-311", lambda: _dd_covariances(st.WhiteNoise(1e-311), 8)
+
+
+NARROW_CASES = dict(_narrow_cases())
+
+
+def _dd_bits(v):
+    return None if v is None else (_bits(v.hi), _bits(v.lo))
+
+
+class TestNarrowLoop:
+    """A double-double pass over at most NARROW_BAND lags carries only the
+    ends of its predictor, and gives the array loop's bits."""
+
+    @pytest.mark.parametrize("name", list(NARROW_CASES))
+    def test_bit_for_bit_the_array_loop(self, name):
+        r = NARROW_CASES[name]()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x, refl, errors, curve, a, stop = toeplitz._narrow_levinson(r)
+            want = _levinson(r)
+        assert x is None and a is None
+        for got, ref in zip((refl, errors, curve), want[1:4]):
+            assert _dd_bits(got) == _dd_bits(ref)
+        assert stop == want[5]
+
+    @pytest.mark.parametrize("rho, order", [(0.55, 6), (0.6, 4), (0.9, 2)])
+    def test_breakdowns_and_the_variance_loss_are_told_apart(self, rho, order):
+        r = NARROW_CASES[f"band1_rho{rho}"]()
+        entry = toeplitz.levinson_pass(r.hi, r.lo, solution=False)
+        assert entry.x is None and entry.broke_down
+        assert entry.stop.startswith(f"Toeplitz factorization breakdown at order {order} ")
+        tiny = NARROW_CASES["white_noise_1e-311"]()
+        lost = toeplitz.levinson_pass(tiny.hi, tiny.lo, solution=False)
+        assert lost.x is None and not lost.broke_down
+        assert lost.stop == "variance loss at order 0 in double-double precision"
+
+    @pytest.mark.parametrize("name", ["ma2_n300", "power_law_1", "power_law_3", "interior_zero"])
+    def test_x_and_a_come_from_the_array_loop(self, name):
+        r = NARROW_CASES[name]()
+        _clear()
+        whole, narrow = (toeplitz.levinson_pass(r.hi, r.lo, solution=s) for s in (True, False))
+        want = _levinson(r)
+        assert narrow.x is None and narrow.a is None
+        assert _dd_bits(whole.x) == _dd_bits(want[0]) and _dd_bits(whole.a) == _dd_bits(want[4])
+        for field in ("refl", "errors", "curve"):
+            assert _dd_bits(getattr(narrow, field)) == _dd_bits(getattr(whole, field))
+
+    def test_which_loop_each_reader_runs(self, monkeypatch):
+        calls = []
+        for name in ("_levinson", "_narrow_levinson"):
+            kernel = getattr(toeplitz, name)
+            monkeypatch.setattr(toeplitz, name,
+                                lambda r, name=name, kernel=kernel: calls.append(name) or kernel(r))
+        model = st.Arma(ma=(1.0, -0.5, 0.3))
+        cov = st.covariance_sequence(model, 256, precision="dd")
+        _clear()
+        st.blue_variance_curve(cov, precision="dd")
+        assert calls == ["_narrow_levinson"]
+        st.blue_solve(st.ToeplitzSystem(cov, precision="dd"))
+        assert calls == ["_narrow_levinson", "_levinson"]
+        st.blue_variance_curve(cov, precision="dd")         # both cached
+        st.blue_variance_curve(cov)                         # double keeps the array loop
+        assert calls == ["_narrow_levinson", "_levinson", "_levinson"]
+        wide = _moving_average(toeplitz.NARROW_BAND + 1, 64)
+        assert toeplitz._band(wide) == toeplitz.NARROW_BAND + 1
+        toeplitz.levinson_pass(wide.hi, wide.lo, solution=False)
+        assert calls[-1] == "_levinson" and calls.count("_narrow_levinson") == 1
+
+
 class TestQuadraticForm:
     def test_uniform_weights_f1(self):
         cov = st.covariance_sequence(st.PowerAtOrigin(1.0), 2)
